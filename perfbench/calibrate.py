@@ -10,11 +10,11 @@ run per `SPACING_S` of measured time, so the runs cover the measured time
 evenly) and multiplies the run's times of that kind of operation by
 `NOMINAL_S[kind] / median(that kernel's times in the run)`.  Operations
 differ in how a busy neighbour slows them, so each kind has the kernel
-that runs most like it: `kernel` (small numpy/LAPACK calls in an
-interpreter loop) for library calls and set-up, `kernel_pool` (the same on
-one thread per CPU at once) for the CLI's worker pool, `kernel_interp`
-(list work over records) for evaluation.  The median over a run's many
-kernel runs is precise, so the correction adds little noise of its own.
+whose factor steadied it most over sets of runs: `kernel` (small
+numpy/LAPACK calls in an interpreter loop) for library calls and set-up,
+`kernel_pool` (the same on one thread per CPU at once) for the CLI's
+`estimate` and `evaluate` commands.  The median over a run's many kernel
+runs is precise, so the correction adds little noise of its own.
 Times are thus reported at the machine speed at which the kernels take
 `NOMINAL_S`; the raw times and the factors are kept beside the results.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 # Kernel times on the reference machine (2 CPUs, Python 3.11, numpy 2.4 with
 # OpenBLAS) when no other tenant slows it down.
-NOMINAL_S = {"numpy": 0.0120, "pool": 0.0240, "interp": 0.0080}
+NOMINAL_S = {"numpy": 0.0120, "pool": 0.0240}
 POOL_THREADS = os.cpu_count() or 1
 SPACING_S = 0.25
 
@@ -52,21 +52,6 @@ def kernel() -> float:
     return total
 
 
-_RECORDS = [((i * 0.6180339887) % 1.0, i % 7 < 3, f"scene{i % 25:03d}") for i in range(600)]
-
-
-def kernel_interp() -> float:
-    """Pure interpreter work over records, as confidence sweeps and per-scene reports do."""
-    total = 0.0
-    for tau in [t / 280.0 for t in range(280)]:
-        kept = [r for r in _RECORDS if r[0] >= tau]
-        total += sum(1 for r in kept if r[1]) / max(len(kept), 1)
-    by_scene: dict[str, list[float]] = {}
-    for confidence, _, scene in sorted(_RECORDS, key=lambda r: (r[2], r[0])):
-        by_scene.setdefault(scene, []).append(confidence)
-    return total + sum(values[(len(values) - 1) // 2] for values in by_scene.values())
-
-
 def kernel_pool() -> None:
     """`kernel` on one thread per CPU at once, as the CLI's default worker pool runs."""
     threads = [threading.Thread(target=kernel) for _ in range(POOL_THREADS)]
@@ -76,7 +61,7 @@ def kernel_pool() -> None:
         thread.join()
 
 
-KERNELS = {"numpy": kernel, "pool": kernel_pool, "interp": kernel_interp}
+KERNELS = {"numpy": kernel, "pool": kernel_pool}
 
 
 class Calibration:

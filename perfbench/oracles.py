@@ -21,6 +21,11 @@ VCRE_FRACTIONS = (0.05, 0.10)
 MEDIAN_ROTATION_DEG = 1.0
 MEDIAN_TRANSLATION_M = 0.05
 MEDIAN_SCALE_RELATIVE = 0.05
+# Share of a robust estimator's estimates that may lie outside the pose
+# threshold, as acceptance criterion 2 lets 5% of them fail: at 40%
+# outliers a query with a short baseline can put an `ok` essential-matrix
+# estimate just outside it (2.9 deg / 0.263 m at a 0.34 m baseline).
+OUTSIDE_SHARE = 0.05
 
 
 class CheckFailed(AssertionError):
@@ -64,13 +69,16 @@ def rotation_about(axis: np.ndarray, angle_deg: float) -> np.ndarray:
 
 
 def check_pose_accuracy(label: str, errors: list[tuple[float, float, float]]) -> None:
-    """Every estimate within the pose threshold; medians within the robustness bounds.
+    """At most OUTSIDE_SHARE of the estimates outside the pose threshold; medians within the robustness bounds.
 
     errors holds (rotation_deg, translation_m, scale_relative) per query.
     """
-    for rot, trans, _ in errors:
-        if not (rot <= POSE_THRESHOLD_DEG and trans <= POSE_THRESHOLD_M):
-            raise CheckFailed(f"{label}: pose {rot:.3f} deg / {trans:.3f} m outside the acceptance threshold")
+    outside = [(rot, trans) for rot, trans, _ in errors
+               if not (rot <= POSE_THRESHOLD_DEG and trans <= POSE_THRESHOLD_M)]
+    if len(outside) > OUTSIDE_SHARE * len(errors):
+        rot, trans = outside[0]
+        raise CheckFailed(f"{label}: {len(outside)} of {len(errors)} poses outside the acceptance threshold, "
+                          f"first {rot:.3f} deg / {trans:.3f} m")
     columns = list(zip(*errors))
     limits = (MEDIAN_ROTATION_DEG, MEDIAN_TRANSLATION_M, MEDIAN_SCALE_RELATIVE)
     for name, values, limit in zip(("rotation", "translation", "scale"), columns, limits):

@@ -3,10 +3,12 @@
     python3 perfbench/run.py --workload sparse-outlier --seed 1 --seconds 30 --trace 0
 
 Run from the root of a source checkout: the package is imported from
-`src/`, never from an installed copy.  A run builds its inputs (timed as
-set-up), then repeats whole rounds until `--seconds` have passed; a traced
-run (`--trace 1`) does a fixed number of rounds instead, so that its counts
-repeat exactly.  Each round takes one chunk of inputs through
+`src/`, never from an installed copy.  A run writes its inputs to disk as
+chunks (timed as set-up), then measures whole cycles over the chunks, one
+round per chunk, as long as another cycle fits in `--seconds` (at least
+one); a traced run (`--trace 1`) does exactly one cycle, so that its counts
+repeat exactly.  Each round reads its chunk's inputs back from disk
+(untimed) and takes them through
 
   1. one library call per query and estimator, estimators interleaved per
      query (latency),
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -40,7 +43,7 @@ import oracles
 from calibrate import Calibration
 from oracles import CheckFailed
 from tracing import Tracer
-from workloads import ESTIMATORS, WORKLOADS, build_chunk
+from workloads import ESTIMATORS, WORKLOADS, build_chunk, load_inputs
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -160,7 +163,7 @@ class Run:
         self.eval_records = 0
         self.attempted = 0
         self.failed = 0
-        self.rounds = 0
+        self.cycles = 0
         # first result per (chunk, estimator) / evaluated file; later ones must match
         self.library = {}  # (chunk, estimator) -> [(line, estimate)]
         self.cli_output = {}  # (chunk, estimator) -> bytes
@@ -173,14 +176,45 @@ class Run:
         return self.tracer.span(name) if self.tracer else contextlib.nullcontext()
 
     def setup(self) -> None:
+        """Writes every chunk to disk in a forked child process.
+
+        Generating a scene takes more memory than the measured work does on
+        `sparse-outlier` and `eval-records`; done in this process it would
+        set their peak resident set.  The child sends back the chunks' light
+        part, the set-up times and, when traced, its spans.
+        """
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=self._build_chunks, args=(send,))
+        child.start()
+        send.close()
+        try:
+            self.chunks, self.setup_s, spans = receive.recv()
+        except EOFError:
+            spans = None
+        finally:
+            receive.close()
+            child.join()
+        if spans is None or child.exitcode != 0:
+            raise SystemExit(f"perfbench: set-up failed (child exit code {child.exitcode})")
+        if self.tracer is not None:
+            self.tracer.adopt(spans)
+        for elapsed in self.setup_s:
+            self.calibration.after(elapsed)
+
+    def _build_chunks(self, send) -> None:
+        """In the child: build each chunk and read its inputs back once, timed."""
+        chunks, setup_s = [], []
         for index in range(self.workload.chunks):
             start = time.perf_counter()
             with self._span("bench.setup"):
                 chunk = build_chunk(self.mfpose, self.workload, self.seed, index, self.work / f"chunk{index}")
-            elapsed = time.perf_counter() - start
-            self.calibration.after(elapsed)
-            self.setup_s.append(elapsed)
-            self.chunks.append(chunk)
+                for _ in load_inputs(self.mfpose, chunk):
+                    pass
+            setup_s.append(time.perf_counter() - start)
+            chunks.append(chunk)
+        send.send((chunks, setup_s, self.tracer.spans if self.tracer else []))
+        send.close()
 
     def _cli(self, argv) -> tuple[int, str]:
         out, err = io.StringIO(), io.StringIO()
@@ -194,14 +228,14 @@ class Run:
         pipelines, cli = self.mfpose.pipelines, self.mfpose.cli
         chunk = self.chunks[index]
         lines = {e: [] for e in ESTIMATORS}
-        for i, q in enumerate(chunk.queries):
+        for i, (q, matches, depth_ref, depth_query) in enumerate(load_inputs(self.mfpose, chunk)):
             cfg = pipelines.EstimatorConfig(rng_seed=cli.derive_seed(self.seed, q.scene_id, q.query_id))
             query_seconds = 0.0
             for estimator in ESTIMATORS[i % 3:] + ESTIMATORS[:i % 3]:
                 with self._span(f"bench.query.{estimator}"):
                     start = time.perf_counter()
                     estimate = pipelines.run_estimator(
-                        estimator, q.matches, q.depth_ref, q.depth_query, q.k_ref, q.k_query, cfg
+                        estimator, matches, depth_ref, depth_query, q.k_ref, q.k_query, cfg
                     )
                     elapsed = time.perf_counter() - start
                 self.latency[estimator].append(elapsed)
@@ -256,7 +290,7 @@ class Run:
                 start = time.perf_counter()
                 code, stdout = self._cli(argv)
                 elapsed = time.perf_counter() - start
-            self.calibration.after(elapsed, "interp")
+            self.calibration.after(elapsed, "pool")
             self.attempted += count
             if code != 0:
                 self.failed += count
@@ -269,18 +303,23 @@ class Run:
                 self.mismatches.append(f"chunk {index} {label}: evaluate output differs between passes")
 
     def measure(self, seconds: float) -> None:
-        """Whole rounds until `seconds` pass, or the workload's fixed count when traced."""
+        """Whole cycles over the chunks while another fits in `seconds`, at least one; one when traced.
+
+        Every chunk is measured equally often, so a faster program is
+        measured on the same inputs with the same weights as a slower one.
+        """
         start = time.perf_counter()
+        longest = 0.0
         while True:
-            index = self.rounds % len(self.chunks)
-            self.latency_phase(index)
-            self.estimate_phase(index)
-            self.evaluate_phase(index)
-            self.rounds += 1
-            if self.tracer is not None:
-                if self.rounds >= self.workload.trace_rounds:
-                    break
-            elif time.perf_counter() - start >= seconds:
+            cycle_start = time.perf_counter()
+            for index in range(len(self.chunks)):
+                self.latency_phase(index)
+                self.estimate_phase(index)
+                self.evaluate_phase(index)
+            self.cycles += 1
+            now = time.perf_counter()
+            longest = max(longest, now - cycle_start)
+            if self.tracer is not None or now - start + longest > seconds:
                 break
 
     # -- checks ------------------------------------------------------------
@@ -381,13 +420,12 @@ class Run:
         """Raw figures at the calibrated machine speed: times times a factor, rates divided by it.
 
         Library calls and set-up take the numpy kernel's factor, `mfpose
-        estimate` the pool kernel's and `mfpose evaluate` the interpreter
-        kernel's: each is the kernel that runs most like the operation.
+        estimate` and `mfpose evaluate` the pool kernel's (see calibrate.py).
         """
         raw, factor = self.raw_figures(), self.calibration.factor
         scale = {name: factor() for name, _ in END_TO_END}
-        scale.update({name: 1.0 / factor("pool") for name in scale if name.startswith("estimate_qps.")})
-        scale.update(evaluate_qps=1.0 / factor("interp"), peak_rss_mb=1.0)
+        scale.update({name: 1.0 / factor("pool") for name in scale if "_qps" in name})
+        scale.update(peak_rss_mb=1.0)
         return {name: {"value": raw[name] * scale[name], "unit": unit} for name, unit in END_TO_END}
 
     def per_layer(self) -> dict:
@@ -414,7 +452,7 @@ class Run:
     def details(self) -> dict:
         """Figures kept beside the printed metrics."""
         detail = {
-            "rounds": self.rounds,
+            "cycles": self.cycles,
             "calibration_factors": {kind: self.calibration.factor(kind) for kind in self.calibration.samples},
             "kernel_runs": {kind: len(runs) for kind, runs in self.calibration.samples.items()},
             "latency_samples": {e: len(v) for e, v in self.latency.items()},

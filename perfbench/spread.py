@@ -57,7 +57,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,1,1")
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json", help="write the summary here as well")
     args = parser.parse_args(argv)
     results = []
     for seed in parse_seeds(args.seeds):
@@ -72,10 +71,6 @@ def main(argv=None) -> int:
               f"{s['spread']:7.3f}")
     shares = sorted({r["failed"] / r["attempted"] for r in results})
     print(f"correct: {all(r['correct'] for r in results)}; failed shares: {shares}")
-    if args.json:
-        Path(args.json).write_text(json.dumps({"workload": args.workload, "seeds": args.seeds,
-                                               "seconds": args.seconds, "trace": args.trace,
-                                               "summary": summary, "results": results}, indent=1))
     return 0
 
 

@@ -51,6 +51,9 @@ def test_pose_accuracy_rejects_planted_errors():
     oracles.check_pose_accuracy("ok", good)
     with pytest.raises(CheckFailed, match="outside the acceptance threshold"):
         oracles.check_pose_accuracy("one bad", good + [(6.0, 0.02, 0.01)])
+    with pytest.raises(CheckFailed, match="2 of 30 poses outside the acceptance threshold"):
+        oracles.check_pose_accuracy("two bad", good * 3 + [(0.2, 0.3, 0.01), (6.0, 0.02, 0.01)] + good[:1])
+    oracles.check_pose_accuracy("one bad in twenty", good * 2 + [(0.2, 0.3, 0.01)] + good[:1])
     with pytest.raises(CheckFailed, match="median scale"):
         oracles.check_pose_accuracy("biased scale", [(0.2, 0.02, 0.06)] * 9)
 

@@ -31,7 +31,6 @@ def reduced(name: str):
         chunks=1,
         records_per_chunk=min(w.records_per_chunk, 60),
         record_scenes=min(w.record_scenes, 3),
-        trace_rounds=1,
     )
 
 

@@ -124,6 +124,11 @@ class Tracer:
         finally:
             self.end(frame)
 
+    def adopt(self, spans: list[tuple]) -> None:
+        """Takes over spans recorded by a forked child; later span ids follow theirs."""
+        self.spans.extend(spans)
+        self._ids = itertools.count(max((s[0] for s in self.spans), default=0) + 1)
+
     # -- patching ----------------------------------------------------------
 
     def _wrap(self, fn, name, counter):
@@ -168,8 +173,8 @@ class Tracer:
 
         return traced
 
-    def install(self, targets=TARGETS) -> None:
-        for module_name, path, name, counter in targets:
+    def install(self) -> None:
+        for module_name, path, name, counter in TARGETS:
             *parents, attr = path.split(".")
             try:
                 owner = importlib.import_module(module_name)

@@ -1,11 +1,13 @@
 """Workload definitions and the inputs they generate from a seed.
 
-A workload's inputs are split into chunks, one per measured round.  A chunk
-is an estimation dataset (synthetic scenes written in the standard layout
-and loaded back into memory) plus, for `eval-records`, a dataset of ground
-truth with an estimates file of perturbed poses.  Every number comes from
-the workload name, the `--seed` and the chunk index, so the same seed gives
-the same inputs.
+A workload's inputs are split into chunks, one per measured round; a run
+measures whole cycles over its chunks.  A chunk is an estimation dataset
+(synthetic scenes written in the standard layout) plus, for `eval-records`,
+a dataset of ground truth with an estimates file of perturbed poses.  Only
+the light part of a chunk (names, intrinsics, truth) stays in memory; its
+matches and depth maps are read back from disk by the round that uses them.
+Every number comes from the workload name, the `--seed` and the chunk index,
+so the same seed gives the same inputs.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ class Workload:
     outlier_share: float  # ... of which exactly this share are outliers
     scenes_per_chunk: int
     queries_per_scene: int
-    chunks: int
+    chunks: int  # chunks of one cycle
     cli_passes: dict  # `mfpose estimate` passes per estimator and round
     eval_passes: int = 1  # `mfpose evaluate` passes per estimates file and round
     records_per_chunk: int = 0  # benchmark-written estimates evaluated per round
     record_scenes: int = 0
-    trace_rounds: int = 1  # rounds of a traced run: a fixed amount of work
 
 
 WORKLOADS = {
@@ -51,10 +52,9 @@ WORKLOADS = {
             outlier_share=0.4,
             scenes_per_chunk=2,
             queries_per_scene=4,
-            chunks=8,
+            chunks=4,
             cli_passes={"essmat-dscale": 1, "pnp": 2, "procrustes": 8},
             eval_passes=5,
-            trace_rounds=2,
         ),
         Workload(
             name="dense-matches",
@@ -67,7 +67,6 @@ WORKLOADS = {
             chunks=8,
             cli_passes={"essmat-dscale": 1, "pnp": 1, "procrustes": 2},
             eval_passes=5,
-            trace_rounds=2,
         ),
         Workload(
             name="eval-records",
@@ -81,7 +80,6 @@ WORKLOADS = {
             cli_passes={"essmat-dscale": 4, "pnp": 4, "procrustes": 8},
             records_per_chunk=2500,
             record_scenes=25,
-            trace_rounds=1,
         ),
     )
 }
@@ -97,9 +95,6 @@ def derived_seed(*parts) -> int:
 class Query:
     scene_id: str
     query_id: str
-    matches: object  # CorrespondenceSet
-    depth_ref: object  # DepthMap
-    depth_query: object
     k_ref: object  # CameraIntrinsics
     k_query: object
     gt_rotation: np.ndarray
@@ -117,7 +112,7 @@ class Chunk:
 
 
 def build_chunk(mfpose, workload: Workload, seed: int, index: int, root: Path) -> Chunk:
-    """Generate, write and load back one round's inputs under root."""
+    """Generate and write one round's inputs under root; keep their light part."""
     dataset_mod = mfpose.dataset
     dataset = root / "dataset"
     truth = {}
@@ -129,19 +124,31 @@ def build_chunk(mfpose, workload: Workload, seed: int, index: int, root: Path) -
     queries = []
     for scene_id in sorted(truth):
         manifest = dataset_mod.load_scene(dataset, scene_id)
-        depth_ref = manifest.load_depth(manifest.reference)
         k_ref = manifest.intrinsics[manifest.reference]
         for query_id in manifest.queries:
             pose = truth[scene_id][query_id]
-            queries.append(
-                Query(scene_id, query_id, manifest.load_matches(query_id), depth_ref,
-                      manifest.load_depth(query_id), k_ref, manifest.intrinsics[query_id],
-                      pose.rotation, pose.translation)
-            )
+            queries.append(Query(scene_id, query_id, k_ref, manifest.intrinsics[query_id],
+                                 pose.rotation, pose.translation))
     chunk = Chunk(dataset, queries)
     if workload.records_per_chunk:
         _build_records(mfpose, workload, seed, index, root, chunk)
     return chunk
+
+
+def load_inputs(mfpose, chunk: Chunk):
+    """Yields (query, matches, reference depth, query depth) per query of a chunk.
+
+    Inputs are read from the chunk's dataset one query at a time (queries
+    are grouped by scene), so the benchmark holds few depth maps at once and
+    the run's peak memory is mostly the program's own.
+    """
+    scene = None
+    for q in chunk.queries:
+        if scene is None or scene[0].scene_id != q.scene_id:
+            manifest = mfpose.dataset.load_scene(chunk.dataset, q.scene_id)
+            scene = (manifest, manifest.load_depth(manifest.reference))
+        manifest, depth_ref = scene
+        yield q, manifest.load_matches(q.query_id), depth_ref, manifest.load_depth(q.query_id)
 
 
 def _exact_scene(mfpose, workload: Workload, seed: int, index: int, scene_id: str):
