@@ -15,6 +15,7 @@ from .errors import (
     InvalidDepthError,
     InvalidParameterError,
     MfposeError,
+    MissingGroundTruthError,
     NoConsensusError,
     ScaleConsensusError,
 )
@@ -59,7 +60,6 @@ from .robust import RansacConfig, RobustResult, ScaleConsensusConfig, ransac, sa
 from .solvers import (
     RefineResult,
     decompose_essential,
-    essential_eight_point,
     essential_five_point,
     essential_from_pose,
     essential_pose_candidates,
@@ -67,7 +67,7 @@ from .solvers import (
     procrustes_align,
     refine_essential,
     refine_pnp,
-    triangulate_midpoint,
+    triangulate_midpoints,
 )
 
 __version__ = "0.1.0"

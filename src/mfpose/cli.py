@@ -16,16 +16,14 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import SceneManifest, SyntheticSceneConfig, list_scenes, load_scene, synth_scene, synth_write
-from .errors import FormatError, MfposeError
+from .errors import FormatError, MfposeError, MissingGroundTruthError
 from .evaluation import (
     EvaluationRecord,
     Thresholds,
@@ -57,21 +55,11 @@ def _log(message: str) -> None:
 
 
 def derive_seed(global_seed: int, scene_id: str, query_id: str) -> int:
-    """Stable per-query seed, identical across machines and thread counts."""
+    """Stable per-query seed, independent of machine, run order and scene selection."""
     digest = hashlib.blake2s(
         f"{global_seed}/{scene_id}/{query_id}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little") >> 1
-
-
-def _thread_count() -> int:
-    cap = os.environ.get("MFP_THREADS", "")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise FormatError("MFP_THREADS", f"not an integer: {cap!r}")
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -160,39 +148,25 @@ def _select_scenes(dataset: Path, scene_filter: str) -> list[str]:
 
 
 def cmd_estimate(run: RunConfig) -> int:
+    """Estimate every query serially, in canonical (scene, query) order."""
     scenes = [load_scene(run.dataset, scene_id) for scene_id in _select_scenes(run.dataset, ",".join(run.scenes))]
-    jobs = []
+    _log(f"estimating {sum(len(m.queries) for m in scenes)} queries from {len(scenes)} scenes")
+    lines = []
     for manifest in scenes:
         depth_ref = manifest.load_depth(manifest.reference)
         k_ref = manifest.intrinsics[manifest.reference]
         for query in manifest.queries:
-            jobs.append((manifest, depth_ref, k_ref, query))
-
-    def solve_one(job):
-        manifest, depth_ref, k_ref, query = job
-        correspondences = manifest.load_matches(query)
-        depth_query = manifest.load_depth(query)
-        cfg = replace(
-            run.estimator_config, rng_seed=derive_seed(run.seed, manifest.scene_id, query)
-        )
-        estimate = run_estimator(
-            run.estimator,
-            correspondences,
-            depth_ref,
-            depth_query,
-            k_ref,
-            manifest.intrinsics[query],
-            cfg,
-        )
-        return format_estimate_line(manifest.scene_id, query, estimate)
-
-    workers = _thread_count()
-    _log(f"estimating {len(jobs)} queries from {len(scenes)} scenes with {workers} thread(s)")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(solve_one, jobs))  # map preserves canonical job order
-    else:
-        lines = [solve_one(job) for job in jobs]
+            cfg = replace(run.estimator_config, rng_seed=derive_seed(run.seed, manifest.scene_id, query))
+            estimate = run_estimator(
+                run.estimator,
+                manifest.load_matches(query),
+                depth_ref,
+                manifest.load_depth(query),
+                k_ref,
+                manifest.intrinsics[query],
+                cfg,
+            )
+            lines.append(format_estimate_line(manifest.scene_id, query, estimate))
 
     run.out.parent.mkdir(parents=True, exist_ok=True)
     run.out.write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -229,7 +203,7 @@ def _records_from_estimates(
             )
         )
     if unmatched:
-        raise FormatError(
+        raise MissingGroundTruthError(
             estimates_path, "queries without ground truth: " + ", ".join(sorted(unmatched))
         )
     return records
@@ -242,13 +216,7 @@ def cmd_evaluate(args) -> int:
         pose_translation_m=args.threshold_pose_m,
         pose_rotation_deg=args.threshold_pose_deg,
     )
-    try:
-        records = _records_from_estimates(Path(args.estimates), Path(args.dataset), grid)
-    except FormatError as exc:
-        if "without ground truth" in str(exc):
-            _log(str(exc))
-            return EXIT_MISMATCH
-        raise
+    records = _records_from_estimates(Path(args.estimates), Path(args.dataset), grid)
     report = aggregate_report(
         records,
         thresholds,
@@ -283,13 +251,7 @@ def cmd_evaluate(args) -> int:
 def cmd_curves(args) -> int:
     grid = VirtualGrid()
     thresholds = Thresholds()
-    try:
-        records = _records_from_estimates(Path(args.estimates), Path(args.dataset), grid)
-    except FormatError as exc:
-        if "without ground truth" in str(exc):
-            _log(str(exc))
-            return EXIT_MISMATCH
-        raise
+    records = _records_from_estimates(Path(args.estimates), Path(args.dataset), grid)
     if args.acceptance == "pose":
         acceptable = lambda r: pose_acceptable(r, thresholds)
     else:
@@ -428,6 +390,9 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args)
         parser.error(f"unknown command {args.command!r}")
+    except MissingGroundTruthError as exc:
+        _log(str(exc))
+        return EXIT_MISMATCH
     except (MfposeError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO

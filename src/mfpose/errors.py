@@ -45,3 +45,7 @@ class FormatError(MfposeError):
         self.line = line
         where = self.path if line is None else f"{self.path}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+class MissingGroundTruthError(FormatError):
+    """An estimates file names queries the dataset has no ground truth for."""

@@ -38,8 +38,8 @@ from .robust import RansacConfig, ScaleConsensusConfig, ransac, sampson_error, s
 class CorrespondenceSet:
     """2D-2D pixel matches between the reference and query image."""
 
-    ref_px: np.ndarray  # (n, 2)
-    query_px: np.ndarray  # (n, 2)
+    ref_px: np.ndarray  # (n, 2), finite
+    query_px: np.ndarray  # (n, 2), finite
     scores: np.ndarray  # (n,), finite, nominally in [0, 1]
 
     def __post_init__(self):
@@ -50,6 +50,8 @@ class CorrespondenceSet:
             raise InvalidParameterError("correspondence arrays must have equal length")
         if len(scores) and not np.all(np.isfinite(scores)):
             raise InvalidParameterError("match scores must be finite")
+        if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(query))):
+            raise InvalidParameterError("match pixels must be finite")
         for arr in (ref, query, scores):
             arr.setflags(write=False)
         object.__setattr__(self, "ref_px", ref)

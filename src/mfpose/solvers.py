@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import robust
 from .errors import (
     CheiralityError,
     DegenerateSampleError,
@@ -102,14 +103,6 @@ def _horner(coeffs, x: float) -> float:
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def essential_matrix_defect(e: np.ndarray) -> float:
-    """Deviation from the essential manifold: rank-2 and equal singular values."""
-    s = np.linalg.svd(np.asarray(e, dtype=float), compute_uv=False)
-    if s[0] == 0:
-        return 1.0
-    return max(float(s[2] / s[0]), float((s[0] - s[1]) / s[0]))
 
 
 def _project_to_essential(e: np.ndarray) -> np.ndarray:
@@ -207,44 +200,13 @@ def essential_five_point(matches: np.ndarray) -> list[np.ndarray]:
     return solutions
 
 
-def essential_eight_point(matches: np.ndarray) -> np.ndarray:
-    """Linear essential-matrix estimate from >= 8 normalized matches.
-
-    Applies Hartley normalization, minimizes the algebraic residual, and
-    projects onto the essential manifold (rank 2, equal singular values).
-    Rank-deficient designs (e.g. an all-coplanar scene) raise
-    DegenerateSampleError.
-    """
-    matches = np.asarray(matches, dtype=float)
-    if matches.ndim != 2 or matches.shape[1] != 4 or matches.shape[0] < 8:
-        raise InvalidParameterError("eight-point solver needs an (n >= 8, 4) array")
-
-    def conditioning(xy: np.ndarray) -> np.ndarray:
-        centroid = xy.mean(axis=0)
-        rms = np.sqrt(np.mean(np.sum((xy - centroid) ** 2, axis=1)))
-        scale = np.sqrt(2.0) / rms if rms > 0 else 1.0
-        return np.array(
-            [[scale, 0.0, -scale * centroid[0]], [0.0, scale, -scale * centroid[1]], [0.0, 0.0, 1.0]]
-        )
-
-    t_ref = conditioning(matches[:, :2])
-    t_query = conditioning(matches[:, 2:])
-    qr = _hom(matches[:, :2]) @ t_ref.T
-    qq = _hom(matches[:, 2:]) @ t_query.T
-    design = (qq[:, :, None] * qr[:, None, :]).reshape(len(matches), 9)
-    _, s, vt = np.linalg.svd(design)
-    if s[7] < 1e-10 * s[0]:
-        raise DegenerateSampleError("design matrix is rank deficient (degenerate scene)")
-    e = t_query.T @ vt[-1].reshape(3, 3) @ t_ref
-    return _project_to_essential(e)
-
-
-def _midpoints(rotation: np.ndarray, translation: np.ndarray, matches: np.ndarray):
+def triangulate_midpoints(rotation: np.ndarray, translation: np.ndarray, matches: np.ndarray):
     """Midpoint triangulation of (n, 4) normalized matches, reference frame.
 
     Returns (points, well_conditioned).  Ill-conditioned rows (near-parallel
     rays or near-zero baseline) fall back to a point along the reference ray
-    and are flagged False.
+    and are flagged False; such a point is only meant for cheirality sign
+    checks.
     """
     rotation = np.asarray(rotation, dtype=float)
     translation = np.asarray(translation, dtype=float)
@@ -266,17 +228,6 @@ def _midpoints(rotation: np.ndarray, translation: np.ndarray, matches: np.ndarra
     u = np.where(well, (a12 * b1 - a11 * b2) / safe_det, 0.0)
     points = 0.5 * (s[:, None] * d_ref + center + u[:, None] * d_query)
     return points, well
-
-
-def triangulate_midpoint(rotation: np.ndarray, translation: np.ndarray, match: np.ndarray):
-    """Midpoint triangulation of one normalized match, in the reference frame.
-
-    Returns (point, well_conditioned).  The flag is False for near-parallel
-    rays or a near-zero baseline; a point is still returned and is only
-    meant for cheirality sign checks.
-    """
-    points, well = _midpoints(rotation, translation, np.asarray(match, dtype=float).reshape(1, 4))
-    return points[0], bool(well[0])
 
 
 def essential_pose_candidates(e: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -307,7 +258,7 @@ def decompose_essential(e: np.ndarray, matches: np.ndarray):
 
     best = None
     for rotation, translation in candidates:
-        points, well = _midpoints(rotation, translation, matches)
+        points, well = triangulate_midpoints(rotation, translation, matches)
         z_ref = points[:, 2]
         z_query = points @ rotation[2] + translation[2]
         front = well & (z_ref > 0) & (z_query > 0)
@@ -338,27 +289,21 @@ def refine_essential(e: np.ndarray, matches: np.ndarray, max_iterations: int = 2
     b1 = np.cross(t_dir, axis)
     b1 /= np.linalg.norm(b1)
     b2 = np.cross(t_dir, b1)
-    q_ref = _hom(matches[:, :2])
-    q_query = _hom(matches[:, 2:])
 
     def build(p: np.ndarray) -> np.ndarray:
         rot = rotation_from_axis_angle(p[:3]) @ rotation
         direction = rotation_from_axis_angle(b1 * p[3] + b2 * p[4]) @ t_dir
         return essential_from_pose(rot, direction)
 
-    def residuals(essential: np.ndarray) -> np.ndarray:
-        eq = q_ref @ essential.T
-        etq = q_query @ essential
-        numerator = np.abs(np.sum(q_query * eq, axis=1))
-        denom_sq = eq[:, 0] ** 2 + eq[:, 1] ** 2 + etq[:, 0] ** 2 + etq[:, 1] ** 2
-        return numerator / np.sqrt(np.maximum(denom_sq, 1e-300))
+    def residuals(p: np.ndarray) -> np.ndarray:
+        return robust.sampson_error(build(p), matches)
 
     params = np.zeros(5)
-    cost = float(np.sum(residuals(build(params)) ** 2))
+    cost = float(np.sum(residuals(params) ** 2))
     damping = 1e-6
     step_h = 1e-6
     for _ in range(max_iterations):
-        base = residuals(build(params))
+        base = residuals(params)
         jacobian = np.empty((len(matches), 5))
         for j in range(5):
             forward = params.copy()
@@ -367,7 +312,7 @@ def refine_essential(e: np.ndarray, matches: np.ndarray, max_iterations: int = 2
             backward[j] -= step_h
             # central differences: the O(h^2) error keeps the convergence
             # floor near 1e-12, which the noiseless exactness regime needs
-            jacobian[:, j] = (residuals(build(forward)) - residuals(build(backward))) / (2.0 * step_h)
+            jacobian[:, j] = (residuals(forward) - residuals(backward)) / (2.0 * step_h)
         gradient = jacobian.T @ base
         hessian = jacobian.T @ jacobian
         improved = False
@@ -378,7 +323,7 @@ def refine_essential(e: np.ndarray, matches: np.ndarray, max_iterations: int = 2
                 damping *= 10.0
                 continue
             candidate = params + step
-            new_cost = float(np.sum(residuals(build(candidate)) ** 2))
+            new_cost = float(np.sum(residuals(candidate) ** 2))
             if new_cost <= cost:
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
                 params, cost = candidate, new_cost

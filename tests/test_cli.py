@@ -196,6 +196,8 @@ def test_evaluate_unmatched_queries_exit_3(dataset, tmp_path):
     estimates = tmp_path / "est.txt"
     estimates.write_text("scene0000 ghost no_estimate\n")
     assert main(["evaluate", "--estimates", str(estimates), "--dataset", str(dataset)]) == EXIT_MISMATCH
+    curve = tmp_path / "curve.csv"
+    assert main(["curves", "--estimates", str(estimates), "--dataset", str(dataset), "--out", str(curve)]) == EXIT_MISMATCH
 
 
 def test_missing_dataset_exit_2(tmp_path):

@@ -43,6 +43,11 @@ def test_correspondence_set_validation():
         CorrespondenceSet(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(InvalidParameterError):
         CorrespondenceSet(np.zeros((1, 2)), np.zeros((1, 2)), np.array([np.nan]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError):
+            CorrespondenceSet(np.array([[bad, 0.0]]), np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(InvalidParameterError):
+            CorrespondenceSet(np.zeros((1, 2)), np.array([[0.0, bad]]), np.zeros(1))
     assert len(CorrespondenceSet.empty()) == 0
 
 
