@@ -17,14 +17,15 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SceneManifest, SyntheticSceneConfig, list_scenes, load_scene, synth_scene, synth_write
+from .dataset import SceneManifest, SyntheticSceneConfig, list_scenes, load_scene, read_fields, synth_scene, synth_write
 from .errors import FormatError, MfposeError, MissingGroundTruthError
 from .evaluation import (
+    PER_SCENE_FIELDS,
     EvaluationRecord,
     Thresholds,
     VirtualGrid,
@@ -62,16 +63,6 @@ def derive_seed(global_seed: int, scene_id: str, query_id: str) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    dataset: Path
-    scenes: list[str]
-    estimator: str
-    seed: int
-    out: Path
-    estimator_config: EstimatorConfig
-
-
 # --------------------------------------------------------------------------
 # Estimates file format
 # --------------------------------------------------------------------------
@@ -89,16 +80,8 @@ def format_estimate_line(scene_id: str, query_id: str, estimate: PoseEstimate) -
 
 def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FormatError(path, f"cannot read file: {exc}") from exc
     out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for number, fields in read_fields(path):
         if len(fields) < 3:
             raise FormatError(path, "expected `scene query status ...`", number)
         scene_id, query_id, status_text = fields[:3]
@@ -136,29 +119,52 @@ def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
 # --------------------------------------------------------------------------
 
 
+def _read_json(path) -> dict:
+    """The JSON object in a config file; anything else is a FormatError."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FormatError(path, f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(path, f"invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise FormatError(path, f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _select_scenes(dataset: Path, scene_filter: str) -> list[str]:
     available = list_scenes(dataset)
-    if scene_filter in ("", "all"):
-        return available
     wanted = [s for s in scene_filter.split(",") if s]
+    if scene_filter == "all" or not wanted:
+        return available
     missing = sorted(set(wanted) - set(available))
     if missing:
         raise FormatError(dataset, f"scenes not found: {', '.join(missing)}")
     return sorted(wanted)
 
 
-def cmd_estimate(run: RunConfig) -> int:
+def cmd_estimate(args) -> int:
     """Estimate every query serially, in canonical (scene, query) order."""
-    scenes = [load_scene(run.dataset, scene_id) for scene_id in _select_scenes(run.dataset, ",".join(run.scenes))]
+    dataset = Path(args.dataset)
+    estimator_config = EstimatorConfig(
+        max_iterations=args.max_iterations,
+        confidence=args.ransac_confidence,
+        min_inliers=args.min_inliers,
+        sampson_threshold=args.sampson_threshold,
+        pnp_threshold_px=args.pnp_threshold_px,
+        procrustes_threshold_m=args.procrustes_threshold_m,
+        scale_relative_tolerance=args.scale_tolerance,
+    )
+    scenes = [load_scene(dataset, scene_id) for scene_id in _select_scenes(dataset, args.scenes)]
     _log(f"estimating {sum(len(m.queries) for m in scenes)} queries from {len(scenes)} scenes")
     lines = []
     for manifest in scenes:
         depth_ref = manifest.load_depth(manifest.reference)
         k_ref = manifest.intrinsics[manifest.reference]
         for query in manifest.queries:
-            cfg = replace(run.estimator_config, rng_seed=derive_seed(run.seed, manifest.scene_id, query))
+            cfg = replace(estimator_config, rng_seed=derive_seed(args.seed, manifest.scene_id, query))
             estimate = run_estimator(
-                run.estimator,
+                args.estimator,
                 manifest.load_matches(query),
                 depth_ref,
                 manifest.load_depth(query),
@@ -168,9 +174,10 @@ def cmd_estimate(run: RunConfig) -> int:
             )
             lines.append(format_estimate_line(manifest.scene_id, query, estimate))
 
-    run.out.parent.mkdir(parents=True, exist_ok=True)
-    run.out.write_text("\n".join(lines) + ("\n" if lines else ""))
-    _log(f"wrote {len(lines)} estimates to {run.out}")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(lines) + ("\n" if lines else ""))
+    _log(f"wrote {len(lines)} estimates to {out}")
     return EXIT_OK
 
 
@@ -233,17 +240,9 @@ def cmd_evaluate(args) -> int:
         path = Path(args.out_csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["scene_id", "queries", "ok", "median_rotation_error_deg",
-                 "median_translation_error_m", "median_vcre_px"]
-            )
-            for row in report["per_scene"]:
-                writer.writerow(
-                    [row["scene_id"], row["queries"], row["ok"],
-                     row["median_rotation_error_deg"], row["median_translation_error_m"],
-                     row["median_vcre_px"]]
-                )
+            writer = csv.DictWriter(handle, PER_SCENE_FIELDS)
+            writer.writeheader()
+            writer.writerows(report["per_scene"])
         _log(f"wrote per-scene CSV to {args.out_csv}")
     return EXIT_OK
 
@@ -263,10 +262,7 @@ def cmd_curves(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["confidence_threshold", "estimate_ratio", "precision"])
         if records:
-            points = sorted(
-                precision_curve(records, acceptable), key=lambda p: -p.estimate_ratio
-            )
-            for point in points:
+            for point in precision_curve(records, acceptable):
                 writer.writerow(
                     [point.confidence_threshold, point.estimate_ratio,
                      "" if point.precision is None else point.precision]
@@ -275,19 +271,26 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
+def _matches_default(value, default) -> bool:
+    """Whether a JSON value has a default's type: ints pass as floats, lists as tuples."""
+    if isinstance(default, tuple):
+        same_length = isinstance(value, list) and len(value) == len(default)
+        return same_length and all(map(_matches_default, value, default))
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def cmd_synth(args) -> int:
-    try:
-        options = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise FormatError(args.config, f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(args.config, f"invalid JSON: {exc}") from exc
-    num_scenes = int(options.pop("num_scenes", 1))
-    prefix = str(options.pop("scene_prefix", "scene"))
-    seed = int(options.pop("rng_seed", DEFAULT_SEED))
-    for key in ("depth_range_m", "baseline_range_m"):
-        if key in options:
-            options[key] = tuple(options[key])
+    options = {"num_scenes": 1, "scene_prefix": "scene", **vars(SyntheticSceneConfig(rng_seed=DEFAULT_SEED))}
+    for key, value in _read_json(args.config).items():
+        if key not in options:
+            raise FormatError(args.config, f"unknown option {key!r}")
+        if not _matches_default(value, options[key]):
+            raise FormatError(args.config, f"option {key!r} must be like {options[key]!r}, got {value!r}")
+        options[key] = tuple(value) if isinstance(value, list) else value
+    num_scenes = options.pop("num_scenes")
+    prefix = options.pop("scene_prefix")
+    seed = options.pop("rng_seed")
     root = Path(args.out)
     total_queries = 0
     for index in range(num_scenes):
@@ -308,16 +311,29 @@ def cmd_synth(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
+    """Exits 1 on usage errors, not argparse's default 2, and keeps its options by dest."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
+    def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[_Parser, _Parser]:
+    """The `mfpose` parser and its `estimate` subparser, whose defaults `--config` sets."""
     parser = _Parser(prog="mfpose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="run an estimator over a dataset")
+    est.set_defaults(handler=cmd_estimate)
     est.add_argument("--dataset", required=True)
     est.add_argument("--scenes", default="all", help="comma-separated scene ids or 'all'")
     est.add_argument("--estimator", default="essmat-dscale", choices=ESTIMATOR_NAMES)
@@ -333,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
                      default=EstimatorConfig.procrustes_threshold_m)
     est.add_argument("--scale-tolerance", type=float,
                      default=EstimatorConfig.scale_relative_tolerance)
-    est.add_argument("--config", default=None, help="JSON file of option overrides")
+    est.add_argument("--config", default=None, help="JSON file of defaults for these options")
 
     ev = sub.add_parser("evaluate", help="score an estimates file against ground truth")
+    ev.set_defaults(handler=cmd_evaluate)
     ev.add_argument("--estimates", required=True)
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--threshold-vcre", type=float, nargs="+", default=[0.05, 0.10],
@@ -348,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out-csv", default=None)
 
     cv = sub.add_parser("curves", help="emit a precision/ratio CSV")
+    cv.set_defaults(handler=cmd_curves)
     cv.add_argument("--estimates", required=True)
     cv.add_argument("--dataset", required=True)
     cv.add_argument("--acceptance", default="vcre-0.10",
@@ -355,70 +373,48 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--out", required=True)
 
     sy = sub.add_parser("synth", help="generate synthetic scenes with ground truth")
+    sy.set_defaults(handler=cmd_synth)
     sy.add_argument("--config", required=True, help="JSON generator configuration")
     sy.add_argument("--out", required=True, help="dataset root to create")
-    return parser
+    return parser, est
+
+
+def _config_defaults(estimate: _Parser, path) -> dict:
+    """`estimate --config` values keyed by flag dest, converted and checked like the flag's own."""
+    defaults = {}
+    for key, value in _read_json(path).items():
+        action = estimate.options.get(key.replace("-", "_"))
+        if action is None or action.default is argparse.SUPPRESS:  # --help holds no value
+            raise FormatError(path, f"unknown option {key!r}")
+        if value is None:
+            continue
+        if isinstance(value, (bool, list, dict)):
+            raise FormatError(path, f"option {key!r} must be a string or a number, got {value!r}")
+        try:
+            converted = (action.type or str)(str(value))
+        except ValueError as exc:
+            raise FormatError(path, f"option {key!r}: invalid value {value!r}") from exc
+        if action.choices is not None and converted not in action.choices:
+            raise FormatError(path, f"option {key!r} must be one of {', '.join(action.choices)}")
+        defaults[action.dest] = converted
+    return defaults
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, estimate = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "estimate":
-            _apply_config_file_with_cli_priority(args, argv)
-            run = RunConfig(
-                dataset=Path(args.dataset),
-                scenes=[s for s in args.scenes.split(",") if s] if args.scenes != "all" else [],
-                estimator=args.estimator,
-                seed=args.seed,
-                out=Path(args.out),
-                estimator_config=EstimatorConfig(
-                    max_iterations=args.max_iterations,
-                    confidence=args.ransac_confidence,
-                    min_inliers=args.min_inliers,
-                    sampson_threshold=args.sampson_threshold,
-                    pnp_threshold_px=args.pnp_threshold_px,
-                    procrustes_threshold_m=args.procrustes_threshold_m,
-                    scale_relative_tolerance=args.scale_tolerance,
-                ),
-            )
-            return cmd_estimate(run)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "curves":
-            return cmd_curves(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        parser.error(f"unknown command {args.command!r}")
+        if args.handler is cmd_estimate and args.config is not None:
+            # explicit flags, abbreviated or not, win over the file's defaults
+            estimate.set_defaults(**_config_defaults(estimate, args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except MissingGroundTruthError as exc:
         _log(str(exc))
         return EXIT_MISMATCH
     except (MfposeError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
-    return EXIT_OK
-
-
-def _apply_config_file_with_cli_priority(args, argv) -> None:
-    """Config-file values override defaults but not explicitly passed flags."""
-    if getattr(args, "config", None) is None:
-        return
-    given = argv if argv is not None else sys.argv[1:]
-    explicit = {token.split("=", 1)[0] for token in given if token.startswith("--")}
-    try:
-        overrides = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise FormatError(args.config, f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(args.config, f"invalid JSON: {exc}") from exc
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        flag = "--" + key.replace("_", "-")
-        if not hasattr(args, attr):
-            raise FormatError(args.config, f"unknown option {key!r}")
-        if flag in explicit:
-            continue
-        setattr(args, attr, value)
 
 
 def entry() -> None:

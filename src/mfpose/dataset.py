@@ -51,7 +51,8 @@ _IDENTITY_POSE_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
-def _parse_lines(path: Path):
+def read_fields(path: Path):
+    """Yield (line number, whitespace-split fields) for each non-blank, non-comment line."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -67,7 +68,7 @@ def load_poses(path) -> dict[str, Pose]:
     """Parse `frame qw qx qy qz tx ty tz` lines into world-to-camera poses."""
     path = Path(path)
     poses: dict[str, Pose] = {}
-    for number, fields in _parse_lines(path):
+    for number, fields in read_fields(path):
         if len(fields) != 8:
             raise FormatError(path, f"expected 8 fields, got {len(fields)}", number)
         name = fields[0]
@@ -118,7 +119,7 @@ def load_intrinsics(path) -> dict[str, CameraIntrinsics]:
     """Parse `frame fx fy cx cy width height` lines."""
     path = Path(path)
     intrinsics: dict[str, CameraIntrinsics] = {}
-    for number, fields in _parse_lines(path):
+    for number, fields in read_fields(path):
         if len(fields) != 7:
             raise FormatError(path, f"expected 7 fields, got {len(fields)}", number)
         name = fields[0]
@@ -148,7 +149,7 @@ def load_correspondences(path, k_ref: CameraIntrinsics, k_query: CameraIntrinsic
     """Parse `u_ref v_ref u_query v_query score` lines; empty file = empty set."""
     path = Path(path)
     rows = []
-    for number, fields in _parse_lines(path):
+    for number, fields in read_fields(path):
         if len(fields) != 5:
             raise FormatError(path, f"expected 5 fields, got {len(fields)}", number)
         try:

@@ -20,6 +20,10 @@ from .geometry import CameraIntrinsics, Pose, compose, inverse, rotation_error_d
 from .pipelines import EstimateStatus, PoseEstimate
 
 REPORT_SCHEMA_VERSION = 1
+# Keys of each report "per_scene" row, in per-scene CSV column order.
+PER_SCENE_FIELDS = (
+    "scene_id", "queries", "ok", "median_rotation_error_deg", "median_translation_error_m", "median_vcre_px"
+)
 
 
 @dataclass(frozen=True)
@@ -294,14 +298,8 @@ def aggregate_report(
     for scene_id in sorted({r.scene_id for r in records}):
         scene_records = [r for r in records if r.scene_id == scene_id]
         scene_ok = [r for r in scene_records if r.status is EstimateStatus.OK]
-        entry = {
-            "scene_id": scene_id,
-            "queries": len(scene_records),
-            "ok": len(scene_ok),
-            "median_rotation_error_deg": None,
-            "median_translation_error_m": None,
-            "median_vcre_px": None,
-        }
+        entry = dict.fromkeys(PER_SCENE_FIELDS)
+        entry.update(scene_id=scene_id, queries=len(scene_records), ok=len(scene_ok))
         if scene_ok:
             entry["median_rotation_error_deg"] = _median_low(r.rotation_error_deg for r in scene_ok)
             entry["median_translation_error_m"] = _median_low(r.translation_error_m for r in scene_ok)

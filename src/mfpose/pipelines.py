@@ -61,6 +61,22 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.scores)
 
+    def distinct(self) -> "CorrespondenceSet":
+        """The set without exact repeats of a (ref_px, query_px) pair, first occurrences kept in order.
+
+        Repeats would count as independent support in the robust loop.  A set
+        without repeats is returned as is.
+        """
+        pairs = np.column_stack([self.ref_px, self.query_px])
+        order = np.lexsort(pairs.T[::-1])  # stable: equal rows stay in index order
+        ordered = pairs[order]
+        repeats = order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]
+        if len(repeats) == 0:
+            return self
+        keep = np.ones(len(self), dtype=bool)
+        keep[repeats] = False
+        return CorrespondenceSet(self.ref_px[keep], self.query_px[keep], self.scores[keep])
+
     @staticmethod
     def empty() -> "CorrespondenceSet":
         return CorrespondenceSet(np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
@@ -174,6 +190,14 @@ def _normalized_matches(c: CorrespondenceSet, k_ref: CameraIntrinsics, k_query: 
     )
 
 
+def _lift_both(ref_px, query_px, depth_ref: DepthMap, depth_query: DepthMap, k_ref, k_query):
+    """Camera-frame 3D points, on each side, of the matches with valid depth on both sides."""
+    d_ref = depth_ref.sample_nearest(ref_px)
+    d_query = depth_query.sample_nearest(query_px)
+    valid = DepthMap.valid(d_ref) & DepthMap.valid(d_query)
+    return backproject(k_ref, ref_px[valid], d_ref[valid]), backproject(k_query, query_px[valid], d_query[valid])
+
+
 def estimate_essmat_dscale(
     c: CorrespondenceSet,
     depth_ref: DepthMap,
@@ -191,6 +215,7 @@ def estimate_essmat_dscale(
     decomposition; minimal five-point fits alone are too noisy to meet the
     benchmark's accuracy regime.
     """
+    c = c.distinct()
     if len(c) < 5:
         return _NO_ESTIMATE
     data = _normalized_matches(c, k_ref, k_query)
@@ -216,15 +241,11 @@ def estimate_essmat_dscale(
     except CheiralityError:
         return _NO_ESTIMATE
 
-    ref_px = c.ref_px[result.inlier_mask]
-    query_px = c.query_px[result.inlier_mask]
-    d_ref = depth_ref.sample_nearest(ref_px)
-    d_query = depth_query.sample_nearest(query_px)
-    valid = DepthMap.valid(d_ref) & DepthMap.valid(d_query)
-    if int(valid.sum()) < cfg.min_scale_support:
+    x_ref, x_query = _lift_both(
+        c.ref_px[result.inlier_mask], c.query_px[result.inlier_mask], depth_ref, depth_query, k_ref, k_query
+    )
+    if len(x_ref) < cfg.min_scale_support:
         return _DEGENERATE_SCALE
-    x_ref = backproject(k_ref, ref_px[valid], d_ref[valid])
-    x_query = backproject(k_query, query_px[valid], d_query[valid])
     try:
         scale, _ = scale_consensus(x_ref, x_query, rotation, t_hat, cfg.scale_config())
     except ScaleConsensusError:
@@ -241,6 +262,7 @@ def estimate_pnp(
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
     """PnP over 2D query features and 3D points lifted from reference depth."""
+    c = c.distinct()
     if len(c) < 4:
         return _NO_ESTIMATE
     d_ref = depth_ref.sample_nearest(c.ref_px)
@@ -285,15 +307,12 @@ def estimate_procrustes(
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
     """Rigid alignment of 3D-3D correspondences back-projected from both images."""
+    c = c.distinct()
     if len(c) < 3:
         return _NO_ESTIMATE
-    d_ref = depth_ref.sample_nearest(c.ref_px)
-    d_query = depth_query.sample_nearest(c.query_px)
-    valid = DepthMap.valid(d_ref) & DepthMap.valid(d_query)
-    if int(valid.sum()) < 3:
+    x_ref, x_query = _lift_both(c.ref_px, c.query_px, depth_ref, depth_query, k_ref, k_query)
+    if len(x_ref) < 3:
         return _NO_ESTIMATE
-    x_ref = backproject(k_ref, c.ref_px[valid], d_ref[valid])
-    x_query = backproject(k_query, c.query_px[valid], d_query[valid])
     data = np.column_stack([x_ref, x_query])
 
     def minimal(sample: np.ndarray):

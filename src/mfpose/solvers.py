@@ -105,6 +105,27 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
+def _polished_real_roots(poly: np.ndarray, is_real) -> list[float]:
+    """Roots of `poly` (highest degree first) that `is_real` accepts, Newton-polished.
+
+    Companion-matrix roots (np.roots) are not always at 1e-12, so each kept
+    root takes two Newton steps, stopping early at a vanishing derivative.
+    """
+    deriv = np.polyder(poly)
+    roots = []
+    for root in np.roots(poly):
+        if not is_real(root):
+            continue
+        x = float(root.real)
+        for _ in range(2):
+            dx = _horner(deriv, x)
+            if abs(dx) < 1e-30:
+                break
+            x -= _horner(poly, x) / dx
+        roots.append(x)
+    return roots
+
+
 def _project_to_essential(e: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(e)
     sigma = 0.5 * (s[0] + s[1])
@@ -165,19 +186,8 @@ def essential_five_point(matches: np.ndarray) -> list[np.ndarray]:
     )
     if not np.any(np.abs(poly) > 0):
         return []
-    roots = np.roots(poly)
-    deriv = np.polyder(poly)
-
     solutions: list[np.ndarray] = []
-    for root in roots:
-        if abs(root.imag) > 1e-10:
-            continue
-        z = float(root.real)
-        for _ in range(2):  # polish: companion-matrix roots are not always at 1e-12
-            dz = _horner(deriv, z)
-            if abs(dz) < 1e-30:
-                break
-            z -= _horner(poly, z) / dz
+    for z in _polished_real_roots(poly, lambda root: abs(root.imag) <= 1e-10):
         lhs = np.array(
             [
                 [_horner(k1, z), _horner(k2, z)],
@@ -389,17 +399,8 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[Pose]:
     if not np.any(np.abs(quartic) > 0):
         return []
 
-    deriv = np.polyder(quartic)
     poses: list[Pose] = []
-    for root in np.roots(quartic):
-        if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)):
-            continue
-        v = float(root.real)
-        for _ in range(2):  # polish: np.roots alone is not always at 1e-12
-            dv = _horner(deriv, v)
-            if abs(dv) < 1e-30:
-                break
-            v -= _horner(quartic, v) / dv
+    for v in _polished_real_roots(quartic, lambda root: abs(root.imag) <= 1e-8 * max(1.0, abs(root.real))):
         qv = _horner(q, v)
         dd = _horner(d_poly, v)
         if qv <= 0 or abs(dd) < 1e-12:

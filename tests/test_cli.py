@@ -142,6 +142,17 @@ def test_estimate_scene_filter_and_config_file(dataset, tmp_path):
         ["estimate", "--dataset", str(dataset), "--out", str(out), "--config", str(config), "--scenes", "scene0000"]
     ) == EXIT_OK
     assert all(line.startswith("scene0000 ") for line in out.read_text().strip().splitlines())
+    # ... also when abbreviated, as argparse allows
+    assert main(
+        ["estimate", "--dataset", str(dataset), "--out", str(out), "--config", str(config),
+         "--estim", "pnp", "--scen", "scene0000"]
+    ) == EXIT_OK
+    abbreviated = out.read_bytes()
+    assert main(
+        ["estimate", "--dataset", str(dataset), "--out", str(out), "--seed", "11",
+         "--estimator", "pnp", "--scenes", "scene0000"]
+    ) == EXIT_OK
+    assert out.read_bytes() == abbreviated
 
 
 def test_estimate_empty_matches_status_lines(dataset, tmp_path):
@@ -212,10 +223,21 @@ def test_usage_error_exit_1():
     assert info.value.code == EXIT_USAGE
 
 
-def test_unknown_config_key_exit_2(dataset, tmp_path):
+def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"bogus": 1}))
-    assert main(["estimate", "--dataset", str(dataset), "--out", str(tmp_path / "o.txt"), "--config", str(config)]) == EXIT_IO
+    estimate = ["estimate", "--dataset", str(dataset), "--out", str(tmp_path / "o.txt"), "--config", str(config)]
+    synth = ["synth", "--config", str(config), "--out", str(tmp_path / "gen")]
+    for argv, payload in [
+        (estimate, {"bogus": 1}),
+        (estimate, {"max_iterations": "abc"}),
+        (estimate, {"min_inliers": 2.5}),
+        (estimate, [1, 2]),
+        (synth, {"bogus": 1}),
+        (synth, {"num_points": "many"}),
+    ]:
+        config.write_text(json.dumps(payload))
+        assert main(argv) == EXIT_IO, payload
+        assert str(config) in capsys.readouterr().err, payload
 
 
 def test_synth_command_round_trip(tmp_path, capsys):

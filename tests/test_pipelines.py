@@ -11,6 +11,7 @@ from mfpose.geometry import (
     translation_error_m,
 )
 from mfpose.pipelines import (
+    ESTIMATOR_NAMES,
     CorrespondenceSet,
     DepthMap,
     EstimateStatus,
@@ -142,6 +143,29 @@ def test_too_few_correspondences():
     assert estimate_procrustes(short, empty_depth, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
     assert estimate_pnp(short, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
     assert run_estimator("essmat-dscale", CorrespondenceSet.empty(), empty_depth, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
+
+
+def test_duplicated_matches_count_once():
+    c = CorrespondenceSet(
+        np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]),
+        np.array([[5.0, 6.0], [7.0, 8.0], [5.0, 6.0], [5.0, 9.0], [7.0, 8.0]]),
+        np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+    )
+    distinct = c.distinct()
+    assert distinct.scores.tolist() == [0.1, 0.2, 0.4]
+    assert distinct.distinct() is distinct
+    for seed in range(3):
+        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=0.4))
+        q, (c, *inputs) = scene_inputs(scene)
+        copies = CorrespondenceSet(*(np.repeat(a[:1], 20, axis=0) for a in (c.ref_px, c.query_px, c.scores)))
+        padded = CorrespondenceSet(*(np.concatenate([a, a[:150]]) for a in (c.ref_px, c.query_px, c.scores)))
+        cfg = EstimatorConfig(rng_seed=seed)
+        for name in ESTIMATOR_NAMES:
+            assert run_estimator(name, copies, *inputs, cfg).status is not EstimateStatus.OK
+            plain = run_estimator(name, c, *inputs, cfg)
+            repeated = run_estimator(name, padded, *inputs, cfg)
+            assert (repeated.status, repeated.confidence) == (plain.status, plain.confidence)
+            assert repeated.pose.rotation.tobytes() == plain.pose.rotation.tobytes()
 
 
 def test_all_outlier_matches_no_estimate():
