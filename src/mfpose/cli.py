@@ -108,9 +108,10 @@ def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
                 raise FormatError(path, f"non-numeric confidence: {exc}", number) from exc
         try:
             pose = Pose(rotation_from_quaternion(np.array(values[:4])), np.array(values[4:]))
+            estimate = PoseEstimate(EstimateStatus.OK, pose, confidence)
         except MfposeError as exc:
             raise FormatError(path, str(exc), number) from exc
-        out.append((scene_id, query_id, PoseEstimate(EstimateStatus.OK, pose, confidence)))
+        out.append((scene_id, query_id, estimate))
     return out
 
 
@@ -290,6 +291,10 @@ def cmd_synth(args) -> int:
         options[key] = tuple(value) if isinstance(value, list) else value
     num_scenes = options.pop("num_scenes")
     prefix = options.pop("scene_prefix")
+    if num_scenes < 0:
+        raise FormatError(args.config, f"option 'num_scenes' must be >= 0, got {num_scenes}")
+    if ".." in prefix or "/" in prefix or "\\" in prefix:  # scene directories stay under --out
+        raise FormatError(args.config, f"option 'scene_prefix' must not contain '/', '\\' or '..', got {prefix!r}")
     seed = options.pop("rng_seed")
     root = Path(args.out)
     total_queries = 0

@@ -310,6 +310,9 @@ def load_scene(root, scene_id: str) -> SceneManifest:
 # --------------------------------------------------------------------------
 
 
+_MARGIN_PX = 12.0  # generated pixels keep this far from the image border
+
+
 @dataclass(frozen=True)
 class SyntheticSceneConfig:
     """Controls for the ground-truth scene generator (the test oracle)."""
@@ -339,6 +342,8 @@ class SyntheticSceneConfig:
             raise InvalidParameterError("outlier fraction must be in [0, 1)")
         if self.pixel_noise_px < 0 or self.depth_noise_sigma < 0:
             raise InvalidParameterError("noise levels must be non-negative")
+        if min(self.width, self.height) <= 2 * _MARGIN_PX:
+            raise InvalidParameterError(f"width and height must exceed twice the {_MARGIN_PX:g} px margin")
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(
@@ -392,7 +397,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
     """
     rng = np.random.default_rng(config.rng_seed)
     k = config.intrinsics()
-    margin = 12.0
+    margin = _MARGIN_PX
 
     ref_px = np.column_stack(
         [
@@ -412,7 +417,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
 
     ref_depth_values = np.zeros((config.height, config.width))
     ref_claims: dict[tuple[int, int], int] = {}
-    scene = SyntheticScene(config, k, points, DepthMap(ref_depth_values))
+    queries = []
 
     for query_index in range(config.num_queries):
         pose = None
@@ -491,7 +496,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
 
         keep = np.array(keep_rows, dtype=int)
         correspondences = CorrespondenceSet(noisy_ref[keep], noisy_query[keep], scores[keep])
-        scene.queries.append(
+        queries.append(
             SyntheticQuery(
                 name=f"query{query_index:04d}",
                 pose=pose,
@@ -501,9 +506,8 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
             )
         )
 
-    # reference depth entries accumulate across queries; rebuild the frozen map
-    scene.depth_ref = DepthMap(ref_depth_values)
-    return scene
+    # reference depth entries accumulate across queries, so the frozen map is built last
+    return SyntheticScene(config, k, points, DepthMap(ref_depth_values), queries)
 
 
 def synth_write(scene: SyntheticScene, root, scene_id: str) -> None:

@@ -11,6 +11,8 @@ medians, acceptance rates, and the VCRE distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -118,6 +120,8 @@ class EvaluationRecord:
         populated = self.rotation_error_deg is not None
         if (self.status is EstimateStatus.OK) != populated:
             raise InvalidParameterError("error fields must be present exactly for ok records")
+        if self.confidence is not None and not self.confidence >= 0:  # NaN fails too
+            raise InvalidParameterError("confidence must be a number >= 0")
 
 
 def score_query(
@@ -196,33 +200,29 @@ def precision_curve(
 ) -> list[CurvePoint]:
     """Precision vs. retained-ratio sweep over confidence thresholds.
 
-    The sweep visits -inf plus every distinct confidence, ascending, so the
-    estimate ratio is non-increasing along the returned list.  Records whose
-    status is not ok (or that carry no confidence) are rejected at every
-    finite threshold; estimators with no confidences at all therefore
-    produce a single-point (flat) curve.
+    The sweep visits -inf plus every distinct finite confidence, ascending, so
+    the estimate ratio is non-increasing along the returned list.  Records that
+    are not ok are never retained, ok records without a confidence only at -inf,
+    so estimators with no confidences produce a single-point (flat) curve.
     """
     if not records:
         raise InvalidParameterError("precision curve needs at least one record")
     total = len(records)
-    effective = [
-        (r.confidence if (r.status is EstimateStatus.OK and r.confidence is not None) else -np.inf)
-        if r.status is EstimateStatus.OK
-        else None
-        for r in records
-    ]
-    thresholds = [-np.inf] + sorted(
-        {c for c in effective if c is not None and np.isfinite(c)}
+    ranked = sorted(  # acceptable is called once per ok record
+        ((-np.inf if r.confidence is None else r.confidence, bool(acceptable(r)))
+         for r in records if r.status is EstimateStatus.OK),
+        key=itemgetter(0), reverse=True,
     )
     points = []
-    for tau in thresholds:
-        retained = [r for r, c in zip(records, effective) if c is not None and c >= tau]
-        ratio = len(retained) / total
-        precision = (
-            sum(1 for r in retained if acceptable(r)) / len(retained) if retained else None
-        )
-        points.append(CurvePoint(float(tau), ratio, precision))
-    return points
+    retained = hits = 0
+    for confidence, group in groupby(ranked, key=itemgetter(0)):
+        for _, hit in group:
+            retained += 1
+            hits += hit
+        if np.isfinite(confidence):  # -inf is emitted below even when no record has it
+            points.append(CurvePoint(float(confidence), retained / total, hits / retained))
+    points.append(CurvePoint(-np.inf, retained / total, hits / retained if retained else None))
+    return points[::-1]
 
 
 def curve_auc(points: Sequence[CurvePoint]) -> float:
@@ -280,23 +280,11 @@ def aggregate_report(
         for name, fn in selectors.items():
             points = precision_curve(records, fn)
             auc[name] = curve_auc(points)
-            curves.append(
-                {
-                    "acceptance": name,
-                    "points": [
-                        {
-                            "confidence_threshold": p.confidence_threshold,
-                            "estimate_ratio": p.estimate_ratio,
-                            "precision": p.precision,
-                        }
-                        for p in points
-                    ],
-                }
-            )
+            curves.append({"acceptance": name, "points": [vars(p) for p in points]})
 
     per_scene = []
-    for scene_id in sorted({r.scene_id for r in records}):
-        scene_records = [r for r in records if r.scene_id == scene_id]
+    for scene_id, group in groupby(records, key=attrgetter("scene_id")):
+        scene_records = list(group)
         scene_ok = [r for r in scene_records if r.status is EstimateStatus.OK]
         entry = dict.fromkeys(PER_SCENE_FIELDS)
         entry.update(scene_id=scene_id, queries=len(scene_records), ok=len(scene_ok))

@@ -147,8 +147,8 @@ class PoseEstimate:
     def __post_init__(self):
         if (self.status is EstimateStatus.OK) != (self.pose is not None):
             raise InvalidParameterError("pose must be present exactly when status is ok")
-        if self.confidence is not None and self.confidence < 0:
-            raise InvalidParameterError("confidence must be non-negative")
+        if self.confidence is not None and not self.confidence >= 0:  # NaN fails too
+            raise InvalidParameterError("confidence must be a number >= 0")
 
 
 _NO_ESTIMATE = PoseEstimate(EstimateStatus.NO_ESTIMATE)
@@ -170,6 +170,13 @@ class EstimatorConfig:
     scale_relative_tolerance: float = 0.1
     scale_min_component: float = 1e-4
     min_scale_support: int = 5  # valid-depth inliers required before voting
+
+    def __post_init__(self):
+        """Build every config the estimators build, so a bad value fails before any query runs."""
+        for threshold in (self.sampson_threshold, self.pnp_threshold_px, self.procrustes_threshold_m):
+            if threshold is not None:  # a None Sampson threshold is derived from the intrinsics
+                self.ransac_config(threshold)
+        self.scale_config()
 
     def ransac_config(self, threshold: float) -> RansacConfig:
         return RansacConfig(
@@ -291,6 +298,8 @@ def estimate_pnp(
     try:
         result = ransac(data, minimal, residual, 3, cfg.ransac_config(cfg.pnp_threshold_px))
     except NoConsensusError:
+        return _NO_ESTIMATE
+    if result.inlier_count < 4:  # possible when min_inliers < 4; refine_pnp needs 4
         return _NO_ESTIMATE
     refined = solvers.refine_pnp(
         result.model, points3d[result.inlier_mask], pixels[result.inlier_mask], k_query

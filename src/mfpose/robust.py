@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, NoConsensusError, ScaleConsensusError
+from .errors import DegenerateSampleError, InvalidParameterError, NoConsensusError, ScaleConsensusError
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,11 @@ class RansacConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.min_iterations < 1:
-            raise ValueError("iteration counts must be >= 1")
+            raise InvalidParameterError("iteration counts must be >= 1")
         if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must be in (0, 1)")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+            raise InvalidParameterError("confidence must be in (0, 1)")
+        if not self.inlier_threshold > 0:  # NaN fails too
+            raise InvalidParameterError("inlier_threshold must be positive")
 
 
 @dataclass
@@ -167,8 +167,8 @@ class ScaleConsensusConfig:
     min_component: float = 1e-4  # meters; guards tiny projections onto t_hat
 
     def __post_init__(self):
-        if self.relative_tolerance <= 0:
-            raise ValueError("relative_tolerance must be positive")
+        if not self.relative_tolerance > 0:  # NaN fails too
+            raise InvalidParameterError("relative_tolerance must be positive")
 
 
 def scale_consensus(

@@ -14,6 +14,7 @@ from mfpose.cli import (
     parse_estimates,
 )
 from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
+from mfpose.errors import FormatError
 from mfpose.pipelines import EstimateStatus, PoseEstimate
 
 
@@ -67,6 +68,11 @@ def test_estimates_parse_errors(tmp_path):
     path.write_text("sc q0 no_estimate 1\n")
     with pytest.raises(Exception, match="3 fields"):
         parse_estimates(path)
+    # a confidence must be a number >= 0; the error names file and line
+    for bad in ("nan", "-1"):
+        path.write_text(f"sc q0 ok 1 0 0 0 0 0 0 5\nsc q1 ok 1 0 0 0 0 0 0 {bad}\n")
+        with pytest.raises(FormatError, match=r"est\.txt:2: confidence must be a number >= 0"):
+            parse_estimates(path)
 
 
 def test_confidence_free_lines(tmp_path):
@@ -238,6 +244,35 @@ def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
         config.write_text(json.dumps(payload))
         assert main(argv) == EXIT_IO, payload
         assert str(config) in capsys.readouterr().err, payload
+
+
+def test_invalid_estimator_options_exit_2_before_any_query(dataset, tmp_path, capsys):
+    out = tmp_path / "est.txt"
+    base = ["estimate", "--dataset", str(dataset), "--out", str(out)]
+    for flags in (
+        ["--max-iterations", "0"],
+        ["--ransac-confidence", "1.5"],
+        ["--scale-tolerance", "-1"],
+        ["--pnp-threshold-px", "-1", "--estimator", "pnp"],
+        ["--sampson-threshold", "0"],
+        ["--procrustes-threshold-m", "nan", "--estimator", "procrustes"],
+    ):
+        assert main(base + flags) == EXIT_IO, flags
+        err = capsys.readouterr().err
+        assert "estimating" not in err and "Traceback" not in err, flags
+        assert not out.exists(), flags
+
+
+def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    out_root = work / "gen"
+    for options in ({"width": 10}, {"height": 24}, {"scene_prefix": "../x"}, {"scene_prefix": "a/b"},
+                    {"scene_prefix": ".."}, {"num_scenes": -1}):
+        config = synth_config_file(tmp_path, **options)
+        assert main(["synth", "--config", str(config), "--out", str(out_root)]) == EXIT_IO, options
+        assert list(work.iterdir()) == [], options
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json", "work"], options
 
 
 def test_synth_command_round_trip(tmp_path, capsys):

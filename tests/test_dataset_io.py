@@ -264,6 +264,10 @@ def test_synth_config_validation():
         SyntheticSceneConfig(outlier_fraction=1.0)
     with pytest.raises(InvalidParameterError):
         SyntheticSceneConfig(depth_range_m=(0.0, 5.0))
+    for size in ({"width": 24}, {"height": 10}):  # no room inside the 12 px margin on both sides
+        with pytest.raises(InvalidParameterError):
+            SyntheticSceneConfig(**size)
+    SyntheticSceneConfig(width=25, height=25)
 
 
 def test_synth_correspondences_read_back_their_own_depth():

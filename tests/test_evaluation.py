@@ -182,6 +182,11 @@ def test_record_field_consistency_enforced():
         EvaluationRecord("s", "q", EstimateStatus.OK)
     with pytest.raises(InvalidParameterError):
         EvaluationRecord("s", "q", EstimateStatus.NO_ESTIMATE, rotation_error_deg=1.0)
+    for bad in (np.nan, -1.0, -np.inf):  # a sort has no place for NaN
+        with pytest.raises(InvalidParameterError):
+            EvaluationRecord("s", "q", EstimateStatus.NO_ESTIMATE, bad)
+        with pytest.raises(InvalidParameterError):
+            PoseEstimate(EstimateStatus.OK, Pose.identity(), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,8 @@ def ok_record(confidence, vcre_px, scene="s", query="q"):
 
 def brute_force_curve(records, acceptable):
     confidences = sorted(
-        {r.confidence for r in records if r.status is EstimateStatus.OK and r.confidence is not None}
+        {r.confidence for r in records if r.status is EstimateStatus.OK and r.confidence is not None
+         and np.isfinite(r.confidence)}
     )
     points = []
     for tau in [-np.inf] + confidences:
@@ -244,6 +250,64 @@ def test_curve_matches_brute_force_and_is_monotone():
     assert ratios == [pytest.approx(v) for v in [0.8, 0.8, 0.6, 0.4, 0.2]]
     precisions = [p.precision for p in points]
     assert precisions == [pytest.approx(v) for v in [0.5, 0.5, 2 / 3, 1.0, 1.0]]
+
+
+def mixed_records(seed=7, scenes=6, per_scene=60):
+    """Shuffled records with tied, missing and +inf confidences and both failure statuses."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for s in range(scenes):
+        for q in range(per_scene):
+            draw = rng.random()
+            scene, query = f"scene{s:02d}", f"q{q:03d}"
+            if draw < 0.1:
+                records.append(EvaluationRecord(scene, query, EstimateStatus.NO_ESTIMATE))
+            elif draw < 0.15:
+                records.append(EvaluationRecord(scene, query, EstimateStatus.DEGENERATE_SCALE, 3.0))
+            else:
+                confidence = [None, np.inf, float(rng.integers(5, 15)), float(rng.uniform(0, 100))][rng.integers(4)]
+                records.append(EvaluationRecord(
+                    scene, query, EstimateStatus.OK, confidence,
+                    rotation_error_deg=float(rng.uniform(0, 10)), translation_error_m=float(rng.uniform(0, 0.5)),
+                    vcre_px=float(rng.uniform(0, 120)), image_diagonal_px=800.0,
+                ))
+    rng.shuffle(records)
+    return records
+
+
+def test_curve_equals_brute_force_on_mixed_records():
+    records = mixed_records()
+    assert len(records) >= 300
+    confidences = [r.confidence for r in records if r.status is EstimateStatus.OK]
+    assert None in confidences and np.inf in confidences and len(set(confidences)) < len(confidences)
+    for fraction in (0.05, 0.10):
+        calls = []
+
+        def acceptable(r, fraction=fraction):
+            calls.append(r)
+            return vcre_acceptable(r, fraction)
+
+        points = precision_curve(records, acceptable)
+        ok_records = [r for r in records if r.status is EstimateStatus.OK]
+        assert len(calls) == len(ok_records) and set(map(id, calls)) == set(map(id, ok_records))
+        expected = brute_force_curve(records, lambda r: vcre_acceptable(r, fraction))
+        assert [(p.confidence_threshold, p.estimate_ratio, p.precision) for p in points] == expected
+
+
+def test_report_per_scene_equals_brute_force_grouping():
+    records = mixed_records(seed=11)
+    expected = []
+    for scene_id in sorted({r.scene_id for r in records}):
+        scene = [r for r in records if r.scene_id == scene_id]
+        ok = [r for r in scene if r.status is EstimateStatus.OK]
+        middle = (len(ok) - 1) // 2
+        expected.append({
+            "scene_id": scene_id, "queries": len(scene), "ok": len(ok),
+            "median_rotation_error_deg": sorted(r.rotation_error_deg for r in ok)[middle],
+            "median_translation_error_m": sorted(r.translation_error_m for r in ok)[middle],
+            "median_vcre_px": sorted(r.vcre_px for r in ok)[middle],
+        })
+    assert aggregate_report(records)["per_scene"] == expected
 
 
 def test_curve_confidence_free_single_point():

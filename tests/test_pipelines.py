@@ -145,6 +145,36 @@ def test_too_few_correspondences():
     assert run_estimator("essmat-dscale", CorrespondenceSet.empty(), empty_depth, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
 
 
+def test_estimator_config_rejects_values_the_estimators_would():
+    for bad in (
+        {"max_iterations": 0},
+        {"confidence": 1.5},
+        {"scale_relative_tolerance": -1.0},
+        {"pnp_threshold_px": -1.0},
+        {"procrustes_threshold_m": 0.0},
+        {"sampson_threshold": 0.0},
+        {"pnp_threshold_px": np.nan},
+        {"scale_relative_tolerance": np.nan},
+    ):
+        with pytest.raises(InvalidParameterError):
+            EstimatorConfig(**bad)
+    EstimatorConfig(sampson_threshold=None)
+
+
+def test_pnp_consensus_below_four_is_no_estimate():
+    # min_inliers=3 lets a 3-match consensus through ransac; refine_pnp needs 4
+    for seed in range(5):
+        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed))
+        q = scene.queries[0]
+        c = q.correspondences
+        query_px = c.query_px[:4].copy()
+        query_px[3] += 80.0  # one outlier among four
+        four = CorrespondenceSet(c.ref_px[:4], query_px, c.scores[:4])
+        cfg = EstimatorConfig(rng_seed=seed, min_inliers=3)
+        estimate = run_estimator("pnp", four, scene.depth_ref, q.depth_query, scene.intrinsics, scene.intrinsics, cfg)
+        assert estimate.status is EstimateStatus.NO_ESTIMATE, seed
+
+
 def test_duplicated_matches_count_once():
     c = CorrespondenceSet(
         np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]),
