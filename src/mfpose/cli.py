@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import SceneManifest, SyntheticSceneConfig, list_scenes, load_scene, read_fields, synth_scene, synth_write
-from .errors import FormatError, MfposeError, MissingGroundTruthError
+from .errors import FormatError, InvalidParameterError, MfposeError, MissingGroundTruthError
 from .evaluation import (
     PER_SCENE_FIELDS,
     EvaluationRecord,
@@ -295,13 +295,15 @@ def cmd_synth(args) -> int:
         raise FormatError(args.config, f"option 'num_scenes' must be >= 0, got {num_scenes}")
     if ".." in prefix or "/" in prefix or "\\" in prefix:  # scene directories stay under --out
         raise FormatError(args.config, f"option 'scene_prefix' must not contain '/', '\\' or '..', got {prefix!r}")
-    seed = options.pop("rng_seed")
+    try:
+        config = SyntheticSceneConfig(**options)
+    except InvalidParameterError as exc:
+        raise FormatError(args.config, str(exc)) from exc
     root = Path(args.out)
     total_queries = 0
     for index in range(num_scenes):
         scene_id = f"{prefix}{index:04d}"
-        config = SyntheticSceneConfig(rng_seed=derive_seed(seed, scene_id, "gen"), **options)
-        scene = synth_scene(config)
+        scene = synth_scene(replace(config, rng_seed=derive_seed(config.rng_seed, scene_id, "gen")))
         synth_write(scene, root, scene_id)
         total_queries += len(scene.queries)
         counts = [len(q.correspondences) for q in scene.queries]

@@ -62,12 +62,13 @@ class CorrespondenceSet:
         return len(self.scores)
 
     def distinct(self) -> "CorrespondenceSet":
-        """The set without exact repeats of a (ref_px, query_px) pair, first occurrences kept in order.
+        """The set with one match per (reference, query) pair of nearest-pixel cells, first kept, in order.
 
-        Repeats would count as independent support in the robust loop.  A set
-        without repeats is returned as is.
+        Repeats, and near-copies in the same cells that depth is sampled at,
+        would count as independent support in the robust loop.  A set without
+        repeats is returned as is.
         """
-        pairs = np.column_stack([self.ref_px, self.query_px])
+        pairs = np.column_stack([*pixel_index(self.ref_px), *pixel_index(self.query_px)])
         order = np.lexsort(pairs.T[::-1])  # stable: equal rows stay in index order
         ordered = pairs[order]
         repeats = order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]
@@ -153,6 +154,7 @@ class PoseEstimate:
 
 _NO_ESTIMATE = PoseEstimate(EstimateStatus.NO_ESTIMATE)
 _DEGENERATE_SCALE = PoseEstimate(EstimateStatus.DEGENERATE_SCALE)
+_MIN_SCALE_SUPPORT = 5  # valid-depth inliers required before voting
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,6 @@ class EstimatorConfig:
     pnp_threshold_px: float = 3.0
     procrustes_threshold_m: float = 0.15
     scale_relative_tolerance: float = 0.1
-    scale_min_component: float = 1e-4
-    min_scale_support: int = 5  # valid-depth inliers required before voting
 
     def __post_init__(self):
         """Build every config the estimators build, so a bad value fails before any query runs."""
@@ -188,7 +188,7 @@ class EstimatorConfig:
         )
 
     def scale_config(self) -> ScaleConsensusConfig:
-        return ScaleConsensusConfig(self.scale_relative_tolerance, self.scale_min_component)
+        return ScaleConsensusConfig(self.scale_relative_tolerance)
 
 
 def _normalized_matches(c: CorrespondenceSet, k_ref: CameraIntrinsics, k_query: CameraIntrinsics) -> np.ndarray:
@@ -251,7 +251,7 @@ def estimate_essmat_dscale(
     x_ref, x_query = _lift_both(
         c.ref_px[result.inlier_mask], c.query_px[result.inlier_mask], depth_ref, depth_query, k_ref, k_query
     )
-    if len(x_ref) < cfg.min_scale_support:
+    if len(x_ref) < _MIN_SCALE_SUPPORT:
         return _DEGENERATE_SCALE
     try:
         scale, _ = scale_consensus(x_ref, x_query, rotation, t_hat, cfg.scale_config())

@@ -82,6 +82,12 @@ def ransac(
 
     rng = np.random.default_rng(config.rng_seed)
     threshold_sq = config.inlier_threshold**2
+
+    def score(model):
+        """MSAC loss (truncated squared residual) and inlier mask of a model."""
+        residuals = np.asarray(residual_fn(model, data), dtype=float)
+        return float(np.minimum(residuals**2, threshold_sq).sum()), residuals <= config.inlier_threshold
+
     best_loss = np.inf
     best_model = None
     best_mask = None
@@ -95,12 +101,9 @@ def ransac(
         except DegenerateSampleError:
             continue
         for model in models:
-            residuals = np.asarray(residual_fn(model, data), dtype=float)
-            loss = float(np.minimum(residuals**2, threshold_sq).sum())
+            loss, mask = score(model)
             if loss < best_loss:
-                best_loss = loss
-                best_model = model
-                best_mask = residuals <= config.inlier_threshold
+                best_loss, best_model, best_mask = loss, model, mask
                 iteration_cap = min(
                     config.max_iterations,
                     max(
@@ -123,11 +126,9 @@ def ransac(
                 candidate = refit(best_model, data[best_mask])
             except DegenerateSampleError:
                 break
-            residuals = np.asarray(residual_fn(candidate, data), dtype=float)
-            loss = float(np.minimum(residuals**2, threshold_sq).sum())
+            loss, mask = score(candidate)
             if loss > best_loss:
                 break
-            mask = residuals <= config.inlier_threshold
             changed = not np.array_equal(mask, best_mask)
             best_model, best_loss, best_mask = candidate, loss, mask
             if not changed:

@@ -284,7 +284,49 @@ def decompose_essential(e: np.ndarray, matches: np.ndarray):
     return rotation, translation / np.linalg.norm(translation)
 
 
-def refine_essential(e: np.ndarray, matches: np.ndarray, max_iterations: int = 20) -> np.ndarray:
+def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, tolerance, max_iterations):
+    """Levenberg-Marquardt loop of both refiners; returns (x, initial cost, cost, any step kept).
+
+    evaluate(x) -> (cost, residuals, state), the cost infinite for an infeasible
+    x; jacobian(x, residuals, state) differentiates the residuals; update(x,
+    step) applies the solution of (J^T J + damping I) step = -J^T r.  A step
+    that does not raise the cost is kept, its residuals and state reused, and
+    the damping divided by 10 (floor 1e-12); a rejected step or a singular
+    system multiplies it by 10.  Stops on a zero or non-finite cost, after a
+    kept step whose relative drop is below `tolerance`, or when no step with
+    damping below `damping_cap` is kept.
+    """
+    cost, residuals, state = evaluate(x)
+    initial_cost, kept = cost, False
+    for _ in range(max_iterations):
+        if not 0.0 < cost < np.inf:
+            break
+        jac = jacobian(x, residuals, state)
+        gradient = jac.T @ residuals
+        hessian = jac.T @ jac
+        while damping < damping_cap:
+            try:
+                step = np.linalg.solve(hessian + damping * np.eye(len(gradient)), -gradient)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            candidate = update(x, step)
+            new_cost, new_residuals, new_state = evaluate(candidate)
+            if new_cost <= cost:
+                relative_drop = (cost - new_cost) / max(cost, 1e-300)
+                x, cost, residuals, state = candidate, new_cost, new_residuals, new_state
+                damping = max(damping / 10.0, 1e-12)
+                kept = True
+                if relative_drop < tolerance:
+                    return x, initial_cost, cost, kept
+                break
+            damping *= 10.0
+        else:
+            break  # no step below the damping cap was kept
+    return x, initial_cost, cost, kept
+
+
+def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt on the Sampson error over the essential manifold.
 
     Minimal-sample hypotheses fit five noisy points exactly but generalize
@@ -308,43 +350,24 @@ def refine_essential(e: np.ndarray, matches: np.ndarray, max_iterations: int = 2
     def residuals(p: np.ndarray) -> np.ndarray:
         return robust.sampson_error(build(p), matches)
 
-    params = np.zeros(5)
-    cost = float(np.sum(residuals(params) ** 2))
-    damping = 1e-6
-    step_h = 1e-6
-    for _ in range(max_iterations):
-        base = residuals(params)
-        jacobian = np.empty((len(matches), 5))
+    def evaluate(p: np.ndarray):
+        res = residuals(p)
+        return float(np.sum(res**2)), res, None
+
+    def jacobian(p: np.ndarray, res, state) -> np.ndarray:
+        step_h = 1e-6
+        jac = np.empty((len(matches), 5))
         for j in range(5):
-            forward = params.copy()
+            forward = p.copy()
             forward[j] += step_h
-            backward = params.copy()
+            backward = p.copy()
             backward[j] -= step_h
             # central differences: the O(h^2) error keeps the convergence
             # floor near 1e-12, which the noiseless exactness regime needs
-            jacobian[:, j] = (residuals(forward) - residuals(backward)) / (2.0 * step_h)
-        gradient = jacobian.T @ base
-        hessian = jacobian.T @ jacobian
-        improved = False
-        while damping < 1e8:
-            try:
-                step = np.linalg.solve(hessian + damping * np.eye(5), -gradient)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            candidate = params + step
-            new_cost = float(np.sum(residuals(candidate) ** 2))
-            if new_cost <= cost:
-                relative_drop = (cost - new_cost) / max(cost, 1e-300)
-                params, cost = candidate, new_cost
-                damping = max(damping / 10.0, 1e-12)
-                improved = True
-                if relative_drop < 1e-10:
-                    return build(params)
-                break
-            damping *= 10.0
-        if not improved:
-            break
+            jac[:, j] = (residuals(forward) - residuals(backward)) / (2.0 * step_h)
+        return jac
+
+    params, *_ = _damped_least_squares(np.zeros(5), evaluate, jacobian, np.add, 1e-6, 1e8, 1e-10, 20)
     return build(params)
 
 
@@ -464,26 +487,21 @@ class RefineResult:
     diverged: bool
 
 
-def refine_pnp(
-    initial: Pose,
-    points3d: np.ndarray,
-    pixels: np.ndarray,
-    k: CameraIntrinsics,
-    max_iterations: int = 100,
-) -> RefineResult:
+def refine_pnp(initial: Pose, points3d: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics) -> RefineResult:
     """Damped Gauss-Newton on pixel reprojection error.
 
-    Damping is multiplied by 10 on a rejected step and divided by 10 on an
-    accepted one; convergence is a relative cost change below 1e-12.  The
+    Damping starts at 1e-3 and follows the shared Levenberg-Marquardt
+    schedule; convergence is a relative cost change below 1e-12.  The
     returned cost never exceeds the initial cost; if no step is ever
-    accepted the initial pose comes back with diverged=True.
+    accepted (an infeasible start included) the initial pose comes back with
+    diverged=True.
     """
     points3d = np.asarray(points3d, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(points3d) < 4:
         raise InvalidParameterError("refinement needs at least 4 correspondences")
 
-    def cost_and_residuals(pose: Pose):
+    def evaluate(pose: Pose):
         cam = pose.transform(points3d)
         if np.any(cam[:, 2] <= 0):
             return np.inf, None, None
@@ -492,19 +510,9 @@ def refine_pnp(
         res = (proj - pixels).ravel()
         return float(res @ res), res, cam
 
-    pose = initial
-    cost, res, cam = cost_and_residuals(pose)
-    initial_cost = cost
-    if not np.isfinite(cost):
-        return RefineResult(initial, initial_cost, initial_cost, True)
-
-    damping = 1e-3
-    accepted_any = False
-    for _ in range(max_iterations):
-        if cost == 0.0:
-            break
+    def jacobian(pose: Pose, res, cam: np.ndarray) -> np.ndarray:
         z = cam[:, 2]
-        n = len(points3d)
+        n = len(cam)
         d_proj = np.zeros((n, 2, 3))
         d_proj[:, 0, 0] = k.fx / z
         d_proj[:, 0, 2] = -k.fx * cam[:, 0] / z**2
@@ -518,37 +526,18 @@ def refine_pnp(
         cross[:, 1, 2] = cam[:, 0]
         cross[:, 2, 0] = cam[:, 1]
         cross[:, 2, 1] = -cam[:, 0]
-        jacobian = np.concatenate([np.einsum("nij,njk->nik", d_proj, cross), d_proj], axis=2)
-        jacobian = jacobian.reshape(2 * n, 6)
-        gradient = jacobian.T @ res
-        hessian = jacobian.T @ jacobian
+        jac = np.concatenate([np.einsum("nij,njk->nik", d_proj, cross), d_proj], axis=2)
+        return jac.reshape(2 * n, 6)
 
-        improved = False
-        while damping < 1e12:
-            try:
-                step = np.linalg.solve(hessian + damping * np.eye(6), -gradient)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            dr = rotation_from_axis_angle(step[:3])
-            candidate = Pose(dr @ pose.rotation, dr @ pose.translation + step[3:])
-            new_cost, new_res, new_cam = cost_and_residuals(candidate)
-            if new_cost <= cost:
-                relative_drop = (cost - new_cost) / max(cost, 1e-300)
-                pose, cost, res, cam = candidate, new_cost, new_res, new_cam
-                damping = max(damping / 10.0, 1e-12)
-                improved = True
-                accepted_any = True
-                if relative_drop < 1e-12:
-                    return RefineResult(pose, initial_cost, cost, False)
-                break
-            damping *= 10.0
-        if not improved:
-            break
+    def update(pose: Pose, step: np.ndarray) -> Pose:
+        dr = rotation_from_axis_angle(step[:3])
+        return Pose(dr @ pose.rotation, dr @ pose.translation + step[3:])
 
-    if not accepted_any and cost > 0.0:
-        return RefineResult(initial, initial_cost, initial_cost, True)
-    return RefineResult(pose, initial_cost, cost, False)
+    pose, initial_cost, cost, kept = _damped_least_squares(
+        initial, evaluate, jacobian, update, 1e-3, 1e12, 1e-12, 100
+    )
+    # with no step kept, pose and cost are the initial ones
+    return RefineResult(pose, initial_cost, cost, not kept and cost != 0.0)
 
 
 # --------------------------------------------------------------------------

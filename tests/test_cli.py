@@ -263,14 +263,16 @@ def test_invalid_estimator_options_exit_2_before_any_query(dataset, tmp_path, ca
         assert not out.exists(), flags
 
 
-def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path):
+def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path, capsys):
     work = tmp_path / "work"
     work.mkdir()
     out_root = work / "gen"
     for options in ({"width": 10}, {"height": 24}, {"scene_prefix": "../x"}, {"scene_prefix": "a/b"},
-                    {"scene_prefix": ".."}, {"num_scenes": -1}):
+                    {"scene_prefix": ".."}, {"num_scenes": -1}, {"outlier_fraction": 1.0},
+                    {"num_scenes": 0, "width": 10}):
         config = synth_config_file(tmp_path, **options)
         assert main(["synth", "--config", str(config), "--out", str(out_root)]) == EXIT_IO, options
+        assert str(config) in capsys.readouterr().err, options
         assert list(work.iterdir()) == [], options
         assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json", "work"], options
 

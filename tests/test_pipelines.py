@@ -188,10 +188,18 @@ def test_duplicated_matches_count_once():
         scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=0.4))
         q, (c, *inputs) = scene_inputs(scene)
         copies = CorrespondenceSet(*(np.repeat(a[:1], 20, axis=0) for a in (c.ref_px, c.query_px, c.scores)))
+        # near-copies within 1e-3 px share their nearest-pixel cells, so they count once too
+        jitter = np.random.default_rng(seed)
+        near = CorrespondenceSet(
+            *(np.repeat(a[:1], 50, axis=0) + jitter.uniform(-1e-3, 1e-3, (50, 2)) for a in (c.ref_px, c.query_px)),
+            np.repeat(c.scores[:1], 50),
+        )
+        assert len(near.distinct()) == 1
         padded = CorrespondenceSet(*(np.concatenate([a, a[:150]]) for a in (c.ref_px, c.query_px, c.scores)))
         cfg = EstimatorConfig(rng_seed=seed)
         for name in ESTIMATOR_NAMES:
             assert run_estimator(name, copies, *inputs, cfg).status is not EstimateStatus.OK
+            assert run_estimator(name, near, *inputs, cfg).status is not EstimateStatus.OK, (seed, name)
             plain = run_estimator(name, c, *inputs, cfg)
             repeated = run_estimator(name, padded, *inputs, cfg)
             assert (repeated.status, repeated.confidence) == (plain.status, plain.confidence)

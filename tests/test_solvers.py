@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from mfpose.dataset import SyntheticSceneConfig, synth_scene
 from mfpose.errors import CheiralityError, DegenerateSampleError, InvalidParameterError
-from mfpose.geometry import CameraIntrinsics, Pose, rotation_error_deg, rot_y, rot_z
+from mfpose.geometry import (
+    CameraIntrinsics,
+    Pose,
+    normalized_coords,
+    rot_y,
+    rot_z,
+    rotation_error_deg,
+    rotation_from_axis_angle,
+)
 from mfpose.robust import sampson_error
 from mfpose.solvers import (
     decompose_essential,
@@ -11,6 +20,7 @@ from mfpose.solvers import (
     essential_pose_candidates,
     pnp_p3p,
     procrustes_align,
+    refine_essential,
     refine_pnp,
     triangulate_midpoints,
 )
@@ -285,6 +295,42 @@ def test_p3p_fourth_point_disambiguates(rng):
 
 
 # ---------------------------------------------------------------------------
+# essential-matrix refinement
+# ---------------------------------------------------------------------------
+
+
+def _perturbed_start(seed, pixel_noise_px=0.0):
+    """Normalized matches of a synthetic query, its true pose, and an essential
+    matrix whose rotation is 0.2-2 degrees from the truth."""
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=pixel_noise_px))
+    q = scene.queries[0]
+    k = scene.intrinsics
+    matches = np.column_stack(
+        [normalized_coords(k, q.correspondences.ref_px), normalized_coords(k, q.correspondences.query_px)]
+    )
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(3)
+    angle = np.radians(rng.uniform(0.2, 2.0))
+    start_rotation = rotation_from_axis_angle(axis / np.linalg.norm(axis) * angle) @ q.pose.rotation
+    return matches, q.pose, essential_from_pose(start_rotation, q.pose.translation)
+
+
+def test_refine_essential_recovers_exact_rotation_from_nearby_start():
+    for seed in range(20):
+        matches, truth, start = _perturbed_start(seed)
+        rotation, _ = decompose_essential(refine_essential(start, matches), matches)
+        assert small_angle_deg(rotation, truth.rotation) < 1e-3, seed
+
+
+def test_refine_essential_never_raises_sampson_cost_on_noise():
+    for seed in range(10):
+        matches, truth, start = _perturbed_start(seed, pixel_noise_px=1.0)
+        for e in (start, essential_from_pose(truth.rotation, truth.translation)):
+            refined = refine_essential(e, matches)
+            assert np.sum(sampson_error(refined, matches) ** 2) <= np.sum(sampson_error(e, matches) ** 2), seed
+
+
+# ---------------------------------------------------------------------------
 # PnP refinement
 # ---------------------------------------------------------------------------
 
@@ -328,6 +374,15 @@ def test_refine_never_increases_cost_on_noise(rng):
     start = Pose(rot_y(0.5) @ pose.rotation, pose.translation + [0.02, -0.01, 0.03])
     result = refine_pnp(start, world, noisy, K)
     assert result.final_cost <= result.initial_cost
+
+
+def test_refine_infeasible_start_diverges_to_initial_pose(rng):
+    pose, world, pixels = _pnp_scene(rng)
+    behind = Pose(pose.rotation, pose.translation - [0.0, 0.0, 20.0])  # every point at z < 0
+    result = refine_pnp(behind, world, pixels, K)
+    assert result.diverged
+    assert result.pose is behind
+    assert result.initial_cost == result.final_cost == np.inf
 
 
 def test_refine_needs_four_points(rng):
