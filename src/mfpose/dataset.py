@@ -475,14 +475,15 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
         query_depth_values = np.zeros((config.height, config.width))
         query_claims: dict[tuple[int, int], int] = {}
         keep_rows = []
+        (ref_u, query_u), (ref_v, query_v) = pixel_index(np.stack([noisy_ref, noisy_query]))
         for row in np.flatnonzero(in_bounds):
             point_id = int(indices[row])
-            ru, rv = pixel_index(noisy_ref[row])
+            ru, rv = ref_u[row], ref_v[row]
             ref_key = (int(ru), int(rv))
             if ref_claims.get(ref_key, point_id) != point_id:
                 continue  # another point already owns this reference depth pixel
             if not outliers[row]:
-                qu, qv = pixel_index(noisy_query[row])
+                qu, qv = query_u[row], query_v[row]
                 query_key = (int(qu), int(qv))
                 if query_claims.get(query_key, point_id) != point_id:
                     continue

@@ -197,6 +197,26 @@ def _normalized_matches(c: CorrespondenceSet, k_ref: CameraIntrinsics, k_query: 
     )
 
 
+def _per_sample(solver):
+    """The window form of a one-sample solver; a DegenerateSampleError yields no models."""
+
+    def solve(samples: np.ndarray) -> list[list]:
+        models = []
+        for sample in samples:
+            try:
+                models.append(solver(sample))
+            except DegenerateSampleError:
+                models.append([])
+        return models
+
+    return solve
+
+
+def _per_model(residual):
+    """The window form of a one-model residual function: one row per model."""
+    return lambda models, rows: np.stack([residual(model, rows) for model in models])
+
+
 def _lift_both(ref_px, query_px, depth_ref: DepthMap, depth_query: DepthMap, k_ref, k_query):
     """Camera-frame 3D points, on each side, of the matches with valid depth on both sides."""
     d_ref = depth_ref.sample_nearest(ref_px)
@@ -238,6 +258,7 @@ def estimate_essmat_dscale(
             return model
 
     try:
+        # sampson_error scores a window's list of matrices as one (M, 3, 3) stack
         result = ransac(
             data, solvers.essential_five_point, sampson_error, 5, cfg.ransac_config(threshold), refit=refit
         )
@@ -280,11 +301,13 @@ def estimate_pnp(
     pixels = c.query_px[valid]
     data = np.column_stack([pixels, points3d])
 
-    def minimal(sample: np.ndarray):
+    @_per_sample
+    def solve(sample: np.ndarray):
         rays = normalized_coords(k_query, sample[:, :2])
         return solvers.pnp_p3p(sample[:, 2:], rays)
 
-    def residual(pose: Pose, rows: np.ndarray) -> np.ndarray:
+    @_per_model
+    def residuals(pose: Pose, rows: np.ndarray) -> np.ndarray:
         cam = pose.transform(rows[:, 2:])
         z = cam[:, 2]
         out = np.full(len(rows), np.inf)
@@ -296,7 +319,7 @@ def estimate_pnp(
         return out
 
     try:
-        result = ransac(data, minimal, residual, 3, cfg.ransac_config(cfg.pnp_threshold_px))
+        result = ransac(data, solve, residuals, 3, cfg.ransac_config(cfg.pnp_threshold_px))
     except NoConsensusError:
         return _NO_ESTIMATE
     if result.inlier_count < 4:  # possible when min_inliers < 4; refine_pnp needs 4
@@ -324,14 +347,16 @@ def estimate_procrustes(
         return _NO_ESTIMATE
     data = np.column_stack([x_ref, x_query])
 
-    def minimal(sample: np.ndarray):
+    @_per_sample
+    def solve(sample: np.ndarray):
         return [solvers.procrustes_align(sample[:, :3], sample[:, 3:])]
 
-    def residual(pose: Pose, rows: np.ndarray) -> np.ndarray:
+    @_per_model
+    def residuals(pose: Pose, rows: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pose.transform(rows[:, :3]) - rows[:, 3:], axis=1)
 
     try:
-        result = ransac(data, minimal, residual, 3, cfg.ransac_config(cfg.procrustes_threshold_m))
+        result = ransac(data, solve, residuals, 3, cfg.ransac_config(cfg.procrustes_threshold_m))
     except NoConsensusError:
         return _NO_ESTIMATE
     pose = result.model

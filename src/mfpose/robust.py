@@ -1,10 +1,13 @@
 """Hypothesize-and-verify engine and the depth-based translation-scale vote.
 
-The engine is solver-agnostic: data is any (n, d) array, the minimal solver
-maps an (m, d) sample to a list of candidate models, and the residual
-function maps (model, data) to per-row non-negative residuals.  Scoring is
-MSAC (truncated squared residual); iteration count adapts to the observed
-inlier ratio.  Everything is deterministic given the seed.
+The engine is solver-agnostic and works a window of samples at a time: data
+is any (n, d) array, the minimal solver maps a (K, m, d) stack of samples to
+K lists of candidate models (an empty list for an unusable sample), and the
+residual function maps (models, data) to an (M, n) array of non-negative
+residuals, one row per model.  Scoring is MSAC (truncated squared
+residual); iteration count adapts to the observed inlier ratio.  Samples and
+models are consumed in draw order, so the result does not depend on the
+window size, and everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InvalidParameterError, NoConsensusError, ScaleConsensusError
+from .errors import InvalidParameterError, NoConsensusError, ScaleConsensusError
+
+# most samples drawn and solved at once; a window never holds more samples
+# than have been consumed so far (or min_iterations), so at most one
+# window's worth is solved past the adaptive stop
+_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -59,21 +67,26 @@ def _adaptive_iterations(inlier_ratio: float, sample_size: int, confidence: floa
 
 def ransac(
     data: np.ndarray,
-    minimal_solver: Callable[[np.ndarray], Sequence[Any]],
-    residual_fn: Callable[[Any, np.ndarray], np.ndarray],
+    solve: Callable[[np.ndarray], Sequence[Sequence[Any]]],
+    residuals: Callable[[Sequence[Any], np.ndarray], np.ndarray],
     sample_size: int,
     config: RansacConfig,
     refit: Callable[[Any, np.ndarray], Any] | None = None,
 ) -> RobustResult:
     """Best model by MSAC score; raises NoConsensusError when support is too thin.
 
-    Hypotheses are evaluated in a fixed sequential order, so the result is
-    bit-identical for a given rng_seed.  Solvers may signal an unusable
-    sample either with an empty model list or DegenerateSampleError.
+    Samples are drawn in windows of min(remaining, 16, max(min_iterations,
+    drawn so far)), each with its own rng.choice call in draw order; each
+    window is solved by one `solve` call and its models scored by one
+    `residuals` call.  Models are then consumed in draw order, so
+    `iterations` counts consumed samples and the result is bit-identical for
+    a given rng_seed.  Samples drawn past the adaptive stop are discarded.
 
     When `refit(model, inlier_data)` is given it is applied to the winning
     consensus set (up to two rounds); the refitted model is adopted only if
-    its MSAC score does not regress, so the result never gets worse.
+    its MSAC score does not regress, so the result never gets worse.  Like
+    `solve`, `refit` handles its own failures (returning the model it was
+    given, say); no exception is caught here.
     """
     data = np.asarray(data)
     n = len(data)
@@ -83,10 +96,10 @@ def ransac(
     rng = np.random.default_rng(config.rng_seed)
     threshold_sq = config.inlier_threshold**2
 
-    def score(model):
-        """MSAC loss (truncated squared residual) and inlier mask of a model."""
-        residuals = np.asarray(residual_fn(model, data), dtype=float)
-        return float(np.minimum(residuals**2, threshold_sq).sum()), residuals <= config.inlier_threshold
+    def score(models):
+        """MSAC losses (truncated squared residuals) and inlier masks, one row per model."""
+        rows = np.asarray(residuals(models, data), dtype=float)
+        return np.minimum(rows**2, threshold_sq).sum(axis=1), rows <= config.inlier_threshold
 
     best_loss = np.inf
     best_model = None
@@ -94,26 +107,32 @@ def ransac(
     iteration_cap = config.max_iterations
     iteration = 0
     while iteration < iteration_cap:
-        iteration += 1
-        sample = data[rng.choice(n, size=sample_size, replace=False)]
-        try:
-            models = minimal_solver(sample)
-        except DegenerateSampleError:
-            continue
-        for model in models:
-            loss, mask = score(model)
-            if loss < best_loss:
-                best_loss, best_model, best_mask = loss, model, mask
-                iteration_cap = min(
-                    config.max_iterations,
-                    max(
-                        iteration,
-                        config.min_iterations,
-                        _adaptive_iterations(
-                            best_mask.mean(), sample_size, config.confidence, config.max_iterations
+        window = min(iteration_cap - iteration, _WINDOW, max(config.min_iterations, iteration))
+        draws = [rng.choice(n, size=sample_size, replace=False) for _ in range(window)]
+        model_lists = solve(data[np.array(draws)])
+        models = [model for sample_models in model_lists for model in sample_models]
+        if models:
+            losses, masks = score(models)
+        row = 0
+        for sample_models in model_lists:
+            iteration += 1
+            for model in sample_models:
+                loss = float(losses[row])
+                if loss < best_loss:
+                    best_loss, best_model, best_mask = loss, model, masks[row]
+                    iteration_cap = min(
+                        config.max_iterations,
+                        max(
+                            iteration,
+                            config.min_iterations,
+                            _adaptive_iterations(
+                                best_mask.mean(), sample_size, config.confidence, config.max_iterations
+                            ),
                         ),
-                    ),
-                )
+                    )
+                row += 1
+            if iteration >= iteration_cap:
+                break
 
     if best_model is None:
         raise NoConsensusError("no hypothesis could be scored")
@@ -122,11 +141,9 @@ def ransac(
         for _ in range(2):
             if int(best_mask.sum()) < sample_size:
                 break
-            try:
-                candidate = refit(best_model, data[best_mask])
-            except DegenerateSampleError:
-                break
-            loss, mask = score(candidate)
+            candidate = refit(best_model, data[best_mask])
+            losses, masks = score([candidate])
+            loss, mask = float(losses[0]), masks[0]
             if loss > best_loss:
                 break
             changed = not np.array_equal(mask, best_mask)
@@ -143,9 +160,11 @@ def ransac(
 def sampson_error(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     """First-order geometric distance to the epipolar constraint, per match.
 
-    matches is (n, 4) [x_ref, y_ref, x_query, y_query] in normalized
-    coordinates (a single (4,) match is also accepted).  Zero exactly when
-    the constraint holds.
+    e is one (3, 3) essential matrix or an (M, 3, 3) stack of them; matches
+    is (n, 4) [x_ref, y_ref, x_query, y_query] in normalized coordinates.
+    Returns (n,) or (M, n) distances, each row bit-identical to a one-matrix
+    call; a single (4,) match with one matrix gives a float.  Zero exactly
+    when the constraint holds.
     """
     m = np.asarray(matches, dtype=float)
     single = m.ndim == 1
@@ -154,10 +173,10 @@ def sampson_error(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     q_ref = np.column_stack([m[:, 0], m[:, 1], ones])
     q_query = np.column_stack([m[:, 2], m[:, 3], ones])
     e = np.asarray(e, dtype=float)
-    eq = q_ref @ e.T  # rows: E @ q_ref
+    eq = q_ref @ np.swapaxes(e, -1, -2)  # rows: E @ q_ref
     etq = q_query @ e  # rows: E^T @ q_query
-    numerator = np.abs(np.sum(q_query * eq, axis=1))
-    denom_sq = eq[:, 0] ** 2 + eq[:, 1] ** 2 + etq[:, 0] ** 2 + etq[:, 1] ** 2
+    numerator = np.abs(np.sum(q_query * eq, axis=-1))
+    denom_sq = eq[..., 0] ** 2 + eq[..., 1] ** 2 + etq[..., 0] ** 2 + etq[..., 1] ** 2
     out = np.where(denom_sq > 0, numerator / np.sqrt(np.maximum(denom_sq, 1e-300)), np.where(numerator > 0, np.inf, 0.0))
     return float(out[0]) if single else out
 

@@ -63,42 +63,52 @@ def _hom(xy: np.ndarray) -> np.ndarray:
     return np.column_stack([xy, np.ones(len(xy))])
 
 
-def _constraint_matrix(basis: np.ndarray) -> np.ndarray:
-    """10x20 coefficient matrix of det(E) = 0 and 2*E*E^T*E - tr(E*E^T)*E = 0.
+def _constraint_matrices(basis: np.ndarray) -> np.ndarray:
+    """(K, 10, 20) coefficients of det(E) = 0 and 2*E*E^T*E - tr(E*E^T)*E = 0.
 
-    basis is the (4, 3, 3) stack of null-space matrices; E = x*B0 + y*B1 +
-    z*B2 + B3.  Rows are polynomials over the _MONOMIALS columns.
+    basis is the (K, 4, 3, 3) stack of null-space matrices; E = x*B0 + y*B1 +
+    z*B2 + B3.  Rows are polynomials over the _MONOMIALS columns.  One
+    np.add.at over every row adds each term in the one-sample order, which
+    a one-hot matmul would not.
     """
-    coef = np.zeros((10, 20))
-    det = np.einsum("ijk,ai,bj,ck->abc", _LEVI, basis[:, 0, :], basis[:, 1, :], basis[:, 2, :])
-    np.add.at(coef[0], _MON3.ravel(), det.ravel())
-    eet_e = np.einsum("aip,bqp,cqj->abcij", basis, basis, basis)
-    tr_e = np.einsum("apq,bpq,cij->abcij", basis, basis, basis)
-    cubic = 2.0 * eet_e - tr_e
-    flat = _MON3.ravel()
-    row = 1
-    for i in range(3):
-        for j in range(3):
-            np.add.at(coef[row], flat, cubic[:, :, :, i, j].ravel())
-            row += 1
+    k = len(basis)
+    det = np.einsum("ijk,nai,nbj,nck->nabc", _LEVI, basis[:, :, 0, :], basis[:, :, 1, :], basis[:, :, 2, :])
+    # E E^T E for every (a, b, c) triple, summed in the order that
+    # np.einsum("naip,nbqp,ncqj->nabcij") sums in (for each q a running sum
+    # over p from zero, added to the total) without its per-element overhead
+    eet_e = 0.0
+    for q in range(3):
+        right = basis[:, None, None, :, None, q, :]
+        part = 0.0
+        for p in range(3):
+            part = part + (basis[:, :, None, None, :, None, p] * basis[:, None, :, None, None, None, q, p]) * right
+        eet_e = part + eet_e
+    tr_e = np.einsum("napq,nbpq,ncij->nabcij", basis, basis, basis)
+    cubic = (2.0 * eet_e - tr_e).reshape(k, 64, 9).transpose(0, 2, 1)
+    terms = np.concatenate([det.reshape(k, 1, 64), cubic], axis=1).reshape(k * 10, 64)
+    coef = np.zeros((k, 10, 20))
+    np.add.at(coef.reshape(-1), np.arange(0, k * 200, 20)[:, None] + _MON3.ravel(), terms)
     return coef
 
 
-def _z_rows(row_i: np.ndarray, row_j: np.ndarray):
+def _z_rows(row_i: np.ndarray, row_j: np.ndarray) -> np.ndarray:
     """Combine reduced rows i - z*j into three z-polynomials (x, y, 1 parts).
 
     Rows hold coefficients over the trailing 10 columns grouped as
     x*(z^2, z, 1) | y*(z^2, z, 1) | (z^3, z^2, z, 1); the leading monomials
-    of the two rows cancel by construction.  Coefficient arrays are
-    highest-degree first (numpy poly convention).
+    of the two rows cancel by construction.  Returns (..., 3, 5) coefficients,
+    highest degree first (numpy poly convention); the cubic x and y parts
+    carry a leading zero, which leaves Horner evaluation bit-identical.
     """
-    px = np.concatenate([[0.0], row_i[0:3]]) - np.concatenate([row_j[0:3], [0.0]])
-    py = np.concatenate([[0.0], row_i[3:6]]) - np.concatenate([row_j[3:6], [0.0]])
-    p1 = np.concatenate([[0.0], row_i[6:10]]) - np.concatenate([row_j[6:10], [0.0]])
-    return px, py, p1
+    zero = np.zeros(row_i.shape[:-1] + (1,))
+    px = np.concatenate([zero, row_i[..., 0:3]], axis=-1) - np.concatenate([row_j[..., 0:3], zero], axis=-1)
+    py = np.concatenate([zero, row_i[..., 3:6]], axis=-1) - np.concatenate([row_j[..., 3:6], zero], axis=-1)
+    p1 = np.concatenate([zero, row_i[..., 6:10]], axis=-1) - np.concatenate([row_j[..., 6:10], zero], axis=-1)
+    return np.stack([np.concatenate([zero, px], axis=-1), np.concatenate([zero, py], axis=-1), p1], axis=-2)
 
 
-def _horner(coeffs, x: float) -> float:
+def _horner(coeffs, x):
+    """Polynomial at x, coefficients along the first axis, highest degree first."""
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c
@@ -126,11 +136,25 @@ def _polished_real_roots(poly: np.ndarray, is_real) -> list[float]:
     return roots
 
 
-def _project_to_essential(e: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(e)
-    sigma = 0.5 * (s[0] + s[1])
-    e = u @ np.diag([sigma, sigma, 0.0]) @ vt
-    return e / np.linalg.norm(e)
+def _polish_roots(polys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_polished_real_roots' two Newton steps on every root x of its own row of polys at once."""
+    deriv = polys[:, :-1] * np.arange(polys.shape[1] - 1, 0, -1)  # np.polyder, row by row
+    live = np.ones(len(x), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # as with Python floats, inf and nan just flow
+        for _ in range(2):
+            dx = _horner(deriv.T, x)
+            live &= ~(np.abs(dx) < 1e-30)  # a nan derivative does not stop the steps either
+            x = np.where(live, x - _horner(polys.T, x) / np.where(live, dx, 1.0), x)
+    return x
+
+
+def _frobenius(e: np.ndarray) -> np.ndarray:
+    """Norms of a (P, 3, 3) stack, bit-identical to np.linalg.norm of each matrix (a dot product).
+
+    np.linalg.norm(axis=...) and einsum sum in other orders.
+    """
+    flat = e.reshape(-1, 1, 9)
+    return np.sqrt(flat @ flat.reshape(-1, 9, 1)).reshape(-1)
 
 
 def essential_from_pose(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -142,71 +166,130 @@ def essential_from_pose(rotation: np.ndarray, translation: np.ndarray) -> np.nda
     return e / np.linalg.norm(e)
 
 
-def _epipolar_residual(e: np.ndarray, matches: np.ndarray) -> float:
-    qr = _hom(matches[:, :2])
-    qq = _hom(matches[:, 2:])
-    return float(np.abs(np.einsum("ni,ij,nj->n", qq, e, qr)).max())
+def _reduce_systems(coef: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan reduce each (10, 20) constraint matrix; NaN for a singular one.
 
-
-def essential_five_point(matches: np.ndarray) -> list[np.ndarray]:
-    """Minimal five-point relative pose solver.
-
-    Returns every real essential matrix consistent with the five normalized
-    matches (up to ten).  The constraint system is Gauss-Jordan reduced and
-    collapsed to a degree-10 polynomial in z whose roots come from the
-    companion-matrix eigenvalues (np.roots); roots with |imag| > 1e-10 are
-    discarded.  A numerically degenerate sample yields an empty list.
+    One singular sample makes the stacked solve raise, so that window falls
+    back to one solve per sample and the others keep their solutions.
     """
-    matches = np.asarray(matches, dtype=float)
-    if matches.shape != (5, 4):
-        raise InvalidParameterError(f"five-point solver needs a (5, 4) sample, got {matches.shape}")
-    qr = _hom(matches[:, :2])
-    qq = _hom(matches[:, 2:])
-    design = (qq[:, :, None] * qr[:, None, :]).reshape(5, 9)
-    _, _, vt = np.linalg.svd(design)
-    basis = vt[-4:].reshape(4, 3, 3)
-
-    coef = _constraint_matrix(basis)
     try:
-        reduced = np.linalg.solve(coef[:, :10], coef[:, 10:])
+        return np.linalg.solve(coef[:, :, :10], coef[:, :, 10:])
     except np.linalg.LinAlgError:
-        return []
-    if not np.all(np.isfinite(reduced)):
-        return []
+        reduced = np.full((len(coef), 10, 10), np.nan)
+        for i, c in enumerate(coef):
+            try:
+                reduced[i] = np.linalg.solve(c[:, :10], c[:, 10:])
+            except np.linalg.LinAlgError:
+                pass
+        return reduced
 
-    k1, k2, k3 = _z_rows(reduced[4], reduced[5])
-    l1, l2, l3 = _z_rows(reduced[6], reduced[7])
-    m1, m2, m3 = _z_rows(reduced[8], reduced[9])
 
-    # det of the 3x3 polynomial system; all three cofactor products are degree 10
-    poly = (
+def _z_polynomial(z_system: np.ndarray) -> np.ndarray:
+    """Degree-10 determinant of one (3, 3, 5) z-system; all three cofactor products are degree 10."""
+    (k1, k2, k3), (l1, l2, l3), (m1, m2, m3) = ((r[0, 1:], r[1, 1:], r[2]) for r in z_system)
+    return (
         np.convolve(k1, np.convolve(l2, m3) - np.convolve(l3, m2))
         + np.convolve(k2, np.convolve(l3, m1) - np.convolve(l1, m3))
         + np.convolve(k3, np.convolve(l1, m2) - np.convolve(l2, m1))
     )
-    if not np.any(np.abs(poly) > 0):
-        return []
-    solutions: list[np.ndarray] = []
-    for z in _polished_real_roots(poly, lambda root: abs(root.imag) <= 1e-10):
-        lhs = np.array(
-            [
-                [_horner(k1, z), _horner(k2, z)],
-                [_horner(l1, z), _horner(l2, z)],
-                [_horner(m1, z), _horner(m2, z)],
-            ]
-        )
-        rhs = -np.array([_horner(k3, z), _horner(l3, z), _horner(m3, z)])
-        (x, y), *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        e = x * basis[0] + y * basis[1] + z * basis[2] + basis[3]
-        norm = np.linalg.norm(e)
-        if norm == 0 or not np.isfinite(norm):
+
+
+def _real_roots(polys: np.ndarray):
+    """(owner row, root) of every real root (|imag| <= 1e-10) of the rows of polys, as np.roots finds them.
+
+    np.roots is the eigenvalues of the companion matrix once leading and
+    trailing zeros are stripped; rows with none to strip are solved as one
+    stack, the rest one at a time.  All-zero rows have no roots.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = -polys[:, 1:] / polys[:, :1]
+    generic = (polys[:, -1] != 0) & np.all(np.isfinite(top), axis=1)
+    companion = np.zeros((int(generic.sum()), 10, 10))
+    companion[:, 0] = top[generic]
+    companion[:, np.arange(1, 10), np.arange(9)] = 1.0
+    stacked = iter(np.linalg.eigvals(companion))
+    owner, roots = [], []
+    for i, poly in enumerate(polys):
+        if generic[i]:
+            candidates = next(stacked)
+        elif np.any(poly != 0):
+            try:
+                candidates = np.roots(poly)
+            except np.linalg.LinAlgError:  # an overflowing companion matrix
+                continue
+        else:
             continue
-        e = _project_to_essential(e / norm)
-        if _epipolar_residual(e, matches) > 1e-8:
-            continue
-        if any(abs(float(np.sum(e * prev))) > 1.0 - 1e-9 for prev in solutions):
-            continue
-        solutions.append(e)
+        real = candidates.real[np.abs(candidates.imag) <= 1e-10]
+        owner += [i] * len(real)
+        roots.append(real)
+    return np.array(owner, dtype=np.intp), np.concatenate(roots) if roots else np.empty(0)
+
+
+def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
+    """Minimal five-point relative pose solver over a (K, 5, 4) stack of samples.
+
+    Returns, per sample, every real essential matrix consistent with its five
+    normalized matches (up to ten).  Each constraint system is Gauss-Jordan
+    reduced and collapsed to a degree-10 polynomial in z whose roots come
+    from the companion-matrix eigenvalues (np.roots); roots with |imag| >
+    1e-10 are discarded.  A numerically degenerate sample yields an empty
+    list.  Every stage runs per sample, or stacked in a form that rounds
+    exactly as per sample, so a sample's solutions do not depend on the
+    other samples in the stack.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 3 or samples.shape[1:] != (5, 4):
+        raise InvalidParameterError(f"five-point solver needs (K, 5, 4) samples, got {samples.shape}")
+    count = len(samples)
+    solutions: list[list[np.ndarray]] = [[] for _ in range(count)]
+    ones = np.ones((count, 5, 1))
+    qr = np.concatenate([samples[:, :, :2], ones], axis=2)
+    qq = np.concatenate([samples[:, :, 2:], ones], axis=2)
+    design = (qq[:, :, :, None] * qr[:, :, None, :]).reshape(count, 5, 9)
+    basis = np.linalg.svd(design)[2][:, -4:].reshape(count, 4, 3, 3)
+
+    reduced = _reduce_systems(_constraint_matrices(basis))
+    # (K, 3, 3, 5): rows k, l, m of the z-system, each split into x, y and 1 parts
+    z_system = np.stack([_z_rows(reduced[:, i], reduced[:, i + 1]) for i in (4, 6, 8)], axis=1)
+    polys = np.zeros((count, 11))  # all-zero rows have no roots
+    for i in np.flatnonzero(np.isfinite(reduced).all(axis=(1, 2))):
+        poly = _z_polynomial(z_system[i])
+        if np.all(np.isfinite(poly)):  # np.roots raises on inf and nan
+            polys[i] = poly
+    owner, z = _real_roots(polys)
+
+    # every (sample, real root) pair at once from here on
+    z = _polish_roots(polys[owner], z)
+    parts = _horner(np.moveaxis(z_system[owner], -1, 0), z[:, None, None])  # (P, 3, 3): x, y and 1 parts at z
+    finite = np.isfinite(parts).all(axis=(1, 2))  # np.linalg.lstsq raises on the others
+    owner, z, parts = owner[finite], z[finite], parts[finite]
+    # no stacked least-squares rounds as np.linalg.lstsq does, so it runs per root
+    xy = np.array([np.linalg.lstsq(p[:, :2], -p[:, 2], rcond=None)[0] for p in parts]).reshape(-1, 2)
+    b = basis[owner]
+    e = xy[:, 0, None, None] * b[:, 0] + xy[:, 1, None, None] * b[:, 1] + z[:, None, None] * b[:, 2] + b[:, 3]
+    norm = _frobenius(e)
+    keep = (norm != 0) & np.isfinite(norm)
+    owner, e = owner[keep], e[keep] / norm[keep, None, None]
+
+    # project onto the essential manifold: singular values (s, s, 0)
+    u, s, vt = np.linalg.svd(e)
+    sigma = np.zeros_like(e)
+    sigma[:, 0, 0] = sigma[:, 1, 1] = 0.5 * (s[:, 0] + s[:, 1])
+    e = u @ sigma @ vt
+    e = e / _frobenius(e)[:, None, None]
+    residual = np.abs(np.einsum("pni,pij,pnj->pn", qq[owner], e, qr[owner])).max(axis=1)
+    fits = ~(residual > 1e-8)
+    owner, e = owner[fits], e[fits]
+    # a candidate repeats an earlier kept one of its sample when |<E, E'>| ~ 1;
+    # row sums of the products round as np.sum of each product does
+    j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
+    repeats = np.zeros((len(owner), len(owner)), dtype=bool)
+    repeats[j, k] = np.abs((e[j] * e[k]).reshape(-1, 9).sum(axis=1)) > 1.0 - 1e-9
+    kept: list[int] = []
+    for candidate in range(len(owner)):
+        if not repeats[candidate, kept].any():
+            kept.append(candidate)
+            solutions[owner[candidate]].append(e[candidate])
     return solutions
 
 
@@ -347,25 +430,23 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
         direction = rotation_from_axis_angle(b1 * p[3] + b2 * p[4]) @ t_dir
         return essential_from_pose(rot, direction)
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        return robust.sampson_error(build(p), matches)
-
     def evaluate(p: np.ndarray):
-        res = residuals(p)
+        res = robust.sampson_error(build(p), matches)
         return float(np.sum(res**2)), res, None
 
     def jacobian(p: np.ndarray, res, state) -> np.ndarray:
         step_h = 1e-6
-        jac = np.empty((len(matches), 5))
+        perturbed = []
         for j in range(5):
             forward = p.copy()
             forward[j] += step_h
             backward = p.copy()
             backward[j] -= step_h
-            # central differences: the O(h^2) error keeps the convergence
-            # floor near 1e-12, which the noiseless exactness regime needs
-            jac[:, j] = (residuals(forward) - residuals(backward)) / (2.0 * step_h)
-        return jac
+            perturbed += [build(forward), build(backward)]
+        # central differences: the O(h^2) error keeps the convergence
+        # floor near 1e-12, which the noiseless exactness regime needs
+        rows = robust.sampson_error(np.stack(perturbed), matches)
+        return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / (2.0 * step_h)).T)
 
     params, *_ = _damped_least_squares(np.zeros(5), evaluate, jacobian, np.add, 1e-6, 1e8, 1e-10, 20)
     return build(params)

@@ -300,11 +300,18 @@ def test_synth_outlier_masks_recovered_by_robust_engine():
         data = np.column_stack([c.query_px, points])
         k = scene.intrinsics
 
-        def minimal(sample):
+        def solve(samples):
+            from mfpose.errors import DegenerateSampleError
             from mfpose.geometry import normalized_coords
             from mfpose.solvers import pnp_p3p
 
-            return pnp_p3p(sample[:, 2:], normalized_coords(k, sample[:, :2]))
+            models = []
+            for sample in samples:
+                try:
+                    models.append(pnp_p3p(sample[:, 2:], normalized_coords(k, sample[:, :2])))
+                except DegenerateSampleError:
+                    models.append([])
+            return models
 
         def residual(pose, rows):
             cam = pose.transform(rows[:, 2:])
@@ -315,7 +322,10 @@ def test_synth_outlier_masks_recovered_by_robust_engine():
             out[front] = np.hypot(u - rows[front, 0], v - rows[front, 1])
             return out
 
-        result = ransac(data, minimal, residual, 3, RansacConfig(rng_seed=seed, inlier_threshold=3.0))
+        def residuals(poses, rows):
+            return np.stack([residual(pose, rows) for pose in poses])
+
+        result = ransac(data, solve, residuals, 3, RansacConfig(rng_seed=seed, inlier_threshold=3.0))
         total_wrong += int((result.inlier_mask & ~q.inlier_mask).sum())
         total += int((~q.inlier_mask).sum())
     # exclusion accuracy: injected outliers kept as inliers must stay rare

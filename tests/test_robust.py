@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from mfpose import robust
 from mfpose.errors import (
     CheiralityError,
-    DegenerateSampleError,
     NoConsensusError,
     ScaleConsensusError,
 )
@@ -30,17 +30,19 @@ from conftest import random_rotation
 # ---------------------------------------------------------------------------
 
 
-def line_solver(sample):
-    (x1, y1), (x2, y2) = sample
-    if x1 == x2:
-        raise DegenerateSampleError("vertical sample")
-    slope = (y2 - y1) / (x2 - x1)
-    return [(slope, y1 - slope * x1)]
+def line_solver(samples):
+    models = []
+    for (x1, y1), (x2, y2) in samples:
+        if x1 == x2:
+            models.append([])  # vertical sample
+            continue
+        slope = (y2 - y1) / (x2 - x1)
+        models.append([(slope, y1 - slope * x1)])
+    return models
 
 
-def line_residual(model, data):
-    slope, intercept = model
-    return np.abs(data[:, 1] - (slope * data[:, 0] + intercept))
+def line_residual(models, data):
+    return np.stack([np.abs(data[:, 1] - (slope * data[:, 0] + intercept)) for slope, intercept in models])
 
 
 def make_line_data(rng, n=200, outliers=0.0, noise=0.0, slope=0.7, intercept=-0.3):
@@ -104,6 +106,84 @@ def test_ransac_degenerate_samples_are_skipped(rng):
     data[::2, 0] = 3.0  # half the points share x: vertical samples are frequent
     result = ransac(data, line_solver, line_residual, 2, RansacConfig(rng_seed=0, inlier_threshold=0.05))
     assert result.inlier_count >= 20
+
+
+class RecordingSolver:
+    """Wraps a window solver and keeps every window of samples it is given."""
+
+    def __init__(self, solve):
+        self.solve = solve
+        self.windows = []
+
+    def __call__(self, samples):
+        self.windows.append(np.array(samples))
+        return self.solve(samples)
+
+    @property
+    def solved(self):
+        return sum(len(w) for w in self.windows)
+
+
+def _check_window_rules(data, solver, result, sample_size, config):
+    # the solver sees the samples of one default_rng(seed).choice per sample, in order
+    rng = np.random.default_rng(config.rng_seed)
+    expected = data[np.array([rng.choice(len(data), size=sample_size, replace=False) for _ in range(solver.solved)])]
+    assert np.array_equal(np.concatenate(solver.windows), expected)
+    # windows grow with the samples consumed so far, capped at 16
+    drawn = 0
+    for window in solver.windows:
+        assert 1 <= len(window) <= min(16, max(config.min_iterations, drawn))
+        drawn += len(window)
+    # consumed samples are the reported iterations; only the last window runs past them
+    assert solver.solved - len(solver.windows[-1]) < result.iterations <= solver.solved
+
+
+def test_ransac_windows_follow_the_draw_order(rng):
+    for seed in range(6):
+        data = make_line_data(rng, outliers=0.5, noise=0.05)
+        cfg = RansacConfig(rng_seed=seed, inlier_threshold=0.2)
+        solver = RecordingSolver(line_solver)
+        result = ransac(data, solver, line_residual, 2, cfg)
+        _check_window_rules(data, solver, result, 2, cfg)
+        assert result.iterations > cfg.min_iterations  # the windows grew past the first one
+
+
+def test_ransac_windows_on_essential_problem(rng):
+    matches, _, _, _ = _essential_scene_with_outliers(rng)
+    cfg = RansacConfig(rng_seed=4, inlier_threshold=4.0 / 500.0, max_iterations=300)
+    solver = RecordingSolver(essential_five_point)
+    result = ransac(matches, solver, sampson_error, 5, cfg)
+    _check_window_rules(matches, solver, result, 5, cfg)
+
+
+def test_ransac_clean_problem_solves_min_iterations(rng):
+    data = make_line_data(rng)
+    cfg = RansacConfig(rng_seed=5, inlier_threshold=0.01)
+    solver = RecordingSolver(line_solver)
+    result = ransac(data, solver, line_residual, 2, cfg)
+    assert result.iterations == solver.solved == cfg.min_iterations
+    assert len(solver.windows) == 1
+
+
+def test_ransac_result_does_not_depend_on_window_size(rng, monkeypatch):
+    # one sample per window consumes every sample it solves: the reference
+    overrun = 0
+    for seed in range(20):
+        data = make_line_data(rng, outliers=0.6, noise=0.05)
+        data[::5, 0] = 3.0  # frequent unusable (vertical) samples
+        cfg = RansacConfig(rng_seed=seed, inlier_threshold=0.1)
+        results = []
+        for window in (1, 3, 16):
+            monkeypatch.setattr(robust, "_WINDOW", window)
+            solver = RecordingSolver(line_solver)
+            results.append(ransac(data, solver, line_residual, 2, cfg))
+        overrun += solver.solved - results[-1].iterations
+        for other in results[1:]:
+            assert other.model == results[0].model
+            assert other.score == results[0].score
+            assert other.iterations == results[0].iterations
+            assert np.array_equal(other.inlier_mask, results[0].inlier_mask)
+    assert overrun > 0  # some windows of 16 were cut short by the adaptive stop
 
 
 def _essential_scene_with_outliers(rng, n=150, outlier_fraction=0.4, noise=1.0 / 500.0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfpose import solvers
 from mfpose.dataset import SyntheticSceneConfig, synth_scene
 from mfpose.errors import CheiralityError, DegenerateSampleError, InvalidParameterError
 from mfpose.geometry import (
@@ -64,7 +65,7 @@ def test_five_point_recovers_synthetic_pose(rng):
         rotation, translation, _, matches = make_two_view(rng)
         if len(matches) < 5:
             continue
-        solutions = essential_five_point(matches[:5])
+        solutions = essential_five_point(matches[None, :5])[0]
         assert solutions, "no solution on a clean sample"
         truth = essential_from_pose(rotation, translation)
         residuals = [sampson_error(e, matches[:5]).max() for e in solutions]
@@ -75,7 +76,7 @@ def test_five_point_recovers_synthetic_pose(rng):
 
 def test_five_point_solutions_satisfy_invariants(rng):
     rotation, translation, _, matches = make_two_view(rng)
-    for e in essential_five_point(matches[:5]):
+    for e in essential_five_point(matches[None, :5])[0]:
         s = np.linalg.svd(e, compute_uv=False)
         assert s[2] < 1e-6 * s[0]
         assert (s[0] - s[1]) / s[0] < 1e-6
@@ -89,7 +90,7 @@ def test_five_point_repeated_match(rng):
     _, _, _, matches = make_two_view(rng)
     sample = matches[:5].copy()
     sample[4] = sample[0]
-    solutions = essential_five_point(sample)
+    solutions = essential_five_point(sample[None])[0]
     # degenerate sample: either nothing, or matrices still on the constraint
     for e in solutions:
         q_ref = np.column_stack([sample[:, :2], np.ones(5)])
@@ -106,7 +107,7 @@ def test_five_point_pure_rotation_sample(rng):
     matches = np.column_stack(
         [points[:, :2] / points[:, 2:3], in_query[:, :2] / in_query[:, 2:3]]
     )
-    solutions = essential_five_point(matches)
+    solutions = essential_five_point(matches[None])[0]
     for e in solutions:
         q_ref = np.column_stack([matches[:, :2], np.ones(5)])
         q_query = np.column_stack([matches[:, 2:], np.ones(5)])
@@ -116,6 +117,106 @@ def test_five_point_pure_rotation_sample(rng):
 def test_five_point_input_shape():
     with pytest.raises(InvalidParameterError):
         essential_five_point(np.zeros((4, 4)))
+    with pytest.raises(InvalidParameterError):
+        essential_five_point(np.zeros((5, 4)))  # one sample is a stack of one
+    with pytest.raises(InvalidParameterError):
+        essential_five_point(np.zeros((2, 4, 4)))
+    assert essential_five_point(np.zeros((0, 5, 4))) == []
+
+
+def _real_five_point_samples(count=320):
+    """Five-match samples drawn from 1 px-noise, 40%-outlier synthetic queries."""
+    draw = np.random.default_rng(8)
+    samples = []
+    seed = 0
+    while len(samples) < count:
+        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=0.4))
+        k = scene.intrinsics
+        for query in scene.queries:
+            c = query.correspondences
+            data = np.column_stack([normalized_coords(k, c.ref_px), normalized_coords(k, c.query_px)])
+            samples += [data[draw.choice(len(data), size=5, replace=False)] for _ in range(40)]
+        seed += 1
+    return np.array(samples[:count])
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_five_point_stack_matches_one_sample_calls_bit_for_bit():
+    samples = _real_five_point_samples()
+    assert len(samples) >= 300
+    alone = [essential_five_point(sample[None])[0] for sample in samples]
+    assert sum(map(len, alone)) > len(samples)  # the comparison covers many roots
+    for window in (1, 5, 16):
+        stacked = []
+        for start in range(0, len(samples), window):
+            stacked += essential_five_point(samples[start : start + window])
+        assert len(stacked) == len(samples)
+        for i, (a, b) in enumerate(zip(alone, stacked)):
+            assert _same_bits(a, b), (window, i)
+
+
+def test_five_point_singular_sample_leaves_its_window_intact():
+    samples = _real_five_point_samples(15)
+    singular = np.zeros((5, 4))  # five copies of one match at the principal point
+    assert essential_five_point(singular[None]) == [[]]
+    mixed = np.concatenate([samples[:7], singular[None], samples[7:]])
+    solutions = essential_five_point(mixed)
+    assert solutions[7] == []
+    alone = [essential_five_point(sample[None])[0] for sample in samples]
+    assert sum(map(len, alone)) > 0
+    for a, b in zip(alone, solutions[:7] + solutions[8:]):
+        assert _same_bits(a, b)
+
+
+def _constraint_matrix_reference(basis):
+    """The one-sample constraint matrix as built with np.einsum and one np.add.at per row."""
+    coef = np.zeros((10, 20))
+    det = np.einsum("ijk,ai,bj,ck->abc", solvers._LEVI, basis[:, 0, :], basis[:, 1, :], basis[:, 2, :])
+    np.add.at(coef[0], solvers._MON3.ravel(), det.ravel())
+    cubic = 2.0 * np.einsum("aip,bqp,cqj->abcij", basis, basis, basis) - np.einsum(
+        "apq,bpq,cij->abcij", basis, basis, basis
+    )
+    for row, (i, j) in enumerate(np.ndindex(3, 3), start=1):
+        np.add.at(coef[row], solvers._MON3.ravel(), cubic[:, :, :, i, j].ravel())
+    return coef
+
+
+def test_five_point_stacked_stages_round_as_their_one_sample_forms():
+    samples = _real_five_point_samples(64)
+    rays = np.concatenate([samples, np.ones((64, 5, 1))], axis=2)
+    design = (rays[:, :, [2, 3, 4], None] * rays[:, :, None, [0, 1, 4]]).reshape(64, 5, 9)
+    basis = np.linalg.svd(design)[2][:, -4:].reshape(64, 4, 3, 3)
+    stacked = solvers._constraint_matrices(basis)
+    for b, coef in zip(basis, stacked):
+        assert coef.tobytes() == _constraint_matrix_reference(b).tobytes()
+
+    rng = np.random.default_rng(3)
+    matrices = rng.normal(size=(200, 3, 3)) * rng.uniform(1e-3, 1e3, (200, 1, 1))
+    assert solvers._frobenius(matrices).tobytes() == np.array([np.linalg.norm(m) for m in matrices]).tobytes()
+
+    polys = rng.normal(size=(40, 11))
+    polys[0, 0] = polys[1, -1] = 0.0  # leading and trailing zeros take np.roots itself
+    owner, roots = solvers._real_roots(polys)
+    polished = solvers._polish_roots(polys[owner], roots)
+    for i, poly in enumerate(polys):
+        expected = solvers._polished_real_roots(poly, lambda root: abs(root.imag) <= 1e-10)
+        assert np.array(expected).tobytes() == polished[owner == i].tobytes()
+
+
+def test_five_point_non_finite_root_system_yields_no_model():
+    # five matches sharing the principal point as reference: for most of these
+    # the z-system is inf/nan at some polished root, on which np.linalg.lstsq
+    # raises LinAlgError; such a root is skipped instead
+    samples = [
+        np.column_stack([np.zeros((5, 2)), np.random.default_rng(seed).uniform(-0.5, 0.5, (5, 2))])
+        for seed in range(10)
+    ]
+    with np.errstate(all="ignore"):
+        for solutions in essential_five_point(np.array(samples)):
+            assert all(np.all(np.isfinite(e)) for e in solutions)
 
 
 # ---------------------------------------------------------------------------
