@@ -197,32 +197,47 @@ def _normalized_matches(c: CorrespondenceSet, k_ref: CameraIntrinsics, k_query: 
     )
 
 
-def _per_sample(solver):
-    """The window form of a one-sample solver; a DegenerateSampleError yields no models."""
-
-    def solve(samples: np.ndarray) -> list[list]:
-        models = []
-        for sample in samples:
-            try:
-                models.append(solver(sample))
-            except DegenerateSampleError:
-                models.append([])
-        return models
-
-    return solve
+def _transform(poses, points: np.ndarray) -> np.ndarray:
+    """(M, n, 3) camera-frame points of (n, 3) world points under each of M poses, rounded as Pose.transform."""
+    rotations = np.array([pose.rotation for pose in poses])
+    translations = np.array([pose.translation for pose in poses])
+    return points @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
 
 
-def _per_model(residual):
-    """The window form of a one-model residual function: one row per model."""
-    return lambda models, rows: np.stack([residual(model, rows) for model in models])
+def _plausible(points: np.ndarray) -> np.ndarray:
+    """Mask of (n, 3) lifted points whose squared norm is finite; an implausible depth overflows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(np.sum(points * points, axis=1))
 
 
 def _lift_both(ref_px, query_px, depth_ref: DepthMap, depth_query: DepthMap, k_ref, k_query):
-    """Camera-frame 3D points, on each side, of the matches with valid depth on both sides."""
+    """Camera-frame 3D points, on each side, of the matches with valid and plausible depth on both sides.
+
+    Returns (ref points, query points, indices of those matches).
+    """
     d_ref = depth_ref.sample_nearest(ref_px)
     d_query = depth_query.sample_nearest(query_px)
     valid = DepthMap.valid(d_ref) & DepthMap.valid(d_query)
-    return backproject(k_ref, ref_px[valid], d_ref[valid]), backproject(k_query, query_px[valid], d_query[valid])
+    x_ref = backproject(k_ref, ref_px[valid], d_ref[valid])
+    x_query = backproject(k_query, query_px[valid], d_query[valid])
+    plausible = _plausible(x_ref) & _plausible(x_query)
+    return x_ref[plausible], x_query[plausible], np.flatnonzero(valid)[plausible]
+
+
+def _cell_count(pixels: np.ndarray) -> int:
+    """How many distinct nearest-pixel cells the (n, 2) pixels fall in."""
+    u, v = pixel_index(pixels)
+    return len(set(zip(u.tolist(), v.tolist())))
+
+
+def _fabricated(c: CorrespondenceSet, support: np.ndarray, sample_size: int) -> bool:
+    """Whether the matches c[support] cover fewer nearest-pixel cells, on either side, than a minimal sample.
+
+    Every model through a shared pixel explains all the matches that share
+    it (an essential matrix with its epipole there, a pose that puts the 3D
+    points on its ray), so such support is fabricated.
+    """
+    return min(_cell_count(c.ref_px[support]), _cell_count(c.query_px[support])) < sample_size
 
 
 def estimate_essmat_dscale(
@@ -264,12 +279,14 @@ def estimate_essmat_dscale(
         )
     except NoConsensusError:
         return _NO_ESTIMATE
+    if _fabricated(c, result.inlier_mask, 5):
+        return _NO_ESTIMATE
     try:
         rotation, t_hat = solvers.decompose_essential(result.model, data[result.inlier_mask])
     except CheiralityError:
         return _NO_ESTIMATE
 
-    x_ref, x_query = _lift_both(
+    x_ref, x_query, _ = _lift_both(
         c.ref_px[result.inlier_mask], c.query_px[result.inlier_mask], depth_ref, depth_query, k_ref, k_query
     )
     if len(x_ref) < _MIN_SCALE_SUPPORT:
@@ -295,32 +312,30 @@ def estimate_pnp(
         return _NO_ESTIMATE
     d_ref = depth_ref.sample_nearest(c.ref_px)
     valid = DepthMap.valid(d_ref)
-    if int(valid.sum()) < 4:
-        return _NO_ESTIMATE
     points3d = backproject(k_ref, c.ref_px[valid], d_ref[valid])
-    pixels = c.query_px[valid]
+    plausible = _plausible(points3d)
+    lifted = np.flatnonzero(valid)[plausible]
+    points3d, pixels = points3d[plausible], c.query_px[lifted]
+    if len(points3d) < 4:
+        return _NO_ESTIMATE
     data = np.column_stack([pixels, points3d])
 
-    @_per_sample
-    def solve(sample: np.ndarray):
-        rays = normalized_coords(k_query, sample[:, :2])
-        return solvers.pnp_p3p(sample[:, 2:], rays)
+    def solve(samples: np.ndarray) -> list[list[Pose]]:
+        return solvers.pnp_p3p(samples[:, :, 2:], normalized_coords(k_query, samples[:, :, :2]))
 
-    @_per_model
-    def residuals(pose: Pose, rows: np.ndarray) -> np.ndarray:
-        cam = pose.transform(rows[:, 2:])
-        z = cam[:, 2]
-        out = np.full(len(rows), np.inf)
-        front = z > 0
-        if np.any(front):
-            u = k_query.fx * cam[front, 0] / z[front] + k_query.cx
-            v = k_query.fy * cam[front, 1] / z[front] + k_query.cy
-            out[front] = np.hypot(u - rows[front, 0], v - rows[front, 1])
-        return out
+    def residuals(poses: list[Pose], rows: np.ndarray) -> np.ndarray:
+        cam = _transform(poses, rows[:, 2:])
+        z = cam[:, :, 2]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # points behind score inf
+            u = k_query.fx * cam[:, :, 0] / z + k_query.cx
+            v = k_query.fy * cam[:, :, 1] / z + k_query.cy
+            return np.where(z > 0, np.hypot(u - rows[:, 0], v - rows[:, 1]), np.inf)
 
     try:
         result = ransac(data, solve, residuals, 3, cfg.ransac_config(cfg.pnp_threshold_px))
     except NoConsensusError:
+        return _NO_ESTIMATE
+    if _fabricated(c, lifted[result.inlier_mask], 3):
         return _NO_ESTIMATE
     if result.inlier_count < 4:  # possible when min_inliers < 4; refine_pnp needs 4
         return _NO_ESTIMATE
@@ -342,22 +357,23 @@ def estimate_procrustes(
     c = c.distinct()
     if len(c) < 3:
         return _NO_ESTIMATE
-    x_ref, x_query = _lift_both(c.ref_px, c.query_px, depth_ref, depth_query, k_ref, k_query)
+    x_ref, x_query, lifted = _lift_both(c.ref_px, c.query_px, depth_ref, depth_query, k_ref, k_query)
     if len(x_ref) < 3:
         return _NO_ESTIMATE
     data = np.column_stack([x_ref, x_query])
 
-    @_per_sample
-    def solve(sample: np.ndarray):
-        return [solvers.procrustes_align(sample[:, :3], sample[:, 3:])]
+    def solve(samples: np.ndarray) -> list[list[Pose]]:
+        rotations, translations, ok = solvers._kabsch(samples[:, :, :3], samples[:, :, 3:])
+        return [[Pose(r, t)] if aligned else [] for r, t, aligned in zip(rotations, translations, ok)]
 
-    @_per_model
-    def residuals(pose: Pose, rows: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pose.transform(rows[:, :3]) - rows[:, 3:], axis=1)
+    def residuals(poses: list[Pose], rows: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(_transform(poses, rows[:, :3]) - rows[:, 3:], axis=2)
 
     try:
         result = ransac(data, solve, residuals, 3, cfg.ransac_config(cfg.procrustes_threshold_m))
     except NoConsensusError:
+        return _NO_ESTIMATE
+    if _fabricated(c, lifted[result.inlier_mask], 3):
         return _NO_ESTIMATE
     pose = result.model
     try:

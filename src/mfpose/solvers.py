@@ -115,29 +115,12 @@ def _horner(coeffs, x):
     return acc
 
 
-def _polished_real_roots(poly: np.ndarray, is_real) -> list[float]:
-    """Roots of `poly` (highest degree first) that `is_real` accepts, Newton-polished.
-
-    Companion-matrix roots (np.roots) are not always at 1e-12, so each kept
-    root takes two Newton steps, stopping early at a vanishing derivative.
-    """
-    deriv = np.polyder(poly)
-    roots = []
-    for root in np.roots(poly):
-        if not is_real(root):
-            continue
-        x = float(root.real)
-        for _ in range(2):
-            dx = _horner(deriv, x)
-            if abs(dx) < 1e-30:
-                break
-            x -= _horner(poly, x) / dx
-        roots.append(x)
-    return roots
-
-
 def _polish_roots(polys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_polished_real_roots' two Newton steps on every root x of its own row of polys at once."""
+    """Two Newton steps on every root x of its own row of polys at once.
+
+    Companion-matrix roots are not always at 1e-12.  A root stops early at a
+    vanishing derivative; each step rounds as Python-float Horner would.
+    """
     deriv = polys[:, :-1] * np.arange(polys.shape[1] - 1, 0, -1)  # np.polyder, row by row
     live = np.ones(len(x), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # as with Python floats, inf and nan just flow
@@ -148,13 +131,18 @@ def _polish_roots(polys: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _frobenius(e: np.ndarray) -> np.ndarray:
-    """Norms of a (P, 3, 3) stack, bit-identical to np.linalg.norm of each matrix (a dot product).
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (P, n) stacks, bit-identical to a[i] @ b[i] (a BLAS dot).
 
-    np.linalg.norm(axis=...) and einsum sum in other orders.
+    np.linalg.norm(axis=...), np.sum(a * b, axis=1) and einsum sum in other orders.
     """
-    flat = e.reshape(-1, 1, 9)
-    return np.sqrt(flat @ flat.reshape(-1, 9, 1)).reshape(-1)
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms of the items of a (P, ...) stack, bit-identical to np.linalg.norm of each (a dot product)."""
+    flat = v.reshape(len(v), int(np.prod(v.shape[1:])))
+    return np.sqrt(_dots(flat, flat))
 
 
 def essential_from_pose(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -166,22 +154,26 @@ def essential_from_pose(rotation: np.ndarray, translation: np.ndarray) -> np.nda
     return e / np.linalg.norm(e)
 
 
-def _reduce_systems(coef: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan reduce each (10, 20) constraint matrix; NaN for a singular one.
+def _solve_each(a: np.ndarray, b: np.ndarray):
+    """np.linalg.solve over a (P, n, n) stack with (P, n, k) right-hand sides; (x, solved).
 
-    One singular sample makes the stacked solve raise, so that window falls
-    back to one solve per sample and the others keep their solutions.
+    One singular system makes the stacked solve raise, so the stack falls
+    back to one solve per system: a singular one alone is unsolved (NaN in
+    x) and the others keep their solutions.  b stays 3-D: numpy 2 reads a
+    (P, n) b as one matrix, numpy 1 as P vectors.
     """
     try:
-        return np.linalg.solve(coef[:, :, :10], coef[:, :, 10:])
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        reduced = np.full((len(coef), 10, 10), np.nan)
-        for i, c in enumerate(coef):
+        x = np.full(b.shape, np.nan)
+        solved = np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
             try:
-                reduced[i] = np.linalg.solve(c[:, :10], c[:, 10:])
+                x[i] = np.linalg.solve(a[i], b[i])
+                solved[i] = True
             except np.linalg.LinAlgError:
                 pass
-        return reduced
+        return x, solved
 
 
 def _z_polynomial(z_system: np.ndarray) -> np.ndarray:
@@ -194,19 +186,21 @@ def _z_polynomial(z_system: np.ndarray) -> np.ndarray:
     )
 
 
-def _real_roots(polys: np.ndarray):
-    """(owner row, root) of every real root (|imag| <= 1e-10) of the rows of polys, as np.roots finds them.
+def _real_roots(polys: np.ndarray, is_real):
+    """(owner row, root) of every root of the rows of polys that is_real accepts, as np.roots finds them.
 
-    np.roots is the eigenvalues of the companion matrix once leading and
-    trailing zeros are stripped; rows with none to strip are solved as one
-    stack, the rest one at a time.  All-zero rows have no roots.
+    is_real maps complex roots to a mask.  np.roots is the eigenvalues of the
+    companion matrix once leading and trailing zeros are stripped; rows with
+    none to strip are solved as one stack, the rest one at a time.  All-zero
+    rows, and rows np.roots cannot solve (inf or nan), have no roots.
     """
+    degree = polys.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = -polys[:, 1:] / polys[:, :1]
     generic = (polys[:, -1] != 0) & np.all(np.isfinite(top), axis=1)
-    companion = np.zeros((int(generic.sum()), 10, 10))
+    companion = np.zeros((int(generic.sum()), degree, degree))
     companion[:, 0] = top[generic]
-    companion[:, np.arange(1, 10), np.arange(9)] = 1.0
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
     stacked = iter(np.linalg.eigvals(companion))
     owner, roots = [], []
     for i, poly in enumerate(polys):
@@ -219,7 +213,7 @@ def _real_roots(polys: np.ndarray):
                 continue
         else:
             continue
-        real = candidates.real[np.abs(candidates.imag) <= 1e-10]
+        real = candidates.real[is_real(candidates)]
         owner += [i] * len(real)
         roots.append(real)
     return np.array(owner, dtype=np.intp), np.concatenate(roots) if roots else np.empty(0)
@@ -248,7 +242,8 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     design = (qq[:, :, :, None] * qr[:, :, None, :]).reshape(count, 5, 9)
     basis = np.linalg.svd(design)[2][:, -4:].reshape(count, 4, 3, 3)
 
-    reduced = _reduce_systems(_constraint_matrices(basis))
+    coef = _constraint_matrices(basis)
+    reduced, _ = _solve_each(coef[:, :, :10], coef[:, :, 10:])  # Gauss-Jordan; NaN for a singular system
     # (K, 3, 3, 5): rows k, l, m of the z-system, each split into x, y and 1 parts
     z_system = np.stack([_z_rows(reduced[:, i], reduced[:, i + 1]) for i in (4, 6, 8)], axis=1)
     polys = np.zeros((count, 11))  # all-zero rows have no roots
@@ -256,7 +251,7 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
         poly = _z_polynomial(z_system[i])
         if np.all(np.isfinite(poly)):  # np.roots raises on inf and nan
             polys[i] = poly
-    owner, z = _real_roots(polys)
+    owner, z = _real_roots(polys, lambda roots: np.abs(roots.imag) <= 1e-10)
 
     # every (sample, real root) pair at once from here on
     z = _polish_roots(polys[owner], z)
@@ -267,7 +262,7 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     xy = np.array([np.linalg.lstsq(p[:, :2], -p[:, 2], rcond=None)[0] for p in parts]).reshape(-1, 2)
     b = basis[owner]
     e = xy[:, 0, None, None] * b[:, 0] + xy[:, 1, None, None] * b[:, 1] + z[:, None, None] * b[:, 2] + b[:, 3]
-    norm = _frobenius(e)
+    norm = _norms(e)
     keep = (norm != 0) & np.isfinite(norm)
     owner, e = owner[keep], e[keep] / norm[keep, None, None]
 
@@ -276,7 +271,7 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     sigma = np.zeros_like(e)
     sigma[:, 0, 0] = sigma[:, 1, 1] = 0.5 * (s[:, 0] + s[:, 1])
     e = u @ sigma @ vt
-    e = e / _frobenius(e)[:, None, None]
+    e = e / _norms(e)[:, None, None]
     residual = np.abs(np.einsum("pni,pij,pnj->pn", qq[owner], e, qr[owner])).max(axis=1)
     fits = ~(residual > 1e-8)
     owner, e = owner[fits], e[fits]
@@ -457,106 +452,132 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _collinear(points: np.ndarray) -> bool:
-    spread = float(np.abs(points - points.mean(axis=0)).max())
-    area = np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0]))
-    return area <= 1e-12 * max(spread * spread, 1e-30)
+def _p3p_quartics(n_poly, d_poly, r01, cos01, cos02) -> np.ndarray:
+    """(P, 5) quartics in v of the ratio substitution, from (P, 3) N(v) and (P, 2) D(v).
+
+    The products stay per sample with np.convolve, whose BLAS dots may round
+    unlike elementwise arithmetic.
+    """
+    nn, nd, third = (np.empty((len(r01), width)) for width in (5, 4, 5))
+    for i in range(len(r01)):
+        nn[i] = np.convolve(n_poly[i], n_poly[i])
+        nd[i] = np.convolve(n_poly[i], d_poly[i])
+        r_poly = np.array([-r01[i], 2.0 * r01[i] * cos02[i], 1.0 - r01[i]])
+        third[i] = np.convolve(r_poly, np.convolve(d_poly[i], d_poly[i]))
+    padded = np.concatenate([np.zeros((len(r01), 1)), nd], axis=1)
+    return nn - (2.0 * cos01)[:, None] * padded + third
 
 
-def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[Pose]:
-    """Three-point pose: world points + normalized image rays -> candidate poses.
+def _p3p_newton(dists, cos01, cos02, cos12, d01, d02, d12) -> np.ndarray:
+    """Three Newton steps on the (P, 3) camera distances of the law-of-cosines system.
+
+    The quartic root alone can lose precision near double roots, the
+    distance system does not.  A root whose Jacobian is singular takes no
+    further steps.
+    """
+    dists = dists.copy()
+    live = np.ones(len(dists), dtype=bool)
+    for _ in range(3):
+        index = np.flatnonzero(live)
+        k0, k1, k2 = dists[index].T
+        c01, c02, c12 = cos01[index], cos02[index], cos12[index]
+        e01, e02, e12 = d01[index], d02[index], d12[index]
+        g = np.stack(
+            [
+                k0 * k0 + k1 * k1 - 2 * k0 * k1 * c01 - e01 * e01,
+                k0 * k0 + k2 * k2 - 2 * k0 * k2 * c02 - e02 * e02,
+                k1 * k1 + k2 * k2 - 2 * k1 * k2 * c12 - e12 * e12,
+            ],
+            axis=1,
+        )
+        zero = np.zeros(len(index))
+        jac = 2.0 * np.stack(
+            [
+                np.stack([k0 - k1 * c01, k1 - k0 * c01, zero], axis=1),
+                np.stack([k0 - k2 * c02, zero, k2 - k0 * c02], axis=1),
+                np.stack([zero, k1 - k2 * c12, k2 - k1 * c12], axis=1),
+            ],
+            axis=1,
+        )
+        step, solved = _solve_each(jac, g[:, :, None])
+        live[index[~solved]] = False
+        dists[index[solved]] -= step[solved, :, 0]
+    return dists
+
+
+def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[Pose]]:
+    """Three-point pose over a stack: (K, 3, 3) world points and (K, 3, 2) normalized rays -> K lists of poses.
 
     Solves the classic law-of-cosines distance system.  The ratio
-    substitution reduces it to a quartic assembled with numpy polynomial
-    arithmetic; each admissible root gives camera-frame points that are
-    rigidly aligned to the world points.  Candidates that fail to reproject
-    the sample to 1e-6 (normalized units) are dropped.
+    substitution reduces it to a quartic per sample whose real roots
+    (|imag| <= 1e-8 max(1, |real|)) are Newton-polished; each admissible
+    root takes three Newton steps on the distance equations and gives
+    camera-frame points that are rigidly aligned (Kabsch) to the world
+    points.  Candidates that fail to reproject the sample to 1e-6
+    (normalized units) or repeat an earlier candidate are dropped.  A
+    collinear or coincident sample yields an empty list.  Every stage runs
+    per sample, or stacked in a form that rounds exactly as per sample, so a
+    sample's poses do not depend on the other samples in the stack.
     """
-    points3d = np.asarray(points3d, dtype=float).reshape(3, 3)
-    rays = np.asarray(rays, dtype=float).reshape(3, 2)
-    if _collinear(points3d):
-        raise DegenerateSampleError("3D points are collinear")
+    points3d = np.asarray(points3d, dtype=float)
+    rays = np.asarray(rays, dtype=float)
+    if points3d.ndim != 3 or points3d.shape[1:] != (3, 3) or rays.shape != (len(points3d), 3, 2):
+        raise InvalidParameterError(
+            f"P3P needs (K, 3, 3) points and (K, 3, 2) rays, got {points3d.shape} and {rays.shape}"
+        )
+    poses: list[list[Pose]] = [[] for _ in range(len(points3d))]
+    spread = np.abs(points3d - points3d.mean(axis=1, keepdims=True)).max(axis=(1, 2))
+    area = _norms(np.cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]))
+    d01 = _norms(points3d[:, 0] - points3d[:, 1])
+    d02 = _norms(points3d[:, 0] - points3d[:, 2])
+    d12 = _norms(points3d[:, 1] - points3d[:, 2])
+    collinear = area <= 1e-12 * np.maximum(spread * spread, 1e-30)
+    coincident = (d01 <= 0) | (d02 <= 0) | (d12 <= 0)
+    good = np.flatnonzero(~(collinear | coincident))
+    points3d, rays, d01, d02, d12 = points3d[good], rays[good], d01[good], d02[good], d12[good]
 
-    f = _hom(rays)
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    d01 = np.linalg.norm(points3d[0] - points3d[1])
-    d02 = np.linalg.norm(points3d[0] - points3d[2])
-    d12 = np.linalg.norm(points3d[1] - points3d[2])
-    if min(d01, d02, d12) <= 0:
-        raise DegenerateSampleError("3D points are coincident")
-    cos01 = float(f[0] @ f[1])
-    cos02 = float(f[0] @ f[2])
-    cos12 = float(f[1] @ f[2])
-
-    r01 = (d01 / d02) ** 2
-    r12 = (d12 / d02) ** 2
+    f = np.concatenate([rays, np.ones((len(good), 3, 1))], axis=2)
+    f /= np.linalg.norm(f, axis=2, keepdims=True)
+    cos01, cos02, cos12 = _dots(f[:, 0], f[:, 1]), _dots(f[:, 0], f[:, 2]), _dots(f[:, 1], f[:, 2])
+    # squared one NumPy scalar at a time: that rounds through C pow, array ** 2 as x * x
+    r01 = np.array([ratio**2 for ratio in d01 / d02])
+    r12 = np.array([ratio**2 for ratio in d12 / d02])
     # q(v) = 1 + v^2 - 2 v cos02; u = N(v)/D(v) after eliminating u^2.
-    q = np.array([1.0, -2.0 * cos02, 1.0])
-    n_poly = np.array([-1.0, 0.0, 1.0]) - (r01 - r12) * q
-    d_poly = np.array([-2.0 * cos12, 2.0 * cos01])
-    nd = np.convolve(n_poly, d_poly)  # degree 3, pad to the quartic's length
-    quartic = (
-        np.convolve(n_poly, n_poly)
-        - 2.0 * cos01 * np.concatenate([[0.0], nd])
-        + np.convolve(np.array([-r01, 2.0 * r01 * cos02, 1.0 - r01]), np.convolve(d_poly, d_poly))
-    )
-    if not np.any(np.abs(quartic) > 0):
-        return []
+    ones = np.ones(len(good))
+    q = np.stack([ones, -2.0 * cos02, ones], axis=1)
+    n_poly = np.array([-1.0, 0.0, 1.0]) - (r01 - r12)[:, None] * q
+    d_poly = np.stack([-2.0 * cos12, 2.0 * cos01], axis=1)
+    quartics = _p3p_quartics(n_poly, d_poly, r01, cos01, cos02)
 
-    poses: list[Pose] = []
-    for v in _polished_real_roots(quartic, lambda root: abs(root.imag) <= 1e-8 * max(1.0, abs(root.real))):
-        qv = _horner(q, v)
-        dd = _horner(d_poly, v)
-        if qv <= 0 or abs(dd) < 1e-12:
-            continue
-        u = _horner(n_poly, v) / dd
-        k0 = d02 / np.sqrt(qv)
-        dists = np.array([k0, u * k0, v * k0])
-        if np.any(dists <= 0):
-            continue
-        # Newton on the three distance equations: the quartic root alone can
-        # lose precision near double roots, the distance system does not.
-        for _ in range(3):
-            k0, k1, k2 = dists
-            g = np.array(
-                [
-                    k0 * k0 + k1 * k1 - 2 * k0 * k1 * cos01 - d01 * d01,
-                    k0 * k0 + k2 * k2 - 2 * k0 * k2 * cos02 - d02 * d02,
-                    k1 * k1 + k2 * k2 - 2 * k1 * k2 * cos12 - d12 * d12,
-                ]
-            )
-            jac = 2.0 * np.array(
-                [
-                    [k0 - k1 * cos01, k1 - k0 * cos01, 0.0],
-                    [k0 - k2 * cos02, 0.0, k2 - k0 * cos02],
-                    [0.0, k1 - k2 * cos12, k2 - k1 * cos12],
-                ]
-            )
-            try:
-                step = np.linalg.solve(jac, g)
-            except np.linalg.LinAlgError:
-                break
-            dists = dists - step
-        if np.any(dists <= 0) or not np.all(np.isfinite(dists)):
-            continue
-        camera_points = dists[:, None] * f
-        try:
-            pose = procrustes_align(points3d, camera_points)
-        except DegenerateSampleError:
-            continue
-        projected = pose.transform(points3d)
-        if np.any(projected[:, 2] <= 0):
-            continue
-        reproj = projected[:, :2] / projected[:, 2:3]
-        if np.abs(reproj - rays).max() > 1e-6:
-            continue
+    # every (sample, real root) pair at once from here on
+    owner, v = _real_roots(quartics, lambda z: np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z.real)))
+    v = _polish_roots(quartics[owner], v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        qv = _horner(q[owner].T, v)
+        dd = _horner(d_poly[owner].T, v)
+        k0 = d02[owner] / np.sqrt(qv)
+        dists = np.stack([k0, _horner(n_poly[owner].T, v) / dd * k0, v * k0], axis=1)
+        admissible = ~(qv <= 0) & ~(np.abs(dd) < 1e-12) & ~np.any(dists <= 0, axis=1)
+        owner, dists = owner[admissible], dists[admissible]
+        dists = _p3p_newton(dists, cos01[owner], cos02[owner], cos12[owner], d01[owner], d02[owner], d12[owner])
+    fine = np.all(np.isfinite(dists), axis=1) & np.all(dists > 0, axis=1)
+    owner, dists = owner[fine], dists[fine]
+
+    world = points3d[owner]
+    rotation, translation, aligned = _kabsch(world, dists[:, :, None] * f[owner])
+    projected = world @ np.swapaxes(rotation, 1, 2) + translation[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.abs(projected[:, :, :2] / projected[:, :, 2:3] - rays[owner]).max(axis=(1, 2))
+    fits = aligned & ~np.any(projected[:, :, 2] <= 0, axis=1) & ~(error > 1e-6)
+    for i in np.flatnonzero(fits):
+        kept = poses[good[owner[i]]]
         if any(
-            np.abs(pose.rotation - prev.rotation).max() < 1e-9
-            and np.abs(pose.translation - prev.translation).max() < 1e-9 * (1.0 + np.abs(prev.translation).max())
-            for prev in poses
+            np.abs(rotation[i] - prev.rotation).max() < 1e-9
+            and np.abs(translation[i] - prev.translation).max() < 1e-9 * (1.0 + np.abs(prev.translation).max())
+            for prev in kept
         ):
             continue
-        poses.append(pose)
+        kept.append(Pose(rotation[i], translation[i]))
     return poses
 
 
@@ -626,24 +647,43 @@ def refine_pnp(initial: Pose, points3d: np.ndarray, pixels: np.ndarray, k: Camer
 # --------------------------------------------------------------------------
 
 
+def _kabsch(ref: np.ndarray, query: np.ndarray):
+    """Least-squares rigid transforms with R @ ref + t = query over a (K, m, 3) stack of point-set pairs.
+
+    Returns (rotation (K, 3, 3), translation (K, 3), ok (K,)).  Centroid
+    subtraction + SVD; the sign of the last singular vector is flipped when
+    needed so every rotation is proper.  ok is False for a collinear,
+    coincident or non-finite pair, whose transform means nothing.  Every
+    stage is a stacked form that rounds as the one-pair computation does.
+    """
+    centroid_ref = ref.mean(axis=1)
+    centroid_query = query.mean(axis=1)
+    h = np.swapaxes(ref - centroid_ref[:, None], 1, 2) @ (query - centroid_query[:, None])
+    finite = np.isfinite(h).all(axis=(1, 2))
+    u, s, vt = np.linalg.svd(np.where(finite[:, None, None], h, 0.0))  # the SVD raises on inf and nan
+    ok = finite & ~(s[:, 1] <= 1e-12 * np.maximum(s[:, 0], 1e-300))
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    flip = np.zeros_like(h)
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rotation = v @ flip @ ut
+    translation = centroid_query - (rotation @ centroid_ref[:, :, None])[:, :, 0]
+    return rotation, translation, ok
+
+
 def procrustes_align(ref_points: np.ndarray, query_points: np.ndarray) -> Pose:
     """Least-squares rigid transform (no scale) with R @ ref + t = query.
 
-    Centroid subtraction + SVD; the sign of the last singular vector is
-    flipped when needed so the rotation is always proper.  Collinear or
-    coincident point sets raise DegenerateSampleError.
+    The one-pair form of the stacked Kabsch alignment that the P3P solver
+    and the procrustes estimator's robust loop use, so all three round
+    alike.  The rotation is always proper.  Collinear, coincident or
+    non-finite point sets raise DegenerateSampleError.
     """
     ref_points = np.asarray(ref_points, dtype=float).reshape(-1, 3)
     query_points = np.asarray(query_points, dtype=float).reshape(-1, 3)
     if ref_points.shape != query_points.shape or len(ref_points) < 3:
         raise InvalidParameterError("alignment needs matching point sets of size >= 3")
-    centroid_ref = ref_points.mean(axis=0)
-    centroid_query = query_points.mean(axis=0)
-    h = (ref_points - centroid_ref).T @ (query_points - centroid_query)
-    u, s, vt = np.linalg.svd(h)
-    if s[1] <= 1e-12 * max(s[0], 1e-300):
-        raise DegenerateSampleError("point sets are collinear or coincident")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    translation = centroid_query - rotation @ centroid_ref
-    return Pose(rotation, translation)
+    rotation, translation, ok = _kabsch(ref_points[None], query_points[None])
+    if not ok[0]:
+        raise DegenerateSampleError("point sets are collinear, coincident or not finite")
+    return Pose(rotation[0], translation[0])

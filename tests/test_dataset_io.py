@@ -301,17 +301,10 @@ def test_synth_outlier_masks_recovered_by_robust_engine():
         k = scene.intrinsics
 
         def solve(samples):
-            from mfpose.errors import DegenerateSampleError
             from mfpose.geometry import normalized_coords
             from mfpose.solvers import pnp_p3p
 
-            models = []
-            for sample in samples:
-                try:
-                    models.append(pnp_p3p(sample[:, 2:], normalized_coords(k, sample[:, :2])))
-                except DegenerateSampleError:
-                    models.append([])
-            return models
+            return pnp_p3p(samples[:, :, 2:], normalized_coords(k, samples[:, :, :2]))
 
         def residual(pose, rows):
             cam = pose.transform(rows[:, 2:])

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from mfpose.pipelines import (
     EstimateStatus,
     EstimatorConfig,
     PoseEstimate,
+    _transform,
     estimate_essmat_dscale,
     estimate_pnp,
     estimate_procrustes,
@@ -24,7 +28,7 @@ from mfpose.pipelines import (
     run_estimator,
 )
 
-from conftest import small_angle_deg
+from conftest import random_pose, small_angle_deg
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -204,6 +208,45 @@ def test_duplicated_matches_count_once():
             repeated = run_estimator(name, padded, *inputs, cfg)
             assert (repeated.status, repeated.confidence) == (plain.status, plain.confidence)
             assert repeated.pose.rotation.tobytes() == plain.pose.rotation.tobytes()
+
+
+def test_matches_sharing_one_pixel_are_no_consensus():
+    # 12 matches from one pixel to 12 scattered ones: every essential matrix whose
+    # epipole is the shared pixel gives all of them a Sampson error of 0.  Such
+    # a consensus shows up in the first samples; the iteration cap only bounds
+    # the hopeless search of pnp and procrustes, whose samples are all degenerate
+    depth = DepthMap(np.full((480, 640), 3.0))
+    cfg = EstimatorConfig(max_iterations=1000)
+    for pixel in ((100.0, 120.0), (K.cx, K.cy)):
+        for seed in range(5):
+            shared = np.tile([pixel], (12, 1))
+            scattered = np.random.default_rng(seed).uniform(50, 600, (12, 2))
+            for ref_px, query_px in ((shared, scattered), (scattered, shared)):
+                c = CorrespondenceSet(ref_px, query_px, np.ones(12))
+                for name in ESTIMATOR_NAMES:
+                    estimate = run_estimator(name, c, depth, depth, K, K, replace(cfg, rng_seed=seed))
+                    assert estimate.status is not EstimateStatus.OK, (pixel, seed, name)
+
+
+def test_implausible_depth_is_not_ok_and_raises_no_warning():
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=0))
+    q, (c, depth_ref, *rest) = scene_inputs(scene)
+    for huge in (1e300, 1e200):
+        values = depth_ref.values.copy()
+        values[DepthMap.valid(values)] = huge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ESTIMATOR_NAMES:
+                estimate = run_estimator(name, c, DepthMap(values), *rest)
+                assert estimate.status is not EstimateStatus.OK, (huge, name)
+
+
+def test_stacked_transform_rounds_as_pose_transform():
+    rng = np.random.default_rng(2)
+    poses = [random_pose(rng) for _ in range(7)]
+    rows = rng.normal(size=(50, 5)) * 3.0
+    for pose, cam in zip(poses, _transform(poses, rows[:, 2:])):
+        assert cam.tobytes() == pose.transform(rows[:, 2:]).tobytes()
 
 
 def test_all_outlier_matches_no_estimate():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mfpose.errors import CheiralityError, DegenerateSampleError, InvalidParamet
 from mfpose.geometry import (
     CameraIntrinsics,
     Pose,
+    backproject,
     normalized_coords,
     rot_y,
     rot_z,
@@ -171,6 +174,23 @@ def test_five_point_singular_sample_leaves_its_window_intact():
         assert _same_bits(a, b)
 
 
+def _polished_real_roots(poly, is_real):
+    """np.roots plus two Newton steps per accepted root, one Python float at a time: the stacked stages' reference."""
+    deriv = np.polyder(poly)
+    roots = []
+    for root in np.roots(poly):
+        if not is_real(root):
+            continue
+        x = float(root.real)
+        for _ in range(2):
+            dx = solvers._horner(deriv, x)
+            if abs(dx) < 1e-30:
+                break
+            x -= solvers._horner(poly, x) / dx
+        roots.append(x)
+    return roots
+
+
 def _constraint_matrix_reference(basis):
     """The one-sample constraint matrix as built with np.einsum and one np.add.at per row."""
     coef = np.zeros((10, 20))
@@ -195,14 +215,14 @@ def test_five_point_stacked_stages_round_as_their_one_sample_forms():
 
     rng = np.random.default_rng(3)
     matrices = rng.normal(size=(200, 3, 3)) * rng.uniform(1e-3, 1e3, (200, 1, 1))
-    assert solvers._frobenius(matrices).tobytes() == np.array([np.linalg.norm(m) for m in matrices]).tobytes()
+    assert solvers._norms(matrices).tobytes() == np.array([np.linalg.norm(m) for m in matrices]).tobytes()
 
     polys = rng.normal(size=(40, 11))
     polys[0, 0] = polys[1, -1] = 0.0  # leading and trailing zeros take np.roots itself
-    owner, roots = solvers._real_roots(polys)
+    owner, roots = solvers._real_roots(polys, lambda roots: np.abs(roots.imag) <= 1e-10)
     polished = solvers._polish_roots(polys[owner], roots)
     for i, poly in enumerate(polys):
-        expected = solvers._polished_real_roots(poly, lambda root: abs(root.imag) <= 1e-10)
+        expected = _polished_real_roots(poly, lambda root: abs(root.imag) <= 1e-10)
         assert np.array(expected).tobytes() == polished[owner == i].tobytes()
 
 
@@ -335,7 +355,7 @@ def test_p3p_synthetic_pose_among_solutions(rng):
         )
         world = (cam_points - pose.translation) @ pose.rotation
         rays = cam_points[:, :2] / cam_points[:, 2:3]
-        solutions = pnp_p3p(world, rays)
+        solutions = pnp_p3p(world[None], rays[None])[0]
         assert solutions
         best_rot = min(small_angle_deg(s.rotation, pose.rotation) for s in solutions)
         best_t = min(np.linalg.norm(s.translation - pose.translation) for s in solutions)
@@ -346,7 +366,7 @@ def test_p3p_synthetic_pose_among_solutions(rng):
 def test_p3p_identity_case(rng):
     points = np.array([[0.5, 0.1, 4.0], [-0.4, 0.3, 5.0], [0.1, -0.5, 6.0]])
     rays = points[:, :2] / points[:, 2:3]
-    solutions = pnp_p3p(points, rays)
+    solutions = pnp_p3p(points[None], rays[None])[0]
     best = min(
         rotation_error_deg(s.rotation, np.eye(3)) + np.linalg.norm(s.translation)
         for s in solutions
@@ -361,7 +381,7 @@ def test_p3p_reprojects_sample_exactly(rng):
     )
     world = (cam_points - pose.translation) @ pose.rotation
     rays = cam_points[:, :2] / cam_points[:, 2:3]
-    for solution in pnp_p3p(world, rays):
+    for solution in pnp_p3p(world[None], rays[None])[0]:
         projected = solution.transform(world)
         assert np.all(projected[:, 2] > 0)
         assert np.abs(projected[:, :2] / projected[:, 2:3] - rays).max() < 1e-6
@@ -369,8 +389,7 @@ def test_p3p_reprojects_sample_exactly(rng):
 
 def test_p3p_collinear_points_rejected():
     points = np.array([[0.0, 0.0, 5.0], [0.5, 0.5, 5.0], [1.0, 1.0, 5.0]])
-    with pytest.raises(DegenerateSampleError):
-        pnp_p3p(points, points[:, :2] / points[:, 2:3])
+    assert pnp_p3p(points[None], (points[:, :2] / points[:, 2:3])[None]) == [[]]
 
 
 def test_p3p_fourth_point_disambiguates(rng):
@@ -381,7 +400,7 @@ def test_p3p_fourth_point_disambiguates(rng):
     )
     world = (cam_points - pose.translation) @ pose.rotation
     rays = cam_points[:, :2] / cam_points[:, 2:3]
-    solutions = pnp_p3p(world[:3], rays[:3])
+    solutions = pnp_p3p(world[None, :3], rays[None, :3])[0]
     assert solutions
 
     def fourth_point_error(candidate):
@@ -393,6 +412,195 @@ def test_p3p_fourth_point_disambiguates(rng):
     winner = min(solutions, key=fourth_point_error)
     assert small_angle_deg(winner.rotation, pose.rotation) < 1e-6
     assert np.linalg.norm(winner.translation - pose.translation) < 1e-8
+
+
+def _procrustes_one_pair(ref_points, query_points):
+    """The one-pair Kabsch body the stacked alignment replaced; None for a degenerate pair."""
+    centroid_ref = ref_points.mean(axis=0)
+    centroid_query = query_points.mean(axis=0)
+    h = (ref_points - centroid_ref).T @ (query_points - centroid_query)
+    u, s, vt = np.linalg.svd(h)
+    if s[1] <= 1e-12 * max(s[0], 1e-300):
+        return None
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return rotation, centroid_query - rotation @ centroid_ref
+
+
+def _p3p_one_sample(points3d, rays):
+    """The one-sample P3P body the stacked solver replaced, as (rotation, translation) pairs; [] when degenerate."""
+    spread = float(np.abs(points3d - points3d.mean(axis=0)).max())
+    area = np.linalg.norm(np.cross(points3d[1] - points3d[0], points3d[2] - points3d[0]))
+    if area <= 1e-12 * max(spread * spread, 1e-30):
+        return []
+    f = np.column_stack([rays, np.ones(3)])
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    d01 = np.linalg.norm(points3d[0] - points3d[1])
+    d02 = np.linalg.norm(points3d[0] - points3d[2])
+    d12 = np.linalg.norm(points3d[1] - points3d[2])
+    if min(d01, d02, d12) <= 0:
+        return []
+    cos01, cos02, cos12 = float(f[0] @ f[1]), float(f[0] @ f[2]), float(f[1] @ f[2])
+    r01 = (d01 / d02) ** 2
+    r12 = (d12 / d02) ** 2
+    q = np.array([1.0, -2.0 * cos02, 1.0])
+    n_poly = np.array([-1.0, 0.0, 1.0]) - (r01 - r12) * q
+    d_poly = np.array([-2.0 * cos12, 2.0 * cos01])
+    nd = np.convolve(n_poly, d_poly)
+    quartic = (
+        np.convolve(n_poly, n_poly)
+        - 2.0 * cos01 * np.concatenate([[0.0], nd])
+        + np.convolve(np.array([-r01, 2.0 * r01 * cos02, 1.0 - r01]), np.convolve(d_poly, d_poly))
+    )
+    if not np.any(np.abs(quartic) > 0):
+        return []
+    poses = []
+    for v in _polished_real_roots(quartic, lambda root: abs(root.imag) <= 1e-8 * max(1.0, abs(root.real))):
+        qv = solvers._horner(q, v)
+        dd = solvers._horner(d_poly, v)
+        if qv <= 0 or abs(dd) < 1e-12:
+            continue
+        u = solvers._horner(n_poly, v) / dd
+        k0 = d02 / np.sqrt(qv)
+        dists = np.array([k0, u * k0, v * k0])
+        if np.any(dists <= 0):
+            continue
+        for _ in range(3):
+            k0, k1, k2 = dists
+            g = np.array(
+                [
+                    k0 * k0 + k1 * k1 - 2 * k0 * k1 * cos01 - d01 * d01,
+                    k0 * k0 + k2 * k2 - 2 * k0 * k2 * cos02 - d02 * d02,
+                    k1 * k1 + k2 * k2 - 2 * k1 * k2 * cos12 - d12 * d12,
+                ]
+            )
+            jac = 2.0 * np.array(
+                [
+                    [k0 - k1 * cos01, k1 - k0 * cos01, 0.0],
+                    [k0 - k2 * cos02, 0.0, k2 - k0 * cos02],
+                    [0.0, k1 - k2 * cos12, k2 - k1 * cos12],
+                ]
+            )
+            try:
+                step = np.linalg.solve(jac, g)
+            except np.linalg.LinAlgError:
+                break
+            dists = dists - step
+        if np.any(dists <= 0) or not np.all(np.isfinite(dists)):
+            continue
+        aligned = _procrustes_one_pair(points3d, dists[:, None] * f)
+        if aligned is None:
+            continue
+        rotation, translation = aligned
+        projected = points3d @ rotation.T + translation
+        if np.any(projected[:, 2] <= 0):
+            continue
+        if np.abs(projected[:, :2] / projected[:, 2:3] - rays).max() > 1e-6:
+            continue
+        if any(
+            np.abs(rotation - r).max() < 1e-9 and np.abs(translation - t).max() < 1e-9 * (1.0 + np.abs(t).max())
+            for r, t in poses
+        ):
+            continue
+        poses.append((rotation, translation))
+    return poses
+
+
+def _same_poses(reference, poses):
+    return len(reference) == len(poses) and all(
+        r.tobytes() == pose.rotation.tobytes() and t.tobytes() == pose.translation.tobytes()
+        for (r, t), pose in zip(reference, poses)
+    )
+
+
+def _real_p3p_samples(count):
+    """(count, 3, 5) [query pixel, lifted reference point] samples from 1 px-noise, 40%-outlier queries, and K."""
+    draw = np.random.default_rng(9)
+    samples = []
+    seed = 0
+    while len(samples) < count:
+        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=0.4))
+        k = scene.intrinsics
+        for query in scene.queries:
+            c = query.correspondences
+            depth = scene.depth_ref.sample_nearest(c.ref_px)
+            valid = depth > 0
+            data = np.column_stack([c.query_px[valid], backproject(k, c.ref_px[valid], depth[valid])])
+            samples += [data[draw.choice(len(data), size=3, replace=False)] for _ in range(40)]
+        seed += 1
+    return np.array(samples[:count]), k
+
+
+def test_p3p_stack_matches_one_sample_body_bit_for_bit():
+    samples, k = _real_p3p_samples(1040)
+    # the one-sample body saw the robust loop's strided views of one sample
+    reference = [_p3p_one_sample(sample[:, 2:], normalized_coords(k, sample[:, :2])) for sample in samples]
+    assert sum(map(len, reference)) > len(samples)  # the comparison covers many roots
+    for window in (1, 5, 16):
+        stacked = []
+        for start in range(0, len(samples), window):
+            part = samples[start : start + window]
+            stacked += pnp_p3p(part[:, :, 2:], normalized_coords(k, part[:, :, :2]))
+        assert len(stacked) == len(samples)
+        for i, (expected, poses) in enumerate(zip(reference, stacked)):
+            assert _same_poses(expected, poses), (window, i)
+
+
+def test_p3p_squares_distance_ratios_as_numpy_scalars():
+    # a sample whose d01/d02 squares differently through C pow (NumPy scalar
+    # ** 2) than as x * x (array ** 2), and whose poses differ with the latter
+    rng = np.random.default_rng(132)
+    points = np.column_stack([rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3), rng.uniform(3, 9, 3)])
+    rays = points[:, :2] / points[:, 2:3]
+    ratio = np.linalg.norm(points[0] - points[1]) / np.linalg.norm(points[0] - points[2])
+    assert ratio**2 != (np.array([ratio]) ** 2)[0]
+    reference = _p3p_one_sample(points, rays)
+    assert reference
+    assert _same_poses(reference, pnp_p3p(points[None], rays[None])[0])
+
+
+def test_p3p_degenerate_samples_leave_their_window_intact():
+    samples, k = _real_p3p_samples(14)
+    collinear = samples[0].copy()
+    collinear[2, 2:] = 2.0 * collinear[1, 2:] - collinear[0, 2:]  # the third point on the line of the first two
+    coincident = samples[1].copy()
+    coincident[2, 2:] = coincident[0, 2:]  # d02 = 0, the distance ratios' denominator
+    mixed = np.concatenate([samples[:5], collinear[None], samples[5:9], coincident[None], samples[9:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a degenerate sample is set aside before any division
+        solutions = pnp_p3p(mixed[:, :, 2:], normalized_coords(k, mixed[:, :, :2]))
+    assert solutions[5] == [] and solutions[10] == []
+    neighbours = solutions[:5] + solutions[6:10] + solutions[11:]
+    assert sum(map(len, neighbours)) > 0
+    for sample, poses in zip(samples, neighbours):
+        assert _same_poses(_p3p_one_sample(sample[:, 2:], normalized_coords(k, sample[:, :2])), poses)
+        alone = pnp_p3p(sample[None, :, 2:], normalized_coords(k, sample[None, :, :2]))[0]
+        assert _same_poses([(p.rotation, p.translation) for p in alone], poses)
+
+
+def test_p3p_newton_singular_root_stops_alone():
+    rng = np.random.default_rng(4)
+    dists = rng.uniform(2.0, 6.0, (5, 3))
+    cosines = rng.uniform(0.8, 0.99, (3, 5))
+    lengths = rng.uniform(0.5, 2.0, (3, 5))
+    dists[2, :2] = 1.0
+    cosines[0, 2] = 1.0  # root 2: the first row of its Jacobian is zero
+    stepped = solvers._p3p_newton(dists, *cosines, *lengths)
+    assert stepped[2].tobytes() == dists[2].tobytes()
+    for i in (0, 1, 3, 4):
+        alone = solvers._p3p_newton(dists[i : i + 1], *cosines[:, i : i + 1], *lengths[:, i : i + 1])
+        assert stepped[i].tobytes() == alone[0].tobytes()
+        assert stepped[i].tobytes() != dists[i].tobytes()
+
+
+def test_p3p_input_shape():
+    with pytest.raises(InvalidParameterError):
+        pnp_p3p(np.zeros((3, 3)), np.zeros((3, 2)))  # one sample is a stack of one
+    with pytest.raises(InvalidParameterError):
+        pnp_p3p(np.zeros((2, 3, 3)), np.zeros((3, 3, 2)))
+    with pytest.raises(InvalidParameterError):
+        pnp_p3p(np.zeros((1, 4, 3)), np.zeros((1, 4, 2)))
+    assert pnp_p3p(np.zeros((0, 3, 3)), np.zeros((0, 3, 2))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -552,3 +760,33 @@ def test_procrustes_degenerate_inputs():
         procrustes_align(coincident, coincident)
     with pytest.raises(InvalidParameterError):
         procrustes_align(np.zeros((2, 3)), np.zeros((2, 3)))
+
+def test_kabsch_rounds_as_the_one_pair_alignment():
+    rng = np.random.default_rng(5)
+    for m in range(3, 1001):
+        truth = random_pose(rng)
+        points = rng.normal(size=(m, 3)) * rng.uniform(0.1, 10.0)
+        moved = truth.transform(points) + rng.normal(0.0, 0.01, (m, 3))
+        rotation, translation, ok = solvers._kabsch(points[None], moved[None])
+        expected_rotation, expected_translation = _procrustes_one_pair(points, moved)
+        assert ok[0], m
+        assert rotation[0].tobytes() == expected_rotation.tobytes(), m
+        assert translation[0].tobytes() == expected_translation.tobytes(), m
+        pose = procrustes_align(points, moved)
+        assert pose.rotation.tobytes() == expected_rotation.tobytes(), m
+    # a window of minimal samples, one of them degenerate, rounds as its pairs alone
+    ref = rng.normal(size=(16, 3, 3))
+    query = ref @ random_pose(rng).rotation.T + rng.normal(size=(16, 1, 3))
+    ref[4, 2] = ref[4, 1]
+    query[4, 2] = query[4, 1]
+    ref[9] = ref[9, :1]
+    rotation, translation, ok = solvers._kabsch(ref, query)
+    assert ok.tolist() == [i not in (4, 9) for i in range(16)]
+    for i in np.flatnonzero(ok):
+        expected_rotation, expected_translation = _procrustes_one_pair(ref[i], query[i])
+        assert rotation[i].tobytes() == expected_rotation.tobytes()
+        assert translation[i].tobytes() == expected_translation.tobytes()
+    non_finite = ref[:2].copy()
+    non_finite[0, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert solvers._kabsch(non_finite, query[:2])[2].tolist() == [False, True]
