@@ -23,17 +23,31 @@ from .errors import BehindCameraError, InvalidDepthError, InvalidParameterError
 ROTATION_TOL = 1e-9
 
 
+_IDENTITY = np.eye(3)  # shared and read-only: building one costs as much as the small sums it feeds
+_IDENTITY.setflags(write=False)
+# flat positions of x, y, z in a cross-product matrix, and of -x, -y, -z
+_SKEW_PLUS = np.array([7, 2, 3])
+_SKEW_MINUS = np.array([5, 6, 1])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == np.cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrices: skew(v) @ w == np.cross(v, w), for one (3,) vector or an (..., 3) stack."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (9,))
+    out[..., _SKEW_PLUS] = v
+    out[..., _SKEW_MINUS] = -v
+    return out.reshape(v.shape[:-1] + (3, 3))
 
 
-def rotation_defect(r: np.ndarray) -> float:
-    """Max deviation from orthonormality/properness (0 for an exact rotation)."""
+def rotation_defect(r: np.ndarray):
+    """Max deviation from orthonormality/properness (0 for an exact rotation).
+
+    A float for one (3, 3) matrix, an (N,) array for an (N, 3, 3) stack.
+    """
     r = np.asarray(r, dtype=float)
-    ortho = np.abs(r.T @ r - np.eye(3)).max()
-    return max(float(ortho), abs(float(np.linalg.det(r)) - 1.0))
+    ortho = np.abs(np.swapaxes(r, -1, -2) @ r - _IDENTITY).reshape(r.shape[:-2] + (9,)).max(axis=-1)
+    defect = np.maximum(ortho, np.abs(np.linalg.det(r) - 1.0))
+    return float(defect) if r.ndim == 2 else defect
 
 
 def _check_rotation(r: np.ndarray) -> np.ndarray:
@@ -183,14 +197,22 @@ def translation_from_spherical(phi_deg: float, theta_deg: float, scale_m: float)
 
 
 def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
-    """Rodrigues: rotation by |w| radians about w (identity at w = 0)."""
+    """Rodrigues: rotation by |w| radians about w, for one (3,) vector or an (N, 3) stack.
+
+    Below an angle of 1e-12 the first-order form I + [w]x is used (identity
+    at w = 0).  Each rotation of a stack rounds as the one-vector call.
+    """
     w = np.asarray(w, dtype=float)
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-12:
-        return np.eye(3) + skew(w)
-    axis = w / angle
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    angle = np.sqrt(w[..., None, :] @ w[..., :, None])  # (..., 1, 1): np.linalg.norm of each row (a BLAS dot)
+    tiny = angle < 1e-12
+    tiny_count = np.count_nonzero(tiny)
+    if tiny_count == tiny.size:
+        return _IDENTITY + skew(w)
+    k = skew(w / (angle + tiny)[..., 0])  # a tiny row's axis is replaced below
+    rotation = _IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    if tiny_count:
+        rotation = np.where(tiny, _IDENTITY + skew(w), rotation)
+    return rotation
 
 
 @dataclass(frozen=True, eq=False)

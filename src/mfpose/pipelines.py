@@ -198,9 +198,11 @@ def _normalized_matches(c: CorrespondenceSet, k_ref: CameraIntrinsics, k_query: 
 
 
 def _transform(poses, points: np.ndarray) -> np.ndarray:
-    """(M, n, 3) camera-frame points of (n, 3) world points under each of M poses, rounded as Pose.transform."""
-    rotations = np.array([pose.rotation for pose in poses])
-    translations = np.array([pose.translation for pose in poses])
+    """(M, n, 3) camera-frame points of (n, 3) world points under each of M (rotation, translation) pairs.
+
+    Rounded as Pose.transform.
+    """
+    rotations, translations = (np.array(part) for part in zip(*poses))
     return points @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
 
 
@@ -227,15 +229,19 @@ def _lift_both(ref_px, query_px, depth_ref: DepthMap, depth_query: DepthMap, k_r
 def _cell_count(pixels: np.ndarray) -> int:
     """How many distinct nearest-pixel cells the (n, 2) pixels fall in."""
     u, v = pixel_index(pixels)
-    return len(set(zip(u.tolist(), v.tolist())))
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    return int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1]))) + min(len(u), 1)
 
 
-def _fabricated(c: CorrespondenceSet, support: np.ndarray, sample_size: int) -> bool:
+def _fabricated(c: CorrespondenceSet, support, sample_size: int) -> bool:
     """Whether the matches c[support] cover fewer nearest-pixel cells, on either side, than a minimal sample.
 
     Every model through a shared pixel explains all the matches that share
     it (an essential matrix with its epipole there, a pose that puts the 3D
-    points on its ray), so such support is fabricated.
+    points on its ray), so such support is fabricated.  Any consensus is a
+    subset of the matches, so a match set that is fabricated as a whole is
+    turned down before the robust loop.
     """
     return min(_cell_count(c.ref_px[support]), _cell_count(c.query_px[support])) < sample_size
 
@@ -258,7 +264,7 @@ def estimate_essmat_dscale(
     benchmark's accuracy regime.
     """
     c = c.distinct()
-    if len(c) < 5:
+    if len(c) < 5 or _fabricated(c, slice(None), 5):
         return _NO_ESTIMATE
     data = _normalized_matches(c, k_ref, k_query)
     if cfg.sampson_threshold is not None:
@@ -316,14 +322,14 @@ def estimate_pnp(
     plausible = _plausible(points3d)
     lifted = np.flatnonzero(valid)[plausible]
     points3d, pixels = points3d[plausible], c.query_px[lifted]
-    if len(points3d) < 4:
+    if len(points3d) < 4 or _fabricated(c, lifted, 3):
         return _NO_ESTIMATE
     data = np.column_stack([pixels, points3d])
 
-    def solve(samples: np.ndarray) -> list[list[Pose]]:
+    def solve(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         return solvers.pnp_p3p(samples[:, :, 2:], normalized_coords(k_query, samples[:, :, :2]))
 
-    def residuals(poses: list[Pose], rows: np.ndarray) -> np.ndarray:
+    def residuals(poses: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
         cam = _transform(poses, rows[:, 2:])
         z = cam[:, :, 2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # points behind score inf
@@ -340,7 +346,7 @@ def estimate_pnp(
     if result.inlier_count < 4:  # possible when min_inliers < 4; refine_pnp needs 4
         return _NO_ESTIMATE
     refined = solvers.refine_pnp(
-        result.model, points3d[result.inlier_mask], pixels[result.inlier_mask], k_query
+        Pose(*result.model), points3d[result.inlier_mask], pixels[result.inlier_mask], k_query
     )
     return PoseEstimate(EstimateStatus.OK, refined.pose, float(result.inlier_count))
 
@@ -358,15 +364,15 @@ def estimate_procrustes(
     if len(c) < 3:
         return _NO_ESTIMATE
     x_ref, x_query, lifted = _lift_both(c.ref_px, c.query_px, depth_ref, depth_query, k_ref, k_query)
-    if len(x_ref) < 3:
+    if len(x_ref) < 3 or _fabricated(c, lifted, 3):
         return _NO_ESTIMATE
     data = np.column_stack([x_ref, x_query])
 
-    def solve(samples: np.ndarray) -> list[list[Pose]]:
+    def solve(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         rotations, translations, ok = solvers._kabsch(samples[:, :, :3], samples[:, :, 3:])
-        return [[Pose(r, t)] if aligned else [] for r, t, aligned in zip(rotations, translations, ok)]
+        return [[(r, t)] if aligned else [] for r, t, aligned in zip(rotations, translations, ok)]
 
-    def residuals(poses: list[Pose], rows: np.ndarray) -> np.ndarray:
+    def residuals(poses: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
         return np.linalg.norm(_transform(poses, rows[:, :3]) - rows[:, 3:], axis=2)
 
     try:
@@ -375,7 +381,7 @@ def estimate_procrustes(
         return _NO_ESTIMATE
     if _fabricated(c, lifted[result.inlier_mask], 3):
         return _NO_ESTIMATE
-    pose = result.model
+    pose = Pose(*result.model)
     try:
         pose = solvers.procrustes_align(x_ref[result.inlier_mask], x_query[result.inlier_mask])
     except DegenerateSampleError:

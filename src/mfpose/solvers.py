@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import robust
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     DegenerateSampleError,
     InvalidParameterError,
 )
-from .geometry import CameraIntrinsics, Pose, rotation_from_axis_angle, skew
+from .geometry import ROTATION_TOL, CameraIntrinsics, Pose, rotation_defect, rotation_from_axis_angle, skew
 
 # --------------------------------------------------------------------------
 # Essential matrix
@@ -53,7 +54,15 @@ def _monomial_table() -> np.ndarray:
     return table
 
 
+def _scatter_rounds(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(columns, terms) rounds that add every term into its column in term order, each column once per round."""
+    flat = table.ravel()
+    rank = np.array([np.count_nonzero(flat[:t] == flat[t]) for t in range(len(flat))])
+    return [(flat[rank == r], np.flatnonzero(rank == r)) for r in range(rank.max() + 1)]
+
+
 _MON3 = _monomial_table()
+_MON3_ROUNDS = _scatter_rounds(_MON3)
 _LEVI = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
     _LEVI[_i, _j, _k] = _s
@@ -67,28 +76,33 @@ def _constraint_matrices(basis: np.ndarray) -> np.ndarray:
     """(K, 10, 20) coefficients of det(E) = 0 and 2*E*E^T*E - tr(E*E^T)*E = 0.
 
     basis is the (K, 4, 3, 3) stack of null-space matrices; E = x*B0 + y*B1 +
-    z*B2 + B3.  Rows are polynomials over the _MONOMIALS columns.  One
-    np.add.at over every row adds each term in the one-sample order, which
-    a one-hot matmul would not.
+    z*B2 + B3.  Rows are polynomials over the _MONOMIALS columns.  Each
+    column sums its terms from zero in the one-sample order (np.add.at's),
+    which a one-hot matmul would not.
     """
     k = len(basis)
     det = np.einsum("ijk,nai,nbj,nck->nabc", _LEVI, basis[:, :, 0, :], basis[:, :, 1, :], basis[:, :, 2, :])
     # E E^T E for every (a, b, c) triple, summed in the order that
     # np.einsum("naip,nbqp,ncqj->nabcij") sums in (for each q a running sum
-    # over p from zero, added to the total) without its per-element overhead
+    # over p from zero, added to the total) without its per-element overhead.
+    # The window runs along the last axis, so the products stream through
+    # memory; each E_a[i,p] E_b[q,p] is formed once and rounds as (x y) z.
+    window_last = np.ascontiguousarray(np.moveaxis(basis, 0, -1))  # (a, i, p, K)
+    pairs = window_last[:, None, :, None] * window_last[None, :, None, :]  # (a, b, i, q, p, K)
     eet_e = 0.0
     for q in range(3):
-        right = basis[:, None, None, :, None, q, :]
+        right = window_last[None, None, :, None, q]  # E_c[q, j] at (a, b, c, i, j, K)
         part = 0.0
         for p in range(3):
-            part = part + (basis[:, :, None, None, :, None, p] * basis[:, None, :, None, None, None, q, p]) * right
+            part = part + pairs[:, :, None, :, q, p, None] * right
         eet_e = part + eet_e
     tr_e = np.einsum("napq,nbpq,ncij->nabcij", basis, basis, basis)
-    cubic = (2.0 * eet_e - tr_e).reshape(k, 64, 9).transpose(0, 2, 1)
-    terms = np.concatenate([det.reshape(k, 1, 64), cubic], axis=1).reshape(k * 10, 64)
-    coef = np.zeros((k, 10, 20))
-    np.add.at(coef.reshape(-1), np.arange(0, k * 200, 20)[:, None] + _MON3.ravel(), terms)
-    return coef
+    cubic = (2.0 * eet_e - np.moveaxis(tr_e, 0, -1)).reshape(64, 9, k)
+    terms = np.concatenate([np.moveaxis(det.reshape(k, 64), 0, -1)[:, None], cubic], axis=1)  # (64, 10, K)
+    coef = np.zeros((20, 10, k))
+    for columns, index in _MON3_ROUNDS:
+        coef[columns] += terms[index]
+    return np.ascontiguousarray(np.moveaxis(coef, -1, 0).swapaxes(1, 2))
 
 
 def _z_rows(row_i: np.ndarray, row_j: np.ndarray) -> np.ndarray:
@@ -146,12 +160,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def essential_from_pose(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    """E = [t]x R for the relative pose mapping reference to query frame."""
+    """E = [t]x R, of unit norm, for the relative pose mapping reference to query frame.
+
+    Takes one pose or an (N, 3, 3), (N, 3) stack; each stacked matrix rounds
+    as its one-pose call.
+    """
     t = np.asarray(translation, dtype=float)
-    if np.linalg.norm(t) == 0:
+    if np.any(_norms(t.reshape(-1, 3)) == 0):
         raise InvalidParameterError("essential matrix undefined for zero translation")
     e = skew(t) @ np.asarray(rotation, dtype=float)
-    return e / np.linalg.norm(e)
+    return e / _norms(e.reshape(-1, 3, 3)).reshape(e.shape[:-2] + (1, 1))
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray):
@@ -186,6 +204,25 @@ def _z_polynomial(z_system: np.ndarray) -> np.ndarray:
     )
 
 
+# the LAPACK least-squares loop inside np.linalg.lstsq, and its default rcond for 3x2 systems
+try:
+    _lstsq = _umath_linalg.lstsq
+except AttributeError:  # numpy 1 names the m > n variant
+    _lstsq = _umath_linalg.lstsq_n
+_LSTSQ_RCOND = np.finfo(float).eps * 3
+
+
+def _least_squares_xy(parts: np.ndarray) -> np.ndarray:
+    """(P, 2) least-squares (x, y) of x X + y Y = -Z for each (3, 3) [X | Y | Z] of a (P, 3, 3) stack.
+
+    One call of the LAPACK loop inside np.linalg.lstsq, with its default
+    rcond, so each row rounds as np.linalg.lstsq(X, -Z) does; a system whose
+    SVD does not converge gives NaN where np.linalg.lstsq raises.
+    """
+    with np.errstate(all="ignore"):
+        return _lstsq(parts[:, :, :2], -parts[:, :, 2:], _LSTSQ_RCOND, signature="ddd->ddid")[0][:, :, 0]
+
+
 def _real_roots(polys: np.ndarray, is_real):
     """(owner row, root) of every root of the rows of polys that is_real accepts, as np.roots finds them.
 
@@ -198,25 +235,26 @@ def _real_roots(polys: np.ndarray, is_real):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = -polys[:, 1:] / polys[:, :1]
     generic = (polys[:, -1] != 0) & np.all(np.isfinite(top), axis=1)
-    companion = np.zeros((int(generic.sum()), degree, degree))
-    companion[:, 0] = top[generic]
+    rows = np.flatnonzero(generic)
+    companion = np.zeros((len(rows), degree, degree))
+    companion[:, 0] = top[rows]
     companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-    stacked = iter(np.linalg.eigvals(companion))
-    owner, roots = [], []
-    for i, poly in enumerate(polys):
-        if generic[i]:
-            candidates = next(stacked)
-        elif np.any(poly != 0):
-            try:
-                candidates = np.roots(poly)
-            except np.linalg.LinAlgError:  # an overflowing companion matrix
-                continue
-        else:
+    eigenvalues = np.linalg.eigvals(companion)
+    row, column = np.nonzero(is_real(eigenvalues))  # row-major: each row's roots in eigvals order
+    owner, roots = [rows[row]], [eigenvalues.real[row, column]]
+    for i in np.flatnonzero(~generic & np.any(polys != 0, axis=1)):
+        try:
+            candidates = np.roots(polys[i])
+        except np.linalg.LinAlgError:  # an overflowing companion matrix
             continue
         real = candidates.real[is_real(candidates)]
-        owner += [i] * len(real)
+        owner.append(np.full(len(real), i))
         roots.append(real)
-    return np.array(owner, dtype=np.intp), np.concatenate(roots) if roots else np.empty(0)
+    owner, roots = np.concatenate(owner), np.concatenate(roots)
+    if len(owner) > len(row):  # merge the one-at-a-time rows in; a stable sort keeps each row's order
+        order = np.argsort(owner, kind="stable")
+        owner, roots = owner[order], roots[order]
+    return owner, roots
 
 
 def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
@@ -235,7 +273,6 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     if samples.ndim != 3 or samples.shape[1:] != (5, 4):
         raise InvalidParameterError(f"five-point solver needs (K, 5, 4) samples, got {samples.shape}")
     count = len(samples)
-    solutions: list[list[np.ndarray]] = [[] for _ in range(count)]
     ones = np.ones((count, 5, 1))
     qr = np.concatenate([samples[:, :, :2], ones], axis=2)
     qq = np.concatenate([samples[:, :, 2:], ones], axis=2)
@@ -256,10 +293,9 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     # every (sample, real root) pair at once from here on
     z = _polish_roots(polys[owner], z)
     parts = _horner(np.moveaxis(z_system[owner], -1, 0), z[:, None, None])  # (P, 3, 3): x, y and 1 parts at z
-    finite = np.isfinite(parts).all(axis=(1, 2))  # np.linalg.lstsq raises on the others
+    finite = np.isfinite(parts).all(axis=(1, 2))  # LAPACK is not handed inf or nan
     owner, z, parts = owner[finite], z[finite], parts[finite]
-    # no stacked least-squares rounds as np.linalg.lstsq does, so it runs per root
-    xy = np.array([np.linalg.lstsq(p[:, :2], -p[:, 2], rcond=None)[0] for p in parts]).reshape(-1, 2)
+    xy = _least_squares_xy(parts)  # NaN at a root whose SVD does not converge: its norm is not finite below
     b = basis[owner]
     e = xy[:, 0, None, None] * b[:, 0] + xy[:, 1, None, None] * b[:, 1] + z[:, None, None] * b[:, 2] + b[:, 3]
     norm = _norms(e)
@@ -278,14 +314,17 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     # a candidate repeats an earlier kept one of its sample when |<E, E'>| ~ 1;
     # row sums of the products round as np.sum of each product does
     j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
-    repeats = np.zeros((len(owner), len(owner)), dtype=bool)
-    repeats[j, k] = np.abs((e[j] * e[k]).reshape(-1, 9).sum(axis=1)) > 1.0 - 1e-9
-    kept: list[int] = []
-    for candidate in range(len(owner)):
-        if not repeats[candidate, kept].any():
-            kept.append(candidate)
-            solutions[owner[candidate]].append(e[candidate])
-    return solutions
+    repeated = np.abs((e[j] * e[k]).reshape(-1, 9).sum(axis=1)) > 1.0 - 1e-9
+    if repeated.any():  # rare: drop each candidate that repeats an earlier kept one
+        repeats = np.zeros((len(owner), len(owner)), dtype=bool)
+        repeats[j, k] = repeated
+        kept: list[int] = []
+        for candidate in range(len(owner)):
+            if not repeats[candidate, kept].any():
+                kept.append(candidate)
+        owner, e = owner[kept], e[kept]
+    bounds = np.searchsorted(owner, np.arange(count + 1))  # owner ascends
+    return [list(e[start:stop]) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def triangulate_midpoints(rotation: np.ndarray, translation: np.ndarray, matches: np.ndarray):
@@ -420,31 +459,29 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     b1 /= np.linalg.norm(b1)
     b2 = np.cross(t_dir, b1)
 
-    def build(p: np.ndarray) -> np.ndarray:
-        rot = rotation_from_axis_angle(p[:3]) @ rotation
-        direction = rotation_from_axis_angle(b1 * p[3] + b2 * p[4]) @ t_dir
+    def build(params: np.ndarray) -> np.ndarray:
+        """(N, 3, 3) essential matrices of an (N, 5) stack of pose parameters."""
+        rot = rotation_from_axis_angle(params[:, :3]) @ rotation
+        direction = rotation_from_axis_angle(b1 * params[:, 3:4] + b2 * params[:, 4:5]) @ t_dir
         return essential_from_pose(rot, direction)
 
     def evaluate(p: np.ndarray):
-        res = robust.sampson_error(build(p), matches)
+        res = robust.sampson_error(build(p[None])[0], matches)
         return float(np.sum(res**2)), res, None
 
     def jacobian(p: np.ndarray, res, state) -> np.ndarray:
         step_h = 1e-6
-        perturbed = []
-        for j in range(5):
-            forward = p.copy()
-            forward[j] += step_h
-            backward = p.copy()
-            backward[j] -= step_h
-            perturbed += [build(forward), build(backward)]
+        diagonal = np.arange(5)
+        perturbed = np.repeat(p[None], 10, axis=0)  # rows p + h e_j, p - h e_j for j = 0..4
+        perturbed[0::2][diagonal, diagonal] += step_h
+        perturbed[1::2][diagonal, diagonal] -= step_h
         # central differences: the O(h^2) error keeps the convergence
         # floor near 1e-12, which the noiseless exactness regime needs
-        rows = robust.sampson_error(np.stack(perturbed), matches)
+        rows = robust.sampson_error(build(perturbed), matches)
         return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / (2.0 * step_h)).T)
 
     params, *_ = _damped_least_squares(np.zeros(5), evaluate, jacobian, np.add, 1e-6, 1e8, 1e-10, 20)
-    return build(params)
+    return build(params[None])[0]
 
 
 # --------------------------------------------------------------------------
@@ -505,7 +542,7 @@ def _p3p_newton(dists, cos01, cos02, cos12, d01, d02, d12) -> np.ndarray:
     return dists
 
 
-def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[Pose]]:
+def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Three-point pose over a stack: (K, 3, 3) world points and (K, 3, 2) normalized rays -> K lists of poses.
 
     Solves the classic law-of-cosines distance system.  The ratio
@@ -514,7 +551,8 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[Pose]]:
     root takes three Newton steps on the distance equations and gives
     camera-frame points that are rigidly aligned (Kabsch) to the world
     points.  Candidates that fail to reproject the sample to 1e-6
-    (normalized units) or repeat an earlier candidate are dropped.  A
+    (normalized units) or repeat an earlier candidate are dropped.  Poses
+    are (rotation, translation) pairs, each one that a Pose accepts.  A
     collinear or coincident sample yields an empty list.  Every stage runs
     per sample, or stacked in a form that rounds exactly as per sample, so a
     sample's poses do not depend on the other samples in the stack.
@@ -525,7 +563,7 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[Pose]]:
         raise InvalidParameterError(
             f"P3P needs (K, 3, 3) points and (K, 3, 2) rays, got {points3d.shape} and {rays.shape}"
         )
-    poses: list[list[Pose]] = [[] for _ in range(len(points3d))]
+    poses: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(points3d))]
     spread = np.abs(points3d - points3d.mean(axis=1, keepdims=True)).max(axis=(1, 2))
     area = _norms(np.cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]))
     d01 = _norms(points3d[:, 0] - points3d[:, 1])
@@ -572,12 +610,11 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[Pose]]:
     for i in np.flatnonzero(fits):
         kept = poses[good[owner[i]]]
         if any(
-            np.abs(rotation[i] - prev.rotation).max() < 1e-9
-            and np.abs(translation[i] - prev.translation).max() < 1e-9 * (1.0 + np.abs(prev.translation).max())
-            for prev in kept
+            np.abs(rotation[i] - r).max() < 1e-9 and np.abs(translation[i] - t).max() < 1e-9 * (1.0 + np.abs(t).max())
+            for r, t in kept
         ):
             continue
-        kept.append(Pose(rotation[i], translation[i]))
+        kept.append((rotation[i], translation[i]))
     return poses
 
 
@@ -653,8 +690,10 @@ def _kabsch(ref: np.ndarray, query: np.ndarray):
     Returns (rotation (K, 3, 3), translation (K, 3), ok (K,)).  Centroid
     subtraction + SVD; the sign of the last singular vector is flipped when
     needed so every rotation is proper.  ok is False for a collinear,
-    coincident or non-finite pair, whose transform means nothing.  Every
-    stage is a stacked form that rounds as the one-pair computation does.
+    coincident or non-finite pair, whose transform means nothing, and for a
+    transform that Pose would reject (a rotation defect above ROTATION_TOL,
+    a non-finite translation).  Every stage is a stacked form that rounds as
+    the one-pair computation does.
     """
     centroid_ref = ref.mean(axis=1)
     centroid_query = query.mean(axis=1)
@@ -668,6 +707,7 @@ def _kabsch(ref: np.ndarray, query: np.ndarray):
     flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
     rotation = v @ flip @ ut
     translation = centroid_query - (rotation @ centroid_ref[:, :, None])[:, :, 0]
+    ok &= (rotation_defect(rotation) <= ROTATION_TOL) & np.isfinite(translation).all(axis=1)
     return rotation, translation, ok
 
 
@@ -677,7 +717,8 @@ def procrustes_align(ref_points: np.ndarray, query_points: np.ndarray) -> Pose:
     The one-pair form of the stacked Kabsch alignment that the P3P solver
     and the procrustes estimator's robust loop use, so all three round
     alike.  The rotation is always proper.  Collinear, coincident or
-    non-finite point sets raise DegenerateSampleError.
+    non-finite point sets, and a transform that Pose would reject, raise
+    DegenerateSampleError.
     """
     ref_points = np.asarray(ref_points, dtype=float).reshape(-1, 3)
     query_points = np.asarray(query_points, dtype=float).reshape(-1, 3)

@@ -307,7 +307,7 @@ def test_synth_outlier_masks_recovered_by_robust_engine():
             return pnp_p3p(samples[:, :, 2:], normalized_coords(k, samples[:, :, :2]))
 
         def residual(pose, rows):
-            cam = pose.transform(rows[:, 2:])
+            cam = Pose(*pose).transform(rows[:, 2:])
             out = np.full(len(rows), np.inf)
             front = cam[:, 2] > 0
             u = k.fx * cam[front, 0] / cam[front, 2] + k.cx

@@ -83,6 +83,16 @@ def test_constructors_satisfy_rotation_invariants(rng):
     assert rotation_defect(rotation_from_discrete_euler(17, 211, 43)) < 1e-9
 
 
+def test_rotation_defect_of_a_stack_is_each_matrix_defect(rng):
+    rotations = [rotation_from_quaternion(rng.standard_normal(4)) for _ in range(20)]
+    stack = np.array(rotations + [np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3), rotations[0] + 1e-8])
+    defects = rotation_defect(stack)
+    assert defects.tolist() == [rotation_defect(r) for r in stack]
+    assert np.all(defects[:20] < 1e-9)
+    assert defects[20] == 2.0  # a reflection: orthonormal, determinant -1
+    assert defects[21] > 1e-3 and defects[22] > 1e-9
+
+
 # ---------------------------------------------------------------------------
 # 6d parameterization
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mfpose import pipelines, solvers
 from mfpose.dataset import SyntheticSceneConfig, synth_scene
 from mfpose.errors import InvalidParameterError
 from mfpose.geometry import (
@@ -27,6 +28,7 @@ from mfpose.pipelines import (
     pixel_index,
     run_estimator,
 )
+from mfpose.robust import RobustResult
 
 from conftest import random_pose, small_angle_deg
 
@@ -210,22 +212,56 @@ def test_duplicated_matches_count_once():
             assert repeated.pose.rotation.tobytes() == plain.pose.rotation.tobytes()
 
 
-def test_matches_sharing_one_pixel_are_no_consensus():
+def test_matches_sharing_one_pixel_are_no_consensus(monkeypatch):
     # 12 matches from one pixel to 12 scattered ones: every essential matrix whose
-    # epipole is the shared pixel gives all of them a Sampson error of 0.  Such
-    # a consensus shows up in the first samples; the iteration cap only bounds
-    # the hopeless search of pnp and procrustes, whose samples are all degenerate
+    # epipole is the shared pixel gives all of them a Sampson error of 0, and
+    # every pnp or procrustes sample is degenerate.  Any consensus is a subset
+    # of the matches, so such a set is turned down before the robust loop, at
+    # any iteration cap: no solver runs
+    def never(*args):
+        raise AssertionError("a solver ran on a degenerate match set")
+
+    for name in ("essential_five_point", "pnp_p3p", "_kabsch"):
+        monkeypatch.setattr(solvers, name, never)
+    depth = DepthMap(np.full((480, 640), 3.0))
+    for cfg in (EstimatorConfig(), EstimatorConfig(max_iterations=1000)):
+        for pixel in ((100.0, 120.0), (K.cx, K.cy)):
+            for seed in range(5):
+                shared = np.tile([pixel], (12, 1))
+                scattered = np.random.default_rng(seed).uniform(50, 600, (12, 2))
+                for ref_px, query_px in ((shared, scattered), (scattered, shared)):
+                    c = CorrespondenceSet(ref_px, query_px, np.ones(12))
+                    for name in ESTIMATOR_NAMES:
+                        estimate = run_estimator(name, c, depth, depth, K, K, replace(cfg, rng_seed=seed))
+                        assert estimate.status is not EstimateStatus.OK, (pixel, seed, name)
+
+
+def test_consensus_through_one_pixel_among_scattered_matches_is_no_estimate(monkeypatch):
+    # the shared-pixel matches plus scattered ones: the set as a whole covers
+    # enough cells, so the robust loop runs, and a consensus through the
+    # shared pixel is turned down after it
     depth = DepthMap(np.full((480, 640), 3.0))
     cfg = EstimatorConfig(max_iterations=1000)
-    for pixel in ((100.0, 120.0), (K.cx, K.cy)):
-        for seed in range(5):
-            shared = np.tile([pixel], (12, 1))
-            scattered = np.random.default_rng(seed).uniform(50, 600, (12, 2))
-            for ref_px, query_px in ((shared, scattered), (scattered, shared)):
-                c = CorrespondenceSet(ref_px, query_px, np.ones(12))
-                for name in ESTIMATOR_NAMES:
-                    estimate = run_estimator(name, c, depth, depth, K, K, replace(cfg, rng_seed=seed))
-                    assert estimate.status is not EstimateStatus.OK, (pixel, seed, name)
+
+    def cases(extra):
+        for pixel in ((100.0, 120.0), (K.cx, K.cy)):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                shared = np.concatenate([np.tile([pixel], (12, 1)), rng.uniform(50, 600, (extra, 2))])
+                scattered = rng.uniform(50, 600, (12 + extra, 2))
+                for ref_px, query_px in ((shared, scattered), (scattered, shared)):
+                    yield seed, CorrespondenceSet(ref_px, query_px, np.ones(12 + extra))
+
+    for seed, c in cases(2):
+        for name in ESTIMATOR_NAMES:
+            estimate = run_estimator(name, c, depth, depth, K, K, replace(cfg, rng_seed=seed))
+            assert estimate.status is not EstimateStatus.OK, (seed, name)
+    # a robust loop whose consensus is exactly the shared-pixel matches
+    shared_only = np.arange(18) < 12
+    monkeypatch.setattr(pipelines, "ransac", lambda data, *args, **kwargs: RobustResult(None, shared_only, 12, 0.0, 1))
+    for seed, c in cases(6):
+        for name in ESTIMATOR_NAMES:
+            assert run_estimator(name, c, depth, depth, K, K, cfg).status is EstimateStatus.NO_ESTIMATE, (seed, name)
 
 
 def test_implausible_depth_is_not_ok_and_raises_no_warning():
@@ -245,7 +281,8 @@ def test_stacked_transform_rounds_as_pose_transform():
     rng = np.random.default_rng(2)
     poses = [random_pose(rng) for _ in range(7)]
     rows = rng.normal(size=(50, 5)) * 3.0
-    for pose, cam in zip(poses, _transform(poses, rows[:, 2:])):
+    pairs = [(pose.rotation, pose.translation) for pose in poses]
+    for pose, cam in zip(poses, _transform(pairs, rows[:, 2:])):
         assert cam.tobytes() == pose.transform(rows[:, 2:]).tobytes()
 
 

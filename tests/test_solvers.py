@@ -15,7 +15,9 @@ from mfpose.geometry import (
     rot_z,
     rotation_error_deg,
     rotation_from_axis_angle,
+    skew,
 )
+from mfpose.pipelines import EstimateStatus, EstimatorConfig, run_estimator
 from mfpose.robust import sampson_error
 from mfpose.solvers import (
     decompose_essential,
@@ -239,6 +241,106 @@ def test_five_point_non_finite_root_system_yields_no_model():
             assert all(np.all(np.isfinite(e)) for e in solutions)
 
 
+def test_root_least_squares_round_as_np_linalg_lstsq(monkeypatch):
+    captured = []  # the root systems of real windows, as the solver hands them over
+    solve = solvers._least_squares_xy
+    monkeypatch.setattr(solvers, "_least_squares_xy", lambda parts: captured.append(parts) or solve(parts))
+    samples = _real_five_point_samples(320)
+    for start in range(0, len(samples), 16):
+        essential_five_point(samples[start : start + 16])
+    real = np.concatenate(captured)
+    assert len(real) > 1000
+    # planted near-rank-deficient systems: Y a multiple of X up to a relative
+    # 1e-17 .. 1e-10, around the default rcond of 3 eps; then zero columns
+    rng = np.random.default_rng(5)
+    planted = rng.normal(size=(400, 3, 3)) * 10.0 ** rng.uniform(-6, 6, (400, 1, 1))
+    wobble = 10.0 ** rng.uniform(-17, -10, (300, 1)) * rng.normal(size=(300, 3))
+    planted[:300, :, 1] = planted[:300, :, 0] * (1.5 + wobble)
+    planted[300:350, :, 1] = 0.0
+    planted[350:, :, :2] = 0.0
+    for parts in (real, planted):
+        expected = np.array([np.linalg.lstsq(p[:, :2], -p[:, 2], rcond=None)[0] for p in parts])
+        assert solve(parts).tobytes() == expected.tobytes()
+    assert solve(np.empty((0, 3, 3))).shape == (0, 2)
+
+
+def test_five_point_nan_root_leaves_its_window_intact(monkeypatch):
+    # a root whose SVD does not converge comes back NaN from the stacked least
+    # squares; only that root is lost, with no error and no warning
+    samples = _real_five_point_samples(6)
+    baseline = essential_five_point(samples)
+    solve = solvers._least_squares_xy
+    roots = []
+    monkeypatch.setattr(solvers, "_least_squares_xy", lambda parts: roots.append(len(parts)) or solve(parts))
+    essential_five_point(samples)
+    lost = 0
+    for target in range(roots[0]):
+
+        def failing(parts):
+            xy = solve(parts)
+            xy[target] = np.nan
+            return xy
+
+        monkeypatch.setattr(solvers, "_least_squares_xy", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solutions = essential_five_point(samples)
+        changed = [i for i, (a, b) in enumerate(zip(baseline, solutions)) if not _same_bits(a, b)]
+        assert len(changed) <= 1, target
+        for i in changed:  # the sample that owned the root lost it and kept the rest
+            assert len(solutions[i]) == len(baseline[i]) - 1
+            assert {e.tobytes() for e in solutions[i]} <= {e.tobytes() for e in baseline[i]}
+            lost += 1
+    assert lost > 0
+
+
+def test_real_roots_merge_one_at_a_time_rows_in_row_order():
+    rng = np.random.default_rng(6)
+    polys = rng.normal(size=(14, 11))
+    polys[1, 0] = 0.0  # leading zero
+    polys[4, -2:] = 0.0  # trailing zeros: roots at zero
+    polys[7] = 0.0  # no roots at all
+    polys[9, :2] = polys[9, -1] = 0.0
+    polys[11, 3] = np.nan  # np.roots cannot solve it: no roots
+    predicates = (
+        lambda roots: np.abs(roots.imag) <= 1e-10,  # five-point
+        lambda z: np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z.real)),  # P3P
+    )
+    for is_real in predicates:
+        owner, roots = solvers._real_roots(polys, is_real)
+        expected_owner, expected_roots = [], []
+        for i, poly in enumerate(polys):
+            try:
+                candidates = np.roots(poly)
+            except np.linalg.LinAlgError:
+                continue
+            real = candidates.real[is_real(candidates)]
+            expected_owner += [i] * len(real)
+            expected_roots += real.tolist()
+        assert {1, 4, 9} <= set(expected_owner) and len(set(expected_owner)) > 6
+        assert owner.tolist() == expected_owner
+        assert roots.tobytes() == np.array(expected_roots).tobytes()
+
+
+def test_five_point_repeated_root_is_kept_once(monkeypatch):
+    # every real root planted twice: each candidate repeats the one before it,
+    # so the repeat check's slow path runs and must give the plain solutions
+    samples = _real_five_point_samples(16)
+    baseline = essential_five_point(samples)
+    assert sum(map(len, baseline)) > len(samples)
+    real_roots = solvers._real_roots
+
+    def doubled(polys, is_real):
+        owner, roots = real_roots(polys, is_real)
+        return np.repeat(owner, 2), np.repeat(roots, 2)
+
+    monkeypatch.setattr(solvers, "_real_roots", doubled)
+    solutions = essential_five_point(samples)
+    assert len(solutions) == len(baseline)
+    for a, b in zip(baseline, solutions):
+        assert _same_bits(a, b)
+
+
 # ---------------------------------------------------------------------------
 # decomposition + cheirality
 # ---------------------------------------------------------------------------
@@ -355,7 +457,7 @@ def test_p3p_synthetic_pose_among_solutions(rng):
         )
         world = (cam_points - pose.translation) @ pose.rotation
         rays = cam_points[:, :2] / cam_points[:, 2:3]
-        solutions = pnp_p3p(world[None], rays[None])[0]
+        solutions = [Pose(*s) for s in pnp_p3p(world[None], rays[None])[0]]
         assert solutions
         best_rot = min(small_angle_deg(s.rotation, pose.rotation) for s in solutions)
         best_t = min(np.linalg.norm(s.translation - pose.translation) for s in solutions)
@@ -366,7 +468,7 @@ def test_p3p_synthetic_pose_among_solutions(rng):
 def test_p3p_identity_case(rng):
     points = np.array([[0.5, 0.1, 4.0], [-0.4, 0.3, 5.0], [0.1, -0.5, 6.0]])
     rays = points[:, :2] / points[:, 2:3]
-    solutions = pnp_p3p(points[None], rays[None])[0]
+    solutions = [Pose(*s) for s in pnp_p3p(points[None], rays[None])[0]]
     best = min(
         rotation_error_deg(s.rotation, np.eye(3)) + np.linalg.norm(s.translation)
         for s in solutions
@@ -382,7 +484,7 @@ def test_p3p_reprojects_sample_exactly(rng):
     world = (cam_points - pose.translation) @ pose.rotation
     rays = cam_points[:, :2] / cam_points[:, 2:3]
     for solution in pnp_p3p(world[None], rays[None])[0]:
-        projected = solution.transform(world)
+        projected = Pose(*solution).transform(world)
         assert np.all(projected[:, 2] > 0)
         assert np.abs(projected[:, :2] / projected[:, 2:3] - rays).max() < 1e-6
 
@@ -400,7 +502,7 @@ def test_p3p_fourth_point_disambiguates(rng):
     )
     world = (cam_points - pose.translation) @ pose.rotation
     rays = cam_points[:, :2] / cam_points[:, 2:3]
-    solutions = pnp_p3p(world[None, :3], rays[None, :3])[0]
+    solutions = [Pose(*s) for s in pnp_p3p(world[None, :3], rays[None, :3])[0]]
     assert solutions
 
     def fourth_point_error(candidate):
@@ -508,8 +610,8 @@ def _p3p_one_sample(points3d, rays):
 
 def _same_poses(reference, poses):
     return len(reference) == len(poses) and all(
-        r.tobytes() == pose.rotation.tobytes() and t.tobytes() == pose.translation.tobytes()
-        for (r, t), pose in zip(reference, poses)
+        r.tobytes() == rotation.tobytes() and t.tobytes() == translation.tobytes()
+        for (r, t), (rotation, translation) in zip(reference, poses)
     )
 
 
@@ -575,7 +677,24 @@ def test_p3p_degenerate_samples_leave_their_window_intact():
     for sample, poses in zip(samples, neighbours):
         assert _same_poses(_p3p_one_sample(sample[:, 2:], normalized_coords(k, sample[:, :2])), poses)
         alone = pnp_p3p(sample[None, :, 2:], normalized_coords(k, sample[None, :, :2]))[0]
-        assert _same_poses([(p.rotation, p.translation) for p in alone], poses)
+        assert _same_poses(alone, poses)
+
+
+def test_candidates_a_pose_would_reject_are_dropped(monkeypatch):
+    samples, k = _real_p3p_samples(16)
+    points, rays = samples[:, :, 2:], normalized_coords(k, samples[:, :, :2])
+    assert sum(map(len, pnp_p3p(points, rays))) > 0
+    defect = solvers.rotation_defect
+    monkeypatch.setattr(solvers, "rotation_defect", lambda r: defect(r) + 2e-9)  # every rotation past ROTATION_TOL
+    assert pnp_p3p(points, rays) == [[]] * 16
+    assert not solvers._kabsch(points, points + 1.0)[2].any()
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=0))
+    q, k = scene.queries[0], scene.intrinsics
+    for name in ("pnp", "procrustes"):
+        estimate = run_estimator(
+            name, q.correspondences, scene.depth_ref, q.depth_query, k, k, EstimatorConfig(max_iterations=100)
+        )
+        assert estimate.status is EstimateStatus.NO_ESTIMATE
 
 
 def test_p3p_newton_singular_root_stops_alone():
@@ -637,6 +756,92 @@ def test_refine_essential_never_raises_sampson_cost_on_noise():
         for e in (start, essential_from_pose(truth.rotation, truth.translation)):
             refined = refine_essential(e, matches)
             assert np.sum(sampson_error(refined, matches) ** 2) <= np.sum(sampson_error(e, matches) ** 2), seed
+
+
+def _skew_reference(v):
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _rodrigues_reference(w):
+    """The one-vector Rodrigues body that the stacked form replaced."""
+    angle = float(np.linalg.norm(w))
+    if angle < 1e-12:
+        return np.eye(3) + _skew_reference(w)
+    k = _skew_reference(w / angle)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def test_stacked_rodrigues_rounds_as_the_one_vector_form():
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-16, 1, (4000, 1))
+    w[:30] *= 10.0 ** rng.uniform(-15, -12.5, (30, 1)) / np.linalg.norm(w[:30], axis=1, keepdims=True)
+    w[30] = 0.0
+    w[31] = [1e-12, 0.0, 0.0]  # the switch itself
+    assert (np.linalg.norm(w, axis=1) < 1e-12).sum() >= 31
+    expected = np.array([_rodrigues_reference(v) for v in w])
+    assert skew(w).tobytes() == np.array([_skew_reference(v) for v in w]).tobytes()
+    assert np.array([rotation_from_axis_angle(v) for v in w]).tobytes() == expected.tobytes()
+    for window in (1, 10, 4000):
+        parts = [rotation_from_axis_angle(w[i : i + window]) for i in range(0, len(w), window)]
+        assert np.concatenate(parts).tobytes() == expected.tobytes()
+
+
+def test_stacked_essential_from_pose_rounds_as_the_one_pose_form():
+    rng = np.random.default_rng(8)
+    rotations = np.array([random_rotation(rng) for _ in range(200)])
+    translations = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 3, (200, 1))
+    stacked = essential_from_pose(rotations, translations)
+    one = [essential_from_pose(r, t) for r, t in zip(rotations, translations)]
+    reference = [_skew_reference(t) @ r / np.linalg.norm(_skew_reference(t) @ r) for r, t in zip(rotations, translations)]
+    assert stacked.tobytes() == np.array(one).tobytes() == np.array(reference).tobytes()
+    translations[3] = 0.0
+    with pytest.raises(InvalidParameterError):
+        essential_from_pose(rotations, translations)
+
+
+def _refine_essential_reference(e, matches):
+    """refine_essential with its ten perturbed models built one at a time by the one-vector forms."""
+    rotation, t_dir = decompose_essential(e, matches)
+    axis = np.array([1.0, 0.0, 0.0]) if abs(t_dir[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    b1 = np.cross(t_dir, axis)
+    b1 /= np.linalg.norm(b1)
+    b2 = np.cross(t_dir, b1)
+
+    def build(p):
+        rot = _rodrigues_reference(p[:3]) @ rotation
+        direction = _rodrigues_reference(b1 * p[3] + b2 * p[4]) @ t_dir
+        m = _skew_reference(direction) @ rot
+        return m / np.linalg.norm(m)
+
+    def evaluate(p):
+        res = sampson_error(build(p), matches)
+        return float(np.sum(res**2)), res, None
+
+    def jacobian(p, res, state):
+        step_h = 1e-6
+        perturbed = []
+        for j in range(5):
+            forward = p.copy()
+            forward[j] += step_h
+            backward = p.copy()
+            backward[j] -= step_h
+            perturbed += [build(forward), build(backward)]
+        rows = sampson_error(np.stack(perturbed), matches)
+        return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / (2.0 * step_h)).T)
+
+    params, *_ = solvers._damped_least_squares(np.zeros(5), evaluate, jacobian, np.add, 1e-6, 1e8, 1e-10, 20)
+    return build(params)
+
+
+def test_refine_essential_stacked_jacobian_models_round_as_one_at_a_time():
+    steps = 0
+    for seed in range(8):
+        for noise in (0.0, 1.0):
+            matches, _, start = _perturbed_start(seed, pixel_noise_px=noise)
+            assert refine_essential(start, matches).tobytes() == _refine_essential_reference(start, matches).tobytes()
+            steps += 1
+    assert steps == 16
 
 
 # ---------------------------------------------------------------------------
