@@ -145,28 +145,62 @@ def save_intrinsics(path, intrinsics: dict[str, CameraIntrinsics]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_floats(tokens: list[str]) -> tuple[list[float], ValueError | None]:
+    """`float()` of each token up to the first that fails, and that token's error (None if all parse)."""
+    try:
+        return list(map(float, tokens)), None
+    except ValueError:
+        pass
+    values = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError as exc:
+            return values, exc
+    return values, None
+
+
 def load_correspondences(path, k_ref: CameraIntrinsics, k_query: CameraIntrinsics) -> CorrespondenceSet:
-    """Parse `u_ref v_ref u_query v_query score` lines; empty file = empty set."""
+    """Parse `u_ref v_ref u_query v_query score` lines; empty file = empty set.
+
+    The file is parsed in one pass: tokens go through `float()` together and
+    the finiteness and image-bounds checks run as array masks.  On a
+    malformed file the error names the first bad line, whatever its fault.
+    """
     path = Path(path)
-    rows = []
+    numbers: list[int] = []
+    tokens: list[str] = []
+    error = None  # (line, message) of the first line that is not five numbers
     for number, fields in read_fields(path):
         if len(fields) != 5:
-            raise FormatError(path, f"expected 5 fields, got {len(fields)}", number)
-        try:
-            values = [float(v) for v in fields]
-        except ValueError as exc:
-            raise FormatError(path, f"non-numeric field: {exc}", number) from exc
-        if not all(np.isfinite(values)):
-            raise FormatError(path, "non-finite value", number)
-        for k, (u, v), side in ((k_ref, values[0:2], "reference"), (k_query, values[2:4], "query")):
-            if not (0 <= u < k.width and 0 <= v < k.height):
-                raise FormatError(
-                    path, f"{side} pixel ({u:g}, {v:g}) outside {k.width}x{k.height} image", number
-                )
-        rows.append(values)
+            error = (number, f"expected 5 fields, got {len(fields)}")
+            break
+        numbers.append(number)
+        tokens += fields
+    values, exc = _parse_floats(tokens)
+    rows = len(values) // 5
+    if exc is not None:  # keep the whole lines before the one that failed
+        error = (numbers[rows], f"non-numeric field: {exc}")
+        del values[5 * rows :]
+    arr = np.array(values).reshape(rows, 5)
+
+    non_finite = ~np.isfinite(arr).all(axis=1)
+    outside_ref = ~k_ref.contains(arr[:, 0:2])  # NaN counts as outside; non_finite is reported first
+    outside_query = ~k_query.contains(arr[:, 2:4])
+    bad = np.flatnonzero(non_finite | outside_ref | outside_query)
+    if len(bad):  # every parsed line precedes `error`'s line, so the first bad row wins
+        row = bad[0]
+        if non_finite[row]:
+            raise FormatError(path, "non-finite value", numbers[row])
+        if outside_ref[row]:
+            side, k, (u, v) = "reference", k_ref, arr[row, 0:2]
+        else:
+            side, k, (u, v) = "query", k_query, arr[row, 2:4]
+        raise FormatError(path, f"{side} pixel ({u:g}, {v:g}) outside {k.width}x{k.height} image", numbers[row])
+    if error is not None:
+        raise FormatError(path, error[1], error[0]) from exc
     if not rows:
         return CorrespondenceSet.empty()
-    arr = np.array(rows)
     return CorrespondenceSet(arr[:, 0:2], arr[:, 2:4], arr[:, 4])
 
 
@@ -201,7 +235,7 @@ def load_depth_map(path) -> DepthMap:
     if len(blob) != expected:
         raise FormatError(path, f"payload is {len(blob)} bytes, expected {expected} for {width}x{height}")
     values = np.frombuffer(blob, dtype="<f4", count=width * height, offset=12)
-    return DepthMap(values.astype(np.float64).reshape(height, width))
+    return DepthMap(values.reshape(height, width))  # DepthMap takes the one float64 copy
 
 
 def save_depth_map(path, depth: DepthMap) -> None:
@@ -528,9 +562,3 @@ def synth_write(scene: SyntheticScene, root, scene_id: str) -> None:
         save_correspondences(scene_root / "matches" / f"{query.name}.txt", query.correspondences)
     save_intrinsics(scene_root / "intrinsics.txt", intrinsics)
     save_poses(scene_root / "poses.txt", poses)
-
-
-def synth_generate(config: SyntheticSceneConfig, root, scene_id: str) -> SceneManifest:
-    """Generate a synthetic scene on disk and return its loaded manifest."""
-    synth_write(synth_scene(config), root, scene_id)
-    return load_scene(root, scene_id)

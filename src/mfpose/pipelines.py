@@ -98,10 +98,10 @@ class DepthMap:
     values: np.ndarray  # (height, width), row-major
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        with np.errstate(invalid="ignore"):  # a signaling NaN is an invalid pixel like any NaN
+            values = np.array(self.values, dtype=float, order="C")  # the map's own copy, never a view
         if values.ndim != 2:
             raise InvalidParameterError("depth map must be a 2-D array")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

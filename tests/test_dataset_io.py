@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mfpose.dataset import (
+    DEPTH_MAGIC,
     SyntheticSceneConfig,
     list_scenes,
     load_correspondences,
@@ -13,7 +16,6 @@ from mfpose.dataset import (
     save_depth_map,
     save_intrinsics,
     save_poses,
-    synth_generate,
     synth_scene,
     synth_write,
 )
@@ -70,6 +72,22 @@ def test_depth_float32_load_is_lossless(tmp_path):
     save_depth_map(path, DepthMap(values))
     loaded = load_depth_map(path)
     assert np.array_equal(loaded.values, values.astype(np.float64))
+
+
+def test_depth_load_widens_the_float32_payload_bit_for_bit(tmp_path):
+    # written byte by byte, so NaN payloads, -0.0, subnormals and the extremes reach the loader as stored;
+    # the last value is a signaling NaN, which must load without a RuntimeWarning
+    bits = np.array(
+        [0x3F800000, 0x80000000, 0x00000001, 0x7F7FFFFF, 0x7F800000, 0xFF800000, 0x7FC00001, 0xFFA00000],
+        dtype="<u4",
+    )
+    path = tmp_path / "d.mfdm"
+    path.write_bytes(DEPTH_MAGIC + struct.pack("<II", 4, 2) + bits.tobytes())
+    loaded = load_depth_map(path)
+    with np.errstate(invalid="ignore"):
+        expected = bits.view("<f4").astype(np.float64).reshape(2, 4)
+    assert loaded.values.dtype == np.float64 and not loaded.values.flags.writeable
+    assert loaded.values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +194,53 @@ def test_correspondences_malformed(tmp_path):
     path.write_text("1 2 3 4 score\n")
     with pytest.raises(FormatError, match="non-numeric"):
         load_correspondences(path, K, K)
+
+
+GOOD = "10 20 30 40 0.5"
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        # the first bad line wins, whatever its fault and whatever follows it
+        ([GOOD, GOOD, "1 2 x 4 0.5", GOOD, "1 2 3 4"], 3,
+         "non-numeric field: could not convert string to float: 'x'"),
+        ([GOOD, "1 2 3 4", "1 2 x 4 0.5"], 2, "expected 5 fields, got 4"),
+        ([GOOD, "1 nan 3 4 0.5", GOOD, "10 10 650 240 1.0"], 2, "non-finite value"),
+        ([GOOD, "10 10 650 240 1.0", "1 2 3 4 inf"], 2, "query pixel (650, 240) outside 640x480 image"),
+        (["10 -1 320 240 1.0", "1 2 x 4 0.5"], 1, "reference pixel (10, -1) outside 640x480 image"),
+        (["10 10 650 240 1.0", "1 2 3 4 5 6"], 1, "query pixel (650, 240) outside 640x480 image"),
+        ([GOOD, "1 2 x 4 y"], 2, "non-numeric field: could not convert string to float: 'x'"),
+        # within one line: non-finite before bounds, reference before query
+        (["-1 10 nan 10 1.0"], 1, "non-finite value"),
+        (["640 10 650 10 1.0"], 1, "reference pixel (640, 10) outside 640x480 image"),
+        (["10 480.5 10 10 1.0"], 1, "reference pixel (10, 480.5) outside 640x480 image"),
+        # comment and blank lines keep their numbers
+        (["# header", "", GOOD, "  # indented comment", "\t", "1 2 3 4 0.5 6"], 6, "expected 5 fields, got 6"),
+        # exactly the tokens float() accepts
+        (["1_0 +5 0x10 4 0.5"], 1, "non-numeric field: could not convert string to float: '0x10'"),
+        (["1 1e400 3 4 0.5"], 1, "non-finite value"),
+        (["1 2 3 4 nan"], 1, "non-finite value"),
+        (["1 2 3 4 -Infinity"], 1, "non-finite value"),
+    ],
+)
+def test_correspondence_errors_name_the_first_bad_line(tmp_path, lines, line, message):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        load_correspondences(path, K, K)
+    assert str(info.value) == f"{path}:{line}: {message}"
+    assert info.value.line == line
+
+
+def test_correspondences_accept_the_tokens_float_accepts(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# u_ref v_ref u_query v_query score\n1_0 +5 1E1 .5e1 0.1\n\n  639.9\t479 0 -0.0 1  \n")
+    loaded = load_correspondences(path, K, K)
+    assert loaded.ref_px.tolist() == [[10.0, 5.0], [639.9, 479.0]]
+    assert loaded.query_px.tolist() == [[10.0, 5.0], [0.0, -0.0]]
+    assert loaded.scores.tolist() == [0.1, 1.0]
+    assert np.signbit(loaded.query_px[1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +390,16 @@ def test_synth_outlier_masks_recovered_by_robust_engine():
     assert 1.0 - total_wrong / total >= 0.95
 
 
-def test_synth_generate_writes_loadable_scene(tmp_path):
-    manifest = synth_generate(SyntheticSceneConfig(rng_seed=2, num_points=60, num_queries=2), tmp_path, "sc")
+def test_synth_write_writes_loadable_scene(tmp_path):
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=2, num_points=60, num_queries=2))
+    synth_write(scene, tmp_path, "sc")
+    manifest = load_scene(tmp_path, "sc")
     assert manifest.queries == ["query0000", "query0001"]
-    for query in manifest.queries:
-        assert len(manifest.load_matches(query)) > 10
-        manifest.load_depth(query)
+    for query, written in zip(manifest.queries, scene.queries):
+        loaded = manifest.load_matches(query)
+        assert len(loaded) > 10
+        assert np.array_equal(loaded.ref_px, written.correspondences.ref_px)
+        assert np.array_equal(loaded.query_px, written.correspondences.query_px)
+        assert np.array_equal(loaded.scores, written.correspondences.scores)
+        stored = written.depth_query.values.astype(np.float32)  # the file holds float32
+        assert np.array_equal(manifest.load_depth(query).values, stored)

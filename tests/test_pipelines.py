@@ -72,6 +72,31 @@ def test_depth_map_validity_marker():
     assert valid.tolist() == [[True, True], [False, False]]
 
 
+def test_depth_map_owns_a_read_only_float64_copy():
+    base = np.arange(6, dtype=np.float32).reshape(2, 3) + 1
+    sources = {
+        "float64": base.astype(np.float64),
+        "float32": base.copy(),
+        "fortran": np.asfortranarray(base.astype(np.float64)),
+        "read-only view": np.frombuffer(base.astype("<f4").tobytes(), dtype="<f4").reshape(2, 3),
+        "list": base.tolist(),
+    }
+    for name, source in sources.items():
+        dm = DepthMap(source)
+        assert dm.values.dtype == np.float64, name
+        assert dm.values.flags.c_contiguous and not dm.values.flags.writeable, name
+        with pytest.raises(ValueError):
+            dm.values[0, 0] = 9.0
+        assert np.array_equal(dm.values, base), name
+        if isinstance(source, np.ndarray):
+            assert not np.shares_memory(dm.values, source), name
+            if source.flags.writeable:
+                source[0, 0] = 9.0
+                assert dm.values[0, 0] == 1.0, name
+    with pytest.raises(InvalidParameterError):
+        DepthMap(np.ones(4))
+
+
 def test_pixel_index_half_up():
     u, v = pixel_index(np.array([[1.5, 2.49], [0.5, 0.51]]))
     assert u.tolist() == [2, 1] and v.tolist() == [2, 1]
