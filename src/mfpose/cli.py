@@ -32,7 +32,7 @@ from .evaluation import (
     aggregate_report,
     pose_acceptable,
     precision_curve,
-    score_query,
+    score_queries,
     vcre_acceptable,
 )
 from .geometry import Pose, quaternion_from_rotation, rotation_from_quaternion
@@ -81,10 +81,15 @@ def format_estimate_line(scene_id: str, query_id: str, estimate: PoseEstimate) -
 def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
     path = Path(path)
     out = []
+    first_lines: dict[tuple[str, str], int] = {}  # a repeated query would count twice in every rate
     for number, fields in read_fields(path):
         if len(fields) < 3:
             raise FormatError(path, "expected `scene query status ...`", number)
         scene_id, query_id, status_text = fields[:3]
+        first = first_lines.setdefault((scene_id, query_id), number)
+        if first != number:
+            message = f"repeated estimate for {scene_id} {query_id}, first given on line {first}"
+            raise FormatError(path, message, number)
         try:
             status = EstimateStatus(status_text)
         except ValueError as exc:
@@ -185,11 +190,10 @@ def cmd_estimate(args) -> int:
 def _records_from_estimates(
     estimates_path: Path, dataset: Path, grid: VirtualGrid
 ) -> list[EvaluationRecord]:
-    estimates = parse_estimates(estimates_path)
     manifests: dict[str, SceneManifest] = {}
     unmatched = []
-    records = []
-    for scene_id, query_id, estimate in estimates:
+    rows = []
+    for scene_id, query_id, estimate in parse_estimates(estimates_path):
         if scene_id not in manifests:
             try:
                 manifests[scene_id] = load_scene(dataset, scene_id)
@@ -200,21 +204,12 @@ def _records_from_estimates(
         if query_id not in manifest.queries or not manifest.has_ground_truth:
             unmatched.append(f"{scene_id}/{query_id}")
             continue
-        records.append(
-            score_query(
-                scene_id,
-                query_id,
-                estimate,
-                manifest.poses[query_id],
-                manifest.intrinsics[query_id],
-                grid,
-            )
-        )
+        rows.append((scene_id, query_id, estimate, manifest.poses[query_id], manifest.intrinsics[query_id]))
     if unmatched:
         raise MissingGroundTruthError(
             estimates_path, "queries without ground truth: " + ", ".join(sorted(unmatched))
         )
-    return records
+    return score_queries(rows, grid)
 
 
 def cmd_evaluate(args) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import CameraIntrinsics, Pose, compose, inverse, rotation_error_deg, translation_error_m
+from .geometry import CameraIntrinsics, Pose, rotation_error_deg
 from .pipelines import EstimateStatus, PoseEstimate
 
 REPORT_SCHEMA_VERSION = 1
@@ -26,6 +26,9 @@ REPORT_SCHEMA_VERSION = 1
 PER_SCENE_FIELDS = (
     "scene_id", "queries", "ok", "median_rotation_error_deg", "median_translation_error_m", "median_vcre_px"
 )
+# Records per scoring pass, whose ok records are scored as one stack.  One
+# stack for a whole file would make `evaluate`'s peak memory grow with it.
+SCORE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -68,39 +71,57 @@ def build_virtual_grid(grid: VirtualGrid = VirtualGrid()) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
+def score_poses(
+    r_est: np.ndarray,
+    t_est: np.ndarray,
+    r_gt: np.ndarray,
+    t_gt: np.ndarray,
+    intrinsics: np.ndarray,
+    grid: VirtualGrid = VirtualGrid(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotation error (deg), camera-center distance (m) and VCRE (px) for each row of a stack.
+
+    r_est, r_gt are (N, 3, 3) rotations, t_est, t_gt (N, 3) translations and
+    intrinsics an (N, 5) array of fx, fy, cx, cy and image diagonal.  VCRE
+    compares each grid point v (in the true query camera frame) with its
+    image under T_est @ T_gt^-1; the per-point error is capped at one image
+    diagonal so points pushed to or behind the camera plane cannot make the
+    average unbounded.  Rows are independent: each rounds as a stack of one.
+    No intermediate transform is checked for being a proper rotation, so two
+    valid poses always score.
+    """
+    rotation_deg = rotation_error_deg(r_est, r_gt)
+    center_est = -(np.swapaxes(r_est, -1, -2) @ t_est[..., None])
+    center_gt = -(np.swapaxes(r_gt, -1, -2) @ t_gt[..., None])  # also T_gt^-1's translation
+    shift = center_est - center_gt
+    center_m = np.sqrt(np.swapaxes(shift, -1, -2) @ shift)[:, 0, 0]  # a BLAS dot per row, as np.linalg.norm
+
+    points = build_virtual_grid(grid)
+    delta_r = r_est @ np.swapaxes(r_gt, -1, -2)
+    delta_t = (r_est @ center_gt)[..., 0] + t_est
+    moved = points @ np.swapaxes(delta_r, -1, -2) + delta_t[:, None, :]
+    fx, fy, cx, cy, cap = (column[:, None] for column in intrinsics.T)
+    u_ref = fx * points[:, 0] / points[:, 2] + cx
+    v_ref = fy * points[:, 1] / points[:, 2] + cy
+    front = moved[..., 2] > 0
+    z = np.where(front, moved[..., 2], 1.0)
+    du = fx * moved[..., 0] / z + cx - u_ref
+    dv = fy * moved[..., 1] / z + cy - v_ref
+    errors = np.where(front, np.minimum(np.hypot(du, dv), cap), cap)
+    # identical transforms score exactly 0, without the rounding residue of T_est @ T_gt^-1
+    same = (r_est == r_gt).all(axis=(-2, -1)) & (t_est == t_gt).all(axis=-1)
+    vcre_px = np.where(same, 0.0, errors.mean(axis=-1))
+    return rotation_deg, center_m, vcre_px
+
+
 def vcre(
     pose_est: Pose,
     pose_gt: Pose,
     k_query: CameraIntrinsics,
     grid: VirtualGrid = VirtualGrid(),
 ) -> float:
-    """Mean reprojection displacement of the virtual grid, in pixels.
-
-    Each grid point v (in the true query camera frame) is compared with its
-    image under T_est @ T_gt^-1; the per-point error is capped at one image
-    diagonal so points pushed to or behind the camera plane cannot make the
-    average unbounded.
-    """
-    points = build_virtual_grid(grid)
-    if np.array_equal(pose_est.rotation, pose_gt.rotation) and np.array_equal(
-        pose_est.translation, pose_gt.translation
-    ):
-        return 0.0  # identical transforms: skip the compose/inverse rounding residue
-    delta = compose(pose_est, inverse(pose_gt))
-    moved = delta.transform(points)
-    cap = k_query.diagonal
-
-    z_ref = points[:, 2]
-    u_ref = k_query.fx * points[:, 0] / z_ref + k_query.cx
-    v_ref = k_query.fy * points[:, 1] / z_ref + k_query.cy
-    errors = np.full(len(points), cap)
-    front = moved[:, 2] > 0
-    if np.any(front):
-        z = moved[front, 2]
-        du = k_query.fx * moved[front, 0] / z + k_query.cx - u_ref[front]
-        dv = k_query.fy * moved[front, 1] / z + k_query.cy - v_ref[front]
-        errors[front] = np.minimum(np.hypot(du, dv), cap)
-    return float(errors.mean())
+    """Mean reprojection displacement of the virtual grid, in pixels (see `score_poses`)."""
+    return score_queries([("", "", PoseEstimate(EstimateStatus.OK, pose_est), pose_gt, k_query)], grid)[0].vcre_px
 
 
 @dataclass(frozen=True)
@@ -124,6 +145,36 @@ class EvaluationRecord:
             raise InvalidParameterError("confidence must be a number >= 0")
 
 
+def score_queries(
+    rows: Sequence[tuple[str, str, PoseEstimate, Pose, CameraIntrinsics]],
+    grid: VirtualGrid = VirtualGrid(),
+) -> list[EvaluationRecord]:
+    """One record per (scene_id, query_id, estimate, gt, k_query) row, in row order.
+
+    The ok rows are scored SCORE_BLOCK at a time by `score_poses`.
+    """
+    records = []
+    for start in range(0, len(rows), SCORE_BLOCK):
+        block = rows[start:start + SCORE_BLOCK]
+        ok = [(e.pose, gt, k) for _, _, e, gt, k in block if e.status is EstimateStatus.OK]
+        if ok:
+            intrinsics = np.array([(k.fx, k.fy, k.cx, k.cy, k.diagonal) for _, _, k in ok])
+            scored = score_poses(
+                np.array([pose.rotation for pose, _, _ in ok]),
+                np.array([pose.translation for pose, _, _ in ok]),
+                np.array([gt.rotation for _, gt, _ in ok]),
+                np.array([gt.translation for _, gt, _ in ok]),
+                intrinsics,
+                grid,
+            )
+            # rotation_error_deg, translation_error_m, vcre_px, image_diagonal_px per ok row
+            errors = zip(*(column.tolist() for column in (*scored, intrinsics[:, 4])))
+        for scene_id, query_id, estimate, _, _ in block:
+            scores = next(errors) if estimate.status is EstimateStatus.OK else ()
+            records.append(EvaluationRecord(scene_id, query_id, estimate.status, estimate.confidence, *scores))
+    return records
+
+
 def score_query(
     scene_id: str,
     query_id: str,
@@ -133,19 +184,7 @@ def score_query(
     grid: VirtualGrid = VirtualGrid(),
 ) -> EvaluationRecord:
     """Populate all three error measures for an estimate, given ground truth."""
-    if estimate.status is not EstimateStatus.OK:
-        return EvaluationRecord(scene_id, query_id, estimate.status, estimate.confidence)
-    pose = estimate.pose
-    return EvaluationRecord(
-        scene_id,
-        query_id,
-        EstimateStatus.OK,
-        estimate.confidence,
-        rotation_error_deg=rotation_error_deg(pose.rotation, gt.rotation),
-        translation_error_m=translation_error_m(pose, gt),
-        vcre_px=vcre(pose, gt, k_query, grid),
-        image_diagonal_px=k_query.diagonal,
-    )
+    return score_queries([(scene_id, query_id, estimate, gt, k_query)], grid)[0]
 
 
 @dataclass(frozen=True)
@@ -254,8 +293,9 @@ def aggregate_report(
 ) -> dict:
     """Dataset-level report: per-scene medians, acceptance rates, curves, CDF.
 
-    Acceptance rates are fractions of *all* queries (failed estimates count
-    as not acceptable), which matches the precision-at-full-ratio reading.
+    Acceptance rates are fractions of all records, failed estimates included
+    (they count as not acceptable), which matches the precision-at-full-ratio
+    reading.
     The returned dict is JSON-ready with stable field names.
     """
     records = sorted(records, key=lambda r: (r.scene_id, r.query_id))

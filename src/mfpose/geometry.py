@@ -332,12 +332,17 @@ def normalized_coords(k: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
     return np.stack([(px[..., 0] - k.cx) / k.fx, (px[..., 1] - k.cy) / k.fy], axis=-1)
 
 
-def rotation_error_deg(r: np.ndarray, r_gt: np.ndarray) -> float:
-    """Angle in degrees between two rotations; symmetric, in [0, 180]."""
+def rotation_error_deg(r: np.ndarray, r_gt: np.ndarray):
+    """Angle in degrees between two rotations; symmetric, in [0, 180].
+
+    A float for two (3, 3) matrices, an (N,) array for (N, 3, 3) stacks,
+    each row rounding as the two-matrix call.
+    """
     r = np.asarray(r, dtype=float)
     r_gt = np.asarray(r_gt, dtype=float)
-    cos = (np.trace(r @ r_gt.T) - 1.0) / 2.0
-    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
+    cos = (np.trace(r @ np.swapaxes(r_gt, -1, -2), axis1=-2, axis2=-1) - 1.0) / 2.0
+    angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    return float(angle) if r.ndim == 2 else angle
 
 
 def translation_error_m(p: Pose, p_gt: Pose) -> float:

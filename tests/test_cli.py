@@ -209,6 +209,35 @@ def test_evaluate_mixed_fixture_matches_recount(dataset, tmp_path, capsys):
     assert 0.0 < report["summary"]["acceptance"]["vcre_0.1"] < 1.0
 
 
+def test_repeated_estimate_exits_2_naming_both_lines(dataset, tmp_path, capsys):
+    # five more copies of an ok line would raise every acceptance rate
+    estimates = tmp_path / "est.txt"
+    assert main(["estimate", "--dataset", str(dataset), "--out", str(estimates), "--estimator", "pnp"]) == EXIT_OK
+    lines = estimates.read_text().splitlines()
+    ok_line = next(line for line in lines if line.split()[2] == "ok")
+    scene_id, query_id = ok_line.split()[:2]
+    estimates.write_text("\n".join(lines + [ok_line] * 5) + "\n")
+    first = lines.index(ok_line) + 1
+    expected = f"est.txt:{len(lines) + 1}: repeated estimate for {scene_id} {query_id}, first given on line {first}"
+    with pytest.raises(FormatError, match=expected):
+        parse_estimates(estimates)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    curve = tmp_path / "curve.csv"
+    for argv in (
+        ["evaluate", "--estimates", str(estimates), "--dataset", str(dataset), "--out-json", str(report)],
+        ["curves", "--estimates", str(estimates), "--dataset", str(dataset), "--out", str(curve)],
+    ):
+        assert main(argv) == EXIT_IO, argv[0]
+        assert expected in capsys.readouterr().err, argv[0]
+    assert not report.exists() and not curve.exists()
+    # a failed line repeats a query as much as an ok one does
+    estimates.write_text(f"{scene_id} {query_id} no_estimate\n{ok_line}\n")
+    repeat = rf"est\.txt:2: repeated estimate for {scene_id} {query_id}, first given on line 1$"
+    with pytest.raises(FormatError, match=repeat):
+        parse_estimates(estimates)
+
+
 def test_evaluate_unmatched_queries_exit_3(dataset, tmp_path):
     estimates = tmp_path / "est.txt"
     estimates.write_text("scene0000 ghost no_estimate\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfpose import evaluation
 from mfpose.errors import InvalidParameterError
 from mfpose.evaluation import (
     CurvePoint,
@@ -12,14 +13,26 @@ from mfpose.evaluation import (
     curve_auc,
     pose_acceptable,
     precision_curve,
+    score_queries,
     score_query,
     vcre,
     vcre_acceptable,
 )
-from mfpose.geometry import CameraIntrinsics, Pose, rot_y, rot_z
+from mfpose.geometry import (
+    CameraIntrinsics,
+    Pose,
+    camera_center,
+    compose,
+    inverse,
+    rot_x,
+    rot_y,
+    rot_z,
+    rotation_defect,
+    rotation_from_axis_angle,
+)
 from mfpose.pipelines import EstimateStatus, PoseEstimate
 
-from conftest import random_pose
+from conftest import random_pose, random_rotation
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 K_TALL = CameraIntrinsics(480.0, 480.0, 270.0, 360.0, 540, 720)
@@ -98,8 +111,6 @@ def test_vcre_matches_brute_force(rng):
 
 
 def test_vcre_frame_change_invariance(rng):
-    from mfpose.geometry import compose
-
     for _ in range(10):
         gt = random_pose(rng, max_angle_deg=40.0, translation_scale=0.5)
         est = random_pose(rng, max_angle_deg=40.0, translation_scale=0.5)
@@ -175,6 +186,106 @@ def test_score_query_synthetic_perturbation():
         est.rotation.T @ est.translation - gt.rotation.T @ gt.translation
     )
     assert record.translation_error_m == pytest.approx(expected_t, abs=1e-12)
+
+
+def test_score_query_scores_valid_poses_whose_product_is_off_tolerance():
+    # each rotation is within ROTATION_TOL of proper, their product R_est @ R_gt^T is not
+    est = Pose(rot_z(10.0) * (1 + 3e-10), np.array([0.1, 0.0, 0.0]))
+    gt = Pose(rot_z(-30.0) * (1 + 3e-10), np.zeros(3))
+    assert rotation_defect(est.rotation @ gt.rotation.T) > 1e-9
+    record = score_query("s", "q", PoseEstimate(EstimateStatus.OK, est, 1.0), gt, K)
+    assert record.rotation_error_deg == pytest.approx(40.0, abs=1e-6)
+    assert record.translation_error_m == pytest.approx(0.1, abs=1e-9)
+    assert 0.0 < record.vcre_px == vcre(est, gt, K) <= K.diagonal
+
+
+def one_record_reference(estimate, gt, k, grid=VirtualGrid()):
+    """Per-record scoring as it was before stacking, kept to pin each row's rounding."""
+    pose = estimate.pose
+    cos = (np.trace(pose.rotation @ gt.rotation.T) - 1.0) / 2.0
+    rotation = float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
+    translation = float(np.linalg.norm(camera_center(pose) - camera_center(gt)))
+    if np.array_equal(pose.rotation, gt.rotation) and np.array_equal(pose.translation, gt.translation):
+        return rotation, translation, 0.0, k.diagonal
+    points = build_virtual_grid(grid)
+    moved = compose(pose, inverse(gt)).transform(points)
+    cap = k.diagonal
+    z_ref = points[:, 2]
+    u_ref = k.fx * points[:, 0] / z_ref + k.cx
+    v_ref = k.fy * points[:, 1] / z_ref + k.cy
+    errors = np.full(len(points), cap)
+    front = moved[:, 2] > 0
+    if np.any(front):
+        z = moved[front, 2]
+        du = k.fx * moved[front, 0] / z + k.cx - u_ref[front]
+        dv = k.fy * moved[front, 1] / z + k.cy - v_ref[front]
+        errors[front] = np.minimum(np.hypot(du, dv), cap)
+    return rotation, translation, float(errors.mean()), k.diagonal
+
+
+def mixed_rows(rng, count):
+    """Seeded (scene, query, estimate, gt, k) rows over every scoring regime, failures interleaved."""
+    rows = []
+    for i in range(count):
+        gt = random_pose(rng, translation_scale=1.0)
+        width, height = (int(v) for v in rng.integers(64, 2000, 2))
+        k = CameraIntrinsics(float(rng.uniform(100.0, 2000.0)), float(rng.uniform(100.0, 2000.0)),
+                             float(rng.uniform(0.0, width - 1)), float(rng.uniform(0.0, height - 1)), width, height)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        kind = i % 8
+        if kind == 0:  # identical transform
+            est = Pose(gt.rotation.copy(), gt.translation.copy())
+        elif kind == 1:  # rotation error near 0, where the clip can apply
+            est = Pose(rotation_from_axis_angle(axis * rng.uniform(0.0, 1e-7)) @ gt.rotation,
+                       gt.translation + rng.normal(0.0, 1e-3, 3))
+        elif kind == 2:  # rotation error near 180
+            est = Pose(rotation_from_axis_angle(axis * (np.pi - rng.uniform(0.0, 1e-7))) @ gt.rotation,
+                       gt.translation)
+        elif kind == 3:  # part of the grid pushed behind the camera
+            est = Pose(gt.rotation, gt.translation + [0.0, 0.0, -rng.uniform(1.9, 3.5)])
+        elif kind == 4:  # the whole grid behind the camera
+            est = Pose(rot_x(180.0) @ gt.rotation, gt.translation)
+        elif kind == 5:
+            rows.append((f"s{i % 5}", f"q{i}", PoseEstimate(EstimateStatus.NO_ESTIMATE), gt, k))
+            continue
+        elif kind == 6:
+            rows.append((f"s{i % 5}", f"q{i}", PoseEstimate(EstimateStatus.DEGENERATE_SCALE), gt, k))
+            continue
+        else:
+            est = Pose(random_rotation(rng, 60.0) @ gt.rotation, gt.translation + rng.normal(0.0, 0.5, 3))
+        confidence = None if i % 3 == 0 else float(rng.uniform(0.0, 100.0))
+        rows.append((f"s{i % 5}", f"q{i}", PoseEstimate(EstimateStatus.OK, est, confidence), gt, k))
+    return rows
+
+
+def test_stacked_scoring_rounds_each_row_as_the_one_record_code(rng, monkeypatch):
+    rows = mixed_rows(rng, 2101)  # blocks of SCORE_BLOCK end mid-file and mid-regime
+    records = score_queries(rows)
+    assert [(r.scene_id, r.query_id, r.status, r.confidence) for r in records] == [
+        (s, q, e.status, e.confidence) for s, q, e, _, _ in rows
+    ]
+    seen = set()
+    for record, (_, _, estimate, gt, k) in zip(records, rows):
+        if estimate.status is not EstimateStatus.OK:
+            assert record.rotation_error_deg is record.vcre_px is record.image_diagonal_px is None
+            continue
+        got = (record.rotation_error_deg, record.translation_error_m, record.vcre_px, record.image_diagonal_px)
+        want = one_record_reference(estimate, gt, k)
+        assert [v.hex() for v in got] == [v.hex() for v in want], record.query_id
+        pose = estimate.pose
+        if np.array_equal(pose.rotation, gt.rotation) and np.array_equal(pose.translation, gt.translation):
+            assert record.vcre_px == 0.0
+            seen.add("identical")
+        angle = record.rotation_error_deg
+        seen.add("near 0" if angle < 1e-5 else "near 180" if angle > 179.99 else "")
+        behind = np.count_nonzero(compose(pose, inverse(gt)).transform(build_virtual_grid())[:, 2] <= 0)
+        seen.add("all behind" if behind == 196 else "partly behind" if behind else "")
+    assert {"identical", "near 0", "near 180", "all behind", "partly behind"} <= seen
+    assert len({k.diagonal for *_, k in rows}) > 1000
+    # another block size cuts the file elsewhere and changes no row
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK", 7)
+    assert score_queries(rows) == records
 
 
 def test_record_field_consistency_enforced():
