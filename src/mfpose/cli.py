@@ -18,11 +18,22 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SceneManifest, SyntheticSceneConfig, list_scenes, load_scene, read_fields, synth_scene, synth_write
+from .dataset import (
+    SceneManifest,
+    SyntheticSceneConfig,
+    list_scenes,
+    load_scene,
+    parse_floats,
+    read_fields,
+    synth_scene,
+    synth_write,
+)
 from .errors import FormatError, InvalidParameterError, MfposeError, MissingGroundTruthError
 from .evaluation import (
     PER_SCENE_FIELDS,
@@ -35,7 +46,7 @@ from .evaluation import (
     score_queries,
     vcre_acceptable,
 )
-from .geometry import Pose, quaternion_from_rotation, rotation_from_quaternion
+from .geometry import poses_from_stack, quaternion_from_rotation, rotation_from_quaternion
 from .pipelines import (
     ESTIMATOR_NAMES,
     EstimateStatus,
@@ -79,43 +90,79 @@ def format_estimate_line(scene_id: str, query_id: str, estimate: PoseEstimate) -
 
 
 def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
+    """Parse the lines `format_estimate_line` writes.
+
+    The file is parsed in one pass: the numbers of all ok lines go through
+    `float()` together and their poses are converted and checked as one
+    stack.  On a malformed file the error names the first bad line, whatever
+    its fault.
+    """
     path = Path(path)
-    out = []
+    lines: list[tuple[str, str, EstimateStatus]] = []
+    numbers: list[int] = []  # line of each ok line
+    tokens: list[str] = []  # per ok line: seven pose fields and the confidence ("nan" when there is none)
+    has_confidence: list[bool] = []
     first_lines: dict[tuple[str, str], int] = {}  # a repeated query would count twice in every rate
+    error = None  # (line, message) of the first line with a bad layout
     for number, fields in read_fields(path):
         if len(fields) < 3:
-            raise FormatError(path, "expected `scene query status ...`", number)
+            error = (number, "expected `scene query status ...`")
+            break
         scene_id, query_id, status_text = fields[:3]
         first = first_lines.setdefault((scene_id, query_id), number)
         if first != number:
-            message = f"repeated estimate for {scene_id} {query_id}, first given on line {first}"
-            raise FormatError(path, message, number)
+            error = (number, f"repeated estimate for {scene_id} {query_id}, first given on line {first}")
+            break
         try:
             status = EstimateStatus(status_text)
-        except ValueError as exc:
-            raise FormatError(path, f"unknown status {status_text!r}", number) from exc
+        except ValueError:
+            error = (number, f"unknown status {status_text!r}")
+            break
         if status is not EstimateStatus.OK:
             if len(fields) != 3:
-                raise FormatError(path, f"{status_text} lines must have 3 fields", number)
-            out.append((scene_id, query_id, PoseEstimate(status)))
-            continue
-        if len(fields) not in (10, 11):
-            raise FormatError(path, f"ok lines need 10 or 11 fields, got {len(fields)}", number)
-        try:
-            values = [float(v) for v in fields[3:10]]
-        except ValueError as exc:
-            raise FormatError(path, f"non-numeric pose field: {exc}", number) from exc
-        confidence = None
-        if len(fields) == 11 and fields[10] != "-":
-            try:
-                confidence = float(fields[10])
-            except ValueError as exc:
-                raise FormatError(path, f"non-numeric confidence: {exc}", number) from exc
-        try:
-            pose = Pose(rotation_from_quaternion(np.array(values[:4])), np.array(values[4:]))
-            estimate = PoseEstimate(EstimateStatus.OK, pose, confidence)
-        except MfposeError as exc:
-            raise FormatError(path, str(exc), number) from exc
+                error = (number, f"{status_text} lines must have 3 fields")
+                break
+        elif len(fields) not in (10, 11):
+            error = (number, f"ok lines need 10 or 11 fields, got {len(fields)}")
+            break
+        else:
+            confidence = fields[10] if len(fields) == 11 else "-"
+            numbers.append(number)
+            tokens += fields[3:10]
+            tokens.append("nan" if confidence == "-" else confidence)
+            has_confidence.append(confidence != "-")
+        lines.append((scene_id, query_id, status))
+    values, exc = parse_floats(tokens)
+    rows = len(values) // 8
+    if exc is not None:
+        kind = "pose field" if len(values) % 8 < 7 else "confidence"
+        error = (numbers[rows], f"non-numeric {kind}: {exc}")
+        del values[8 * rows :]
+    arr = np.array(values).reshape(rows, 8)
+
+    rotations = rotation_from_quaternion(arr[:, :4])  # all NaN where the norm is zero or not finite
+    poses, fault = poses_from_stack(rotations, arr[:, 4:7])
+    bad_confidence = np.array(has_confidence[:rows], dtype=bool) & ~(arr[:, 7] >= 0)  # NaN fails too
+    faults = [  # (row, message) of each check's first failing row, in the order a line is checked
+        *[(row, "quaternion has zero or non-finite norm")
+          for row in np.flatnonzero(np.isnan(rotations[:, 0, 0]))[:1]],
+        (len(poses), fault),
+        *[(row, "confidence must be a number >= 0") for row in np.flatnonzero(bad_confidence)[:1]],
+    ]
+    row, message = min(faults, key=lambda f: f[0])  # on a tie the earlier check wins
+    if row < rows:
+        raise FormatError(path, message, numbers[row])
+    if error is not None:
+        raise FormatError(path, error[1], error[0]) from exc
+
+    confidences = [value if given else None for value, given in zip(values[7::8], has_confidence)]
+    ok = iter(zip(poses, confidences))
+    out = []
+    for scene_id, query_id, status in lines:
+        if status is EstimateStatus.OK:
+            estimate = PoseEstimate(status, *next(ok))
+        else:
+            estimate = PoseEstimate(status)
         out.append((scene_id, query_id, estimate))
     return out
 
@@ -212,6 +259,57 @@ def _records_from_estimates(
     return score_queries(rows, grid)
 
 
+def _json_text(value) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, written without the slow pure-Python encoder.
+
+    Setting `indent` makes the standard library take that encoder.
+    Non-empty dicts and lists, strings, floats, ints, bools and None are
+    written here; any other value goes through `json.dumps` itself.
+    """
+    parts: list[str] = []
+    _json_parts(value, parts, "\n")
+    return "".join(parts)
+
+
+def _json_parts(value, parts: list[str], newline: str) -> None:
+    kind = type(value)
+    if kind is float:
+        if isfinite(value):
+            parts.append(repr(value))
+        else:
+            parts.append("NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(repr(value))
+    elif value is None or kind is bool:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif kind is dict and value:
+        inner = newline + "  "
+        start = len(parts)
+        try:
+            separator = "{" + inner
+            for key in sorted(value):
+                parts += (separator, encode_basestring_ascii(key), ": ")
+                _json_parts(value[key], parts, inner)
+                separator = "," + inner
+        except TypeError:  # a key that is not a string: json.dumps converts or rejects it
+            del parts[start:]
+            parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+            return
+        parts.append(newline + "}")
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _json_parts(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+
+
 def cmd_evaluate(args) -> int:
     grid = VirtualGrid()
     thresholds = Thresholds(
@@ -230,7 +328,7 @@ def cmd_evaluate(args) -> int:
         print(f"acceptance {name}: {rate:.6f}")
     if args.out_json:
         Path(args.out_json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out_json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.out_json).write_text(_json_text(report) + "\n")
         _log(f"wrote report to {args.out_json}")
     if args.out_csv:
         path = Path(args.out_csv)

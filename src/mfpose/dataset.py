@@ -34,10 +34,12 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     backproject,
+    canonical_quaternions,
+    poses_from_stack,
     project,
-    quaternion_from_rotation,
     rotation_from_axis_angle,
     rotation_from_quaternion,
+    row_norms,
 )
 from .pipelines import CorrespondenceSet, DepthMap, pixel_index
 
@@ -65,52 +67,59 @@ def read_fields(path: Path):
 
 
 def load_poses(path) -> dict[str, Pose]:
-    """Parse `frame qw qx qy qz tx ty tz` lines into world-to-camera poses."""
+    """Parse `frame qw qx qy qz tx ty tz` lines into world-to-camera poses.
+
+    The file is parsed in one pass and its poses are converted and checked
+    as one stack (see load_correspondences); on a malformed file the error
+    names the first bad line, whatever its fault.
+    """
     path = Path(path)
-    poses: dict[str, Pose] = {}
+    names: dict[str, None] = {}
+    numbers: list[int] = []
+    tokens: list[str] = []
+    error = None  # (line, message) of the first line that is not a new frame and seven fields
     for number, fields in read_fields(path):
         if len(fields) != 8:
-            raise FormatError(path, f"expected 8 fields, got {len(fields)}", number)
+            error = (number, f"expected 8 fields, got {len(fields)}")
+            break
         name = fields[0]
-        if name in poses:
-            raise FormatError(path, f"duplicate frame {name!r}", number)
-        try:
-            values = [float(v) for v in fields[1:]]
-        except ValueError as exc:
-            raise FormatError(path, f"non-numeric field: {exc}", number) from exc
-        q = np.array(values[:4])
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > _QUATERNION_NORM_TOL:
-            raise FormatError(path, f"quaternion norm {norm:.6g} is not within {_QUATERNION_NORM_TOL} of 1", number)
-        poses[name] = Pose(rotation_from_quaternion(q), np.array(values[4:]))
-    return poses
+        if name in names:
+            error = (number, f"duplicate frame {name!r}")
+            break
+        names[name] = None
+        numbers.append(number)
+        tokens += fields[1:]
+    values, exc = parse_floats(tokens)
+    rows = len(values) // 7
+    if exc is not None:
+        error = (numbers[rows], f"non-numeric field: {exc}")
+        del values[7 * rows :]
+    arr = np.array(values).reshape(rows, 7)
 
-
-def _canonical_quaternion(rotation: np.ndarray) -> np.ndarray:
-    """Quaternion that is bit-stable under a parse -> matrix -> format cycle.
-
-    Iterating quaternion_from_rotation(rotation_from_quaternion(q)) settles on
-    a fixed point within a few rounds; writing that fixed point makes pose
-    files byte-identical across write -> read -> write.
-    """
-    q = quaternion_from_rotation(rotation)
-    seen = []
-    for _ in range(8):
-        key = q.tobytes()
-        if seen and key == seen[-1]:
-            return q
-        if key in seen:
-            break  # tiny cycle: fall through to a deterministic pick
-        seen.append(key)
-        q = quaternion_from_rotation(rotation_from_quaternion(q))
-    return np.frombuffer(min(seen), dtype=np.float64)
+    norm = row_norms(arr[:, :4])
+    rotations = rotation_from_quaternion(arr[:, :4])  # all NaN where the norm is zero or not finite
+    poses, fault = poses_from_stack(rotations, arr[:, 4:])
+    faults = [  # (row, message) of each check's first failing row, in the order a line is checked
+        *[(row, f"quaternion norm {float(norm[row]):.6g} is not within {_QUATERNION_NORM_TOL} of 1")
+          for row in np.flatnonzero(np.abs(norm - 1.0) > _QUATERNION_NORM_TOL)[:1]],
+        *[(row, "quaternion has zero or non-finite norm")  # a NaN norm passes the check above
+          for row in np.flatnonzero(np.isnan(rotations[:, 0, 0]))[:1]],
+        (len(poses), fault),
+    ]
+    row, message = min(faults, key=lambda f: f[0])  # on a tie the earlier check wins
+    if row < rows:
+        raise FormatError(path, message, numbers[row])
+    if error is not None:
+        raise FormatError(path, error[1], error[0]) from exc
+    return dict(zip(names, poses))
 
 
 def save_poses(path, poses: dict[str, Pose]) -> None:
+    names = sorted(poses)
+    rotations = np.array([poses[name].rotation for name in names]).reshape(-1, 3, 3)
     lines = []
-    for name in sorted(poses):
-        pose = poses[name]
-        values = [*_canonical_quaternion(pose.rotation), *pose.translation]
+    for name, q in zip(names, canonical_quaternions(rotations)):
+        values = [*q, *poses[name].translation]
         lines.append(name + " " + " ".join(repr(float(v)) for v in values))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -145,7 +154,7 @@ def save_intrinsics(path, intrinsics: dict[str, CameraIntrinsics]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_floats(tokens: list[str]) -> tuple[list[float], ValueError | None]:
+def parse_floats(tokens: list[str]) -> tuple[list[float], ValueError | None]:
     """`float()` of each token up to the first that fails, and that token's error (None if all parse)."""
     try:
         return list(map(float, tokens)), None
@@ -177,7 +186,7 @@ def load_correspondences(path, k_ref: CameraIntrinsics, k_query: CameraIntrinsic
             break
         numbers.append(number)
         tokens += fields
-    values, exc = _parse_floats(tokens)
+    values, exc = parse_floats(tokens)
     rows = len(values) // 5
     if exc is not None:  # keep the whole lines before the one that failed
         error = (numbers[rows], f"non-numeric field: {exc}")

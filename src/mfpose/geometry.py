@@ -50,11 +50,27 @@ def rotation_defect(r: np.ndarray):
     return float(defect) if r.ndim == 2 else defect
 
 
+def _rotation_faults(rotations: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of an (N, 3, 3) stack that are not proper rotations.
+
+    A matrix fails when its defect is not within ROTATION_TOL.  One with an
+    entry outside [-2, 2] (NaN and inf included) fails without that test: a
+    rotation's entries lie in [-1, 1], and the defect's products and
+    determinant would overflow or warn on such a matrix.
+    """
+    bounded = np.abs(rotations) <= 2.0
+    if bounded.all():
+        return ~(rotation_defect(rotations) <= ROTATION_TOL)
+    bounded = bounded.all(axis=(1, 2))
+    defect = rotation_defect(np.where(bounded[:, None, None], rotations, _IDENTITY))
+    return ~(bounded & (defect <= ROTATION_TOL))
+
+
 def _check_rotation(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise InvalidParameterError(f"rotation must be 3x3, got {r.shape}")
-    if rotation_defect(r) > ROTATION_TOL:
+    if _rotation_faults(r[None])[0]:
         raise InvalidParameterError("matrix is not a proper rotation")
     return r
 
@@ -77,27 +93,54 @@ def rot_z(angle_deg: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rotation_from_quaternion(q) -> np.ndarray:
-    """Convert a quaternion (w, x, y, z) to a rotation matrix.
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, n) stack, rounding as np.linalg.norm of the row (a BLAS dot).
 
-    The quaternion is normalized first, so file data with |q| slightly off
-    unit is accepted; a zero-norm quaternion is rejected.  q and -q map to
-    the same rotation.
+    A row that overflows or is not finite gets an inf or NaN norm, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+# Entry k of a rotation matrix from a unit quaternion (w, x, y, z) is
+# scale (a + sign b) + offset, with a and b the products named below, so
+# the diagonal rounds as 1 - 2 (a + b) and the rest as 2 (a - b) or 2 (a + b).
+# Adding -0.0 leaves every value, signed zeros included, as it is.
+_QUATERNION_TERMS = np.array(
+    [
+        # yy, xy, xz, xy, xx, yz, xz, yz, xx
+        [10, 6, 7, 6, 5, 11, 7, 11, 5],
+        # zz, wz, wy, wz, zz, wx, wy, wx, yy
+        [15, 3, 2, 3, 15, 1, 2, 1, 10],
+    ]
+)
+_QUATERNION_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_QUATERNION_SCALE = np.array([-2.0, 2.0, 2.0, 2.0, -2.0, 2.0, 2.0, 2.0, -2.0])
+_QUATERNION_OFFSET = np.array([1.0, -0.0, -0.0, -0.0, 1.0, -0.0, -0.0, -0.0, 1.0])
+
+
+def rotation_from_quaternion(q) -> np.ndarray:
+    """Convert quaternions (w, x, y, z) to rotation matrices: one (4,) or an (N, 4) stack.
+
+    Each quaternion is normalized first, so file data with |q| slightly off
+    unit is accepted; q and -q map to the same rotation.  A zero or
+    non-finite norm raises for one quaternion and gives an all-NaN matrix in
+    a stack.  Each matrix of a stack rounds as the one-quaternion call.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
+    if q.ndim not in (1, 2) or q.shape[-1] != 4:
         raise InvalidParameterError(f"quaternion must have 4 components, got {q.shape}")
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0 or not np.isfinite(norm):
+    stack = q.reshape(-1, 4)
+    norm = row_norms(stack)[:, None]
+    bad = (norm == 0.0) | ~np.isfinite(norm)
+    if q.ndim == 1 and bad[0, 0]:
         raise InvalidParameterError("quaternion has zero or non-finite norm")
-    w, x, y, z = q / norm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    unit = stack / np.where(bad, np.nan, norm)  # dividing by NaN raises no flag
+    products = (unit[:, :, None] * unit[:, None, :]).reshape(-1, 16)  # products[4 i + j] = q_i q_j
+    terms = products[:, _QUATERNION_TERMS]  # (N, 2, 9): a and b of each entry
+    r = _QUATERNION_SCALE * (terms[:, 0] + _QUATERNION_SIGN * terms[:, 1]) + _QUATERNION_OFFSET
+    r = r.reshape(-1, 3, 3)
+    return r[0] if q.ndim == 1 else r
 
 
 def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -106,7 +149,10 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
     The sign is canonicalized (first non-zero component positive) so the
     output is deterministic despite the double cover.
     """
-    r = _check_rotation(r)
+    return _quaternion_of_rotation(_check_rotation(r))
+
+
+def _quaternion_of_rotation(r: np.ndarray) -> np.ndarray:
     trace = r[0, 0] + r[1, 1] + r[2, 2]
     if trace > 0:
         s = 0.5 / np.sqrt(trace + 1.0)
@@ -135,6 +181,51 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
                 q = -q
             break
     return q
+
+
+def canonical_quaternions(rotations) -> np.ndarray:
+    """Quaternions of an (N, 3, 3) rotation stack that are bit-stable under a parse -> matrix -> format cycle.
+
+    Iterating quaternion_from_rotation(rotation_from_quaternion(q)) settles on
+    a fixed point within a few rounds; writing that fixed point makes pose
+    files byte-identical across write -> read -> write.  A row whose
+    sequence comes back to an earlier quaternion, or has not settled after
+    eight rounds, gets the least (by bytes) quaternion of its sequence.
+    The stack is checked once, and the rows still iterating share one
+    stacked matrix conversion per round; each row's sequence is the one
+    it would have alone.
+    """
+    rotations = np.asarray(rotations, dtype=float)
+    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+        raise InvalidParameterError(f"need an (N, 3, 3) rotation stack, got {rotations.shape}")
+    if _rotation_faults(rotations).any():
+        raise InvalidParameterError("matrix is not a proper rotation")
+
+    def quaternions(matrices):  # checked above, or made from unit quaternions
+        return np.array([_quaternion_of_rotation(m) for m in matrices]).reshape(-1, 4)
+
+    def least(row, rounds):
+        return np.frombuffer(min(q[row].tobytes() for q in rounds), dtype=np.float64)
+
+    rounds = [quaternions(rotations)]
+    result = rounds[0].copy()
+    pending = np.ones(len(result), dtype=bool)  # rows that have neither settled nor come back
+    for i in range(1, 8):
+        following = rounds[-1].copy()  # a row no longer pending keeps its last quaternion
+        following[pending] = quaternions(rotation_from_quaternion(following[pending]))
+        rounds.append(following)
+        same = [(following.view(np.int64) == q.view(np.int64)).all(axis=1) for q in rounds[:i]]
+        settled = pending & same[-1]
+        result[settled] = following[settled]
+        came_back = pending & ~settled & np.any(same, axis=0)
+        for row in np.flatnonzero(came_back):
+            result[row] = least(row, rounds[:i])
+        pending &= ~(settled | came_back)
+        if not pending.any():
+            return result
+    for row in np.flatnonzero(pending):
+        result[row] = least(row, rounds)
+    return result
 
 
 def rotation_from_6d(a, b) -> np.ndarray:
@@ -223,10 +314,13 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = _check_rotation(self.rotation).copy()
-        t = np.asarray(self.translation, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(t)):
-            raise InvalidParameterError("translation must be finite")
+        r = np.array(self.rotation, dtype=float)
+        if r.shape != (3, 3):
+            raise InvalidParameterError(f"rotation must be 3x3, got {r.shape}")
+        t = np.array(self.translation, dtype=float).reshape(3)
+        _, fault = _first_pose_fault(r[None], t[None])
+        if fault is not None:
+            raise InvalidParameterError(fault)
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
@@ -246,6 +340,46 @@ class Pose:
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply to (..., 3) world points, returning camera-frame points."""
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
+
+
+def _first_pose_fault(rotations: np.ndarray, translations: np.ndarray) -> tuple[int, str | None]:
+    """The first row of an (N, 3, 3) rotation and an (N, 3) translation stack that Pose rejects, and why.
+
+    (N, None) when every row passes.  This is the one check behind Pose and
+    poses_from_stack.
+    """
+    bad_rotation = _rotation_faults(rotations)
+    finite = np.isfinite(translations)
+    bad = bad_rotation if finite.all() else bad_rotation | ~finite.all(axis=1)
+    if not bad.any():
+        return len(rotations), None
+    row = int(bad.argmax())
+    return row, "matrix is not a proper rotation" if bad_rotation[row] else "translation must be finite"
+
+
+def poses_from_stack(rotations, translations) -> tuple[list[Pose], str | None]:
+    """Poses from an (N, 3, 3) rotation and an (N, 3) translation stack, checked once as a stack.
+
+    Returns the poses of the rows before the first that Pose would reject,
+    and that row's fault (None when every row passes), so a caller can
+    name the row.  The poses hold read-only views of one copy of the stacks.
+    """
+    rotations = np.array(rotations, dtype=float)
+    translations = np.array(translations, dtype=float)
+    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3) or translations.shape != (len(rotations), 3):
+        raise InvalidParameterError(
+            f"need (N, 3, 3) rotations and (N, 3) translations, got {rotations.shape} and {translations.shape}"
+        )
+    row, fault = _first_pose_fault(rotations, translations)
+    rotations.setflags(write=False)
+    translations.setflags(write=False)
+    poses = []
+    for r, t in zip(rotations[:row], translations[:row]):
+        pose = object.__new__(Pose)  # already checked: skip __post_init__
+        object.__setattr__(pose, "rotation", r)
+        object.__setattr__(pose, "translation", t)
+        poses.append(pose)
+    return poses, fault
 
 
 def compose(a: Pose, b: Pose) -> Pose:

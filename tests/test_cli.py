@@ -8,6 +8,7 @@ from mfpose.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    _json_text,
     derive_seed,
     format_estimate_line,
     main,
@@ -75,11 +76,121 @@ def test_estimates_parse_errors(tmp_path):
             parse_estimates(path)
 
 
+OK_LINE = "ok 1 0 0 0 0 0 0 1.5"
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        # every fault, alone
+        ([f"s a {OK_LINE}", "s b"], 2, "expected `scene query status ...`"),
+        ([f"s a {OK_LINE}", "s b no_estimate", "s a no_estimate"], 3,
+         "repeated estimate for s a, first given on line 1"),
+        (["s a weird"], 1, "unknown status 'weird'"),
+        (["s a OK 1 0 0 0 0 0 0"], 1, "unknown status 'OK'"),
+        (["s a no_estimate 1"], 1, "no_estimate lines must have 3 fields"),
+        (["s a degenerate_scale - -"], 1, "degenerate_scale lines must have 3 fields"),
+        (["s a ok 1 0 0 0 0 0"], 1, "ok lines need 10 or 11 fields, got 9"),
+        (["s a ok 1 0 0 0 0 0 0 1 2"], 1, "ok lines need 10 or 11 fields, got 12"),
+        (["s a ok 1 0 0 0 0 x 0 2"], 1, "non-numeric pose field: could not convert string to float: 'x'"),
+        (["s a ok 1 0 0 0 0 0 0 high"], 1, "non-numeric confidence: could not convert string to float: 'high'"),
+        (["s a ok 0 0 0 0 0 0 0"], 1, "quaternion has zero or non-finite norm"),
+        (["s a ok 1 nan 0 0 0 0 0"], 1, "quaternion has zero or non-finite norm"),
+        (["s a ok 1 0 0 -inf 0 0 0"], 1, "quaternion has zero or non-finite norm"),
+        (["s a ok 1e200 1e200 0 0 0 0 0"], 1, "quaternion has zero or non-finite norm"),
+        (["s a ok 3e-161 4e-161 0 0 0 0 0"], 1, "matrix is not a proper rotation"),  # a subnormal squared norm
+        (["s a ok 1 0 0 0 0 0 inf"], 1, "translation must be finite"),
+        (["s a ok 1 0 0 0 nan 0 0 -"], 1, "translation must be finite"),
+        (["s a ok 1 0 0 0 0 0 0 -1"], 1, "confidence must be a number >= 0"),
+        (["s a ok 1 0 0 0 0 0 0 nan"], 1, "confidence must be a number >= 0"),
+        # the first bad line wins, whatever its fault and whatever follows it
+        ([f"s a {OK_LINE}", "s b ok 1 0 0 0 0 0 0 -1", "s a no_estimate"], 2, "confidence must be a number >= 0"),
+        ([f"s a {OK_LINE}", "s b ok 1 0 0 0 0 0 0 -1", "s c ok 1 0 0 0 0 x 0"], 2,
+         "confidence must be a number >= 0"),
+        (["s a ok 1 0 0 0 0 0 0 x", "s b ok 0 0 0 0 0 0 0"], 1,
+         "non-numeric confidence: could not convert string to float: 'x'"),
+        (["s a ok 0 0 0 0 0 0 0", "s b ok 1 0 0 0 0 0 0 x"], 1, "quaternion has zero or non-finite norm"),
+        (["s a no_estimate", "s b ok 1 0 0 0 0 inf 0", "s c weird"], 2, "translation must be finite"),
+        (["s a ok 1 0 0 0 0 0 0 -1", "s b ok 1 0 0 0 inf 0 0"], 1, "confidence must be a number >= 0"),
+        (["s a ok 1 0 0 0 0 0 0", "s b ok 1 0 0 0 0 0", "s c ok 1 0 0 0 0 0 nan"], 2,
+         "ok lines need 10 or 11 fields, got 9"),
+        # within one line: numbers, then the quaternion, the rotation, the translation, the confidence
+        (["s a ok 1 0 0 0 0 nan 0 -1"], 1, "translation must be finite"),
+        (["s a ok 0 0 0 0 0 nan 0 -1"], 1, "quaternion has zero or non-finite norm"),
+        (["s a ok 3e-161 4e-161 0 0 0 nan 0 -1"], 1, "matrix is not a proper rotation"),
+        (["s a ok 0 0 0 0 0 0 0 x"], 1, "non-numeric confidence: could not convert string to float: 'x'"),
+        (["s a ok 1 0 y 0 0 0 0 x"], 1, "non-numeric pose field: could not convert string to float: 'y'"),
+        # comment and blank lines keep their numbers
+        (["# scene query status qw qx qy qz tx ty tz confidence", "", f"s a {OK_LINE}", "  # c", "\t",
+          "s b ok 1 0 0 0 0 0 0 -0.5"], 6, "confidence must be a number >= 0"),
+    ],
+)
+def test_estimate_errors_name_the_first_bad_line(tmp_path, lines, line, message):
+    path = tmp_path / "est.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        parse_estimates(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+    assert info.value.line == line
+
+
+def test_estimates_keep_file_order_and_float_confidences(tmp_path):
+    path = tmp_path / "est.txt"
+    path.write_text("s a ok 1 0 0 0 1 2 3 0.25\ns b no_estimate\ns c ok 1_0 0 0 0 0 0 0 -\n"
+                    "s d degenerate_scale\ns e ok 1 0 0 0 0 0 0\ns f ok 1 0 0 0 0 0 0 inf\n")
+    parsed = parse_estimates(path)
+    assert [(s, q, e.status.value) for s, q, e in parsed] == [
+        ("s", "a", "ok"), ("s", "b", "no_estimate"), ("s", "c", "ok"),
+        ("s", "d", "degenerate_scale"), ("s", "e", "ok"), ("s", "f", "ok"),
+    ]
+    confidences = [e.confidence for _, _, e in parsed]
+    assert confidences[0] == 0.25 and type(confidences[0]) is float
+    assert confidences[1:5] == [None] * 4 and confidences[5] == float("inf")
+    assert parsed[0][2].pose.translation.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(parsed[2][2].pose.rotation, np.eye(3))
+
+
 def test_confidence_free_lines(tmp_path):
     path = tmp_path / "est.txt"
     path.write_text("sc q0 ok 1.0 0.0 0.0 0.0 0.1 0.2 0.3 -\n")
     (_, _, estimate), = parse_estimates(path)
     assert estimate.confidence is None
+
+
+def _random_json_value(rng, depth=0):
+    kind = rng.integers(0, 12 if depth < 4 else 7)
+    if kind == 0:
+        return float(rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1e300, 5e-324]))
+    if kind == 1:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))
+    if kind == 2:
+        return np.float64(rng.standard_normal())
+    if kind == 3:
+        return [None, True, False][rng.integers(0, 3)]
+    if kind == 4:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 1000))
+    if kind == 5:
+        return "".join(rng.choice(list("ab \"\\/\n\t\x00\x7féü€😀"), rng.integers(0, 6)))
+    if kind == 6:
+        return [{}, [], ()][rng.integers(0, 3)]
+    items = [_random_json_value(rng, depth + 1) for _ in range(rng.integers(1, 5))]
+    if kind <= 8:
+        return items if kind == 7 else tuple(items)
+    keys = ["".join(rng.choice(list("abcZ_é 0"), rng.integers(0, 4))) for _ in items]
+    return dict(zip(keys, items))
+
+
+def test_report_writer_matches_json_dumps():
+    rng = np.random.default_rng(7)
+    values = [_random_json_value(rng) for _ in range(400)]
+    values += [{"b": values[:50], "a": {"x": float("nan")}}, {1: "int key", 2.5: None}, {True: 1, False: [2]}]
+    for value in values:
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    for value in ({"a": np.int64(1)}, [1, {"b": object()}], {1: "a", "b": 2}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(value)
 
 
 def test_seed_derivation_is_stable():

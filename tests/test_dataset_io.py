@@ -132,6 +132,61 @@ def test_poses_malformed_line(tmp_path):
         load_poses(path)
 
 
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        # every fault, alone
+        (["a 1 0 0 0 0 0 0", "b 1 0 0 0"], 2, "expected 8 fields, got 5"),
+        (["a 1 0 0 0 0 0 0", "b 1 0 0 0 0 0 0 0"], 2, "expected 8 fields, got 9"),
+        (["a 1 0 0 0 0 0 0", "a 1 0 0 0 0 0 0"], 2, "duplicate frame 'a'"),
+        (["a 1 0 0 zero 0 0 0"], 1, "non-numeric field: could not convert string to float: 'zero'"),
+        (["a 1 0 0 0 0 0 0", "b 0.5 0 0 0 1 2 3"], 2, "quaternion norm 0.5 is not within 0.001 of 1"),
+        (["a 1.0011 0 0 0 0 0 0"], 1, "quaternion norm 1.0011 is not within 0.001 of 1"),
+        (["a 0 0 0 0 0 0 0"], 1, "quaternion norm 0 is not within 0.001 of 1"),
+        (["a 1 -inf 0 0 0 0 0"], 1, "quaternion norm inf is not within 0.001 of 1"),
+        (["a 1e200 1e200 0 0 0 0 0"], 1, "quaternion norm inf is not within 0.001 of 1"),
+        (["a 1 0 nan 0 0 0 0"], 1, "quaternion has zero or non-finite norm"),
+        (["a 1 0 0 0 0 nan 0"], 1, "translation must be finite"),
+        (["a 1 0 0 0 0 0 1e400"], 1, "translation must be finite"),
+        # (an improper rotation cannot pass the norm check: see the estimates-file tests)
+        # the first bad line wins, whatever its fault and whatever follows it
+        (["a 1 0 0 0 0 0 0", "b 1 0 0 0 inf 0 0", "c 2 0 0 0 0 0 0"], 2, "translation must be finite"),
+        (["a 1 0 0 0 0 0 0", "b 2 0 0 0 0 0 0", "c 1 0 0 0 nan 0 0"], 2, "quaternion norm 2 is not within 0.001 of 1"),
+        (["a nan 0 0 0 0 0 0", "b 2 0 0 0 0 0 0"], 1, "quaternion has zero or non-finite norm"),
+        (["a 1 0 0 0 0 0 0", "b 1 0 0 0 0 0 inf", "a 1 0 0 0 0 0 0"], 2, "translation must be finite"),
+        (["a 1 0 0 0 0 0 0", "b 2 0 0 0 0 0 0", "c 1 0 0"], 2, "quaternion norm 2 is not within 0.001 of 1"),
+        (["a 1 0 0 0 0 0 x", "b 2 0 0 0 0 0 0"], 1, "non-numeric field: could not convert string to float: 'x'"),
+        (["a 2 0 0 0 0 0 0", "b 1 0 0 0 0 0 x"], 1, "quaternion norm 2 is not within 0.001 of 1"),
+        (["a 1 0 0 0 0 0 0", "b 1 0 0 0 0 0 x", "b 1 0 0 0 0 0 0"], 2,
+         "non-numeric field: could not convert string to float: 'x'"),
+        # within one line: numbers, then the norm, then the rotation, then the translation
+        (["a 2 0 0 0 0 0 nan"], 1, "quaternion norm 2 is not within 0.001 of 1"),
+        (["a nan 0 0 0 0 0 inf"], 1, "quaternion has zero or non-finite norm"),
+        (["a 2 0 0 0 0 0 zero"], 1, "non-numeric field: could not convert string to float: 'zero'"),
+        # comment and blank lines keep their numbers
+        (["# frame qw qx qy qz tx ty tz", "", "a 1 0 0 0 0 0 0", "  # c", "\t", "b 1 0 0 0 0 0 -inf"], 6,
+         "translation must be finite"),
+    ],
+)
+def test_pose_errors_name_the_first_bad_line(tmp_path, lines, line, message):
+    path = tmp_path / "poses.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        load_poses(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+    assert info.value.line == line
+
+
+def test_poses_accept_the_tokens_float_accepts(tmp_path):
+    path = tmp_path / "poses.txt"
+    path.write_text("# frame qw qx qy qz tx ty tz\nref +1 -0 0 0 0 0 0\n\n  q\t1_0e-1 0 0 0 1E1 .5e1 -0.0  \n")
+    poses = load_poses(path)
+    assert list(poses) == ["ref", "q"]
+    assert np.array_equal(poses["ref"].rotation, np.eye(3))
+    assert poses["q"].translation.tolist() == [10.0, 5.0, 0.0]
+    assert np.signbit(poses["q"].translation[2])
+
+
 def test_intrinsics_round_trip(tmp_path):
     intrinsics = {"a": K, "b": CameraIntrinsics(480.0, 481.5, 270.0, 360.0, 540, 720)}
     path = tmp_path / "intrinsics.txt"

@@ -7,9 +7,11 @@ from mfpose.geometry import (
     Pose,
     backproject,
     camera_center,
+    canonical_quaternions,
     compose,
     inverse,
     normalized_coords,
+    poses_from_stack,
     project,
     quaternion_from_rotation,
     relative,
@@ -19,8 +21,10 @@ from mfpose.geometry import (
     rotation_defect,
     rotation_error_deg,
     rotation_from_6d,
+    rotation_from_axis_angle,
     rotation_from_discrete_euler,
     rotation_from_quaternion,
+    row_norms,
     translation_error_m,
     translation_from_spherical,
 )
@@ -73,6 +77,94 @@ def test_quaternion_round_trip(rng):
         q = quaternion_from_rotation(r)
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert np.allclose(rotation_from_quaternion(q), r, atol=1e-12)
+
+
+def _one_quaternion_rotation(q):
+    """The one-quaternion conversion as written before stacks: the oracle for bit-identity."""
+    q = np.asarray(q, dtype=float)
+    norm = float(np.linalg.norm(q))
+    w, x, y, z = q / norm
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+def _seeded_quaternions():
+    rng = np.random.default_rng(20240613)
+    unit = rng.standard_normal((600, 4))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    off_unit = unit * (1.0 + rng.uniform(-1e-3, 1e-3, (600, 1)))  # norms off unit by up to 1e-3
+    negative_w = off_unit.copy()
+    negative_w[:, 0] = -np.abs(negative_w[:, 0])
+    flipped = np.concatenate([off_unit[:200], -off_unit[:200]])  # sign-flipped pairs
+    dominant = rng.uniform(-1e-4, 1e-4, (400, 4))
+    dominant[np.arange(400), rng.integers(0, 4, 400)] = rng.choice([-1.0, 1.0], 400)  # one dominant component
+    return np.concatenate([off_unit, negative_w, flipped, dominant, rng.standard_normal((100, 4)) * 7.0])
+
+
+def test_stacked_quaternion_conversion_is_bit_identical_to_one_quaternion():
+    quaternions = _seeded_quaternions()
+    assert len(quaternions) >= 2000
+    expected = [_hex(_one_quaternion_rotation(q)) for q in quaternions]
+    stacked = rotation_from_quaternion(quaternions)
+    assert [_hex(r) for r in stacked] == expected
+    assert [_hex(rotation_from_quaternion(q)) for q in quaternions] == expected
+    assert [_hex(rotation_from_quaternion(q[None])[0]) for q in quaternions] == expected  # stacks of one
+    poses, fault = poses_from_stack(stacked, quaternions[:, 1:])
+    assert fault is None
+    assert [_hex(p.rotation) for p in poses] == expected
+    assert [_hex(p.translation) for p in poses] == [_hex(q[1:]) for q in quaternions]
+    assert _hex(row_norms(quaternions)) == [float(np.linalg.norm(q)).hex() for q in quaternions]
+
+
+def test_quaternion_stack_marks_bad_norms_without_warning():
+    quaternions = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0], [np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1e200, 1e200, 0, 0]])
+    rotations = rotation_from_quaternion(quaternions)
+    assert np.array_equal(rotations[0], np.eye(3))
+    assert np.isnan(rotations[1:]).all()
+    for q in quaternions[1:]:
+        with pytest.raises(InvalidParameterError, match="zero or non-finite norm"):
+            rotation_from_quaternion(q)
+    assert rotation_from_quaternion(np.zeros((0, 4))).shape == (0, 3, 3)
+    with pytest.raises(InvalidParameterError, match="4 components"):
+        rotation_from_quaternion(np.ones((2, 3)))
+
+
+def _one_canonical_quaternion(rotation):
+    """The one-pose fixed-point search as written before stacks, and how it ended: the oracle."""
+    q = quaternion_from_rotation(rotation)
+    seen = []
+    for _ in range(8):
+        key = q.tobytes()
+        if seen and key == seen[-1]:
+            return q, "settled"
+        if key in seen:
+            return np.frombuffer(min(seen), dtype=np.float64), "came back"
+        seen.append(key)
+        q = quaternion_from_rotation(rotation_from_quaternion(q))
+    return np.frombuffer(min(seen), dtype=np.float64), "eight rounds"
+
+
+def test_canonical_quaternions_match_the_one_pose_search():
+    rng = np.random.default_rng(99)
+    axes = rng.standard_normal((1500, 3))
+    axes *= rng.uniform(0.0, np.pi, (1500, 1)) / np.linalg.norm(axes, axis=1, keepdims=True)
+    rotations = np.concatenate([rotation_from_axis_angle(axes), [np.eye(3), np.diag([1.0, -1.0, -1.0])]])
+    expected, endings = zip(*(_one_canonical_quaternion(r) for r in rotations))
+    assert set(endings) == {"settled", "came back", "eight rounds"}
+    assert [_hex(q) for q in canonical_quaternions(rotations)] == [_hex(q) for q in expected]
+    assert [_hex(canonical_quaternions(r[None])[0]) for r in rotations[:50]] == [_hex(q) for q in expected[:50]]
+    assert canonical_quaternions(np.zeros((0, 3, 3))).shape == (0, 4)
+    with pytest.raises(InvalidParameterError, match="not a proper rotation"):
+        canonical_quaternions([np.eye(3), np.full((3, 3), np.nan)])
 
 
 def test_constructors_satisfy_rotation_invariants(rng):
@@ -239,6 +331,63 @@ def test_relative_of_pose_with_itself(rng):
 def test_pose_rejects_non_rotation():
     with pytest.raises(InvalidParameterError):
         Pose(np.eye(3) * 1.1, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -3.0])
+def test_pose_rejects_non_finite_or_huge_rotation_without_warning(bad):
+    # a NaN defect compares false with any tolerance; the determinant must not see the matrix either
+    with pytest.raises(InvalidParameterError, match="not a proper rotation"):
+        Pose(np.full((3, 3), bad), np.zeros(3))
+    one_bad = np.eye(3)
+    one_bad[1, 2] = bad
+    with pytest.raises(InvalidParameterError, match="not a proper rotation"):
+        Pose(one_bad, np.zeros(3))
+    with pytest.raises(InvalidParameterError, match="not a proper rotation"):
+        quaternion_from_rotation(one_bad)
+    if not np.isfinite(bad):
+        with pytest.raises(InvalidParameterError, match="translation must be finite"):
+            Pose(np.eye(3), [0.0, bad, 0.0])
+
+
+def test_poses_from_stack_stops_at_the_first_rejected_row(rng):
+    rotations = np.array([random_rotation(rng) for _ in range(6)])
+    translations = rng.standard_normal((6, 3))
+    poses, fault = poses_from_stack(rotations, translations)
+    assert fault is None and len(poses) == 6
+    for row, rotation, translation, message in [
+        (3, np.full((3, 3), np.nan), None, "matrix is not a proper rotation"),
+        (1, np.full((3, 3), np.inf), None, "matrix is not a proper rotation"),
+        (4, 1.1 * np.eye(3), None, "matrix is not a proper rotation"),
+        (2, None, [0.0, np.nan, 0.0], "translation must be finite"),
+        (0, np.full((3, 3), np.nan), [np.inf, 0.0, 0.0], "matrix is not a proper rotation"),  # rotation first
+    ]:
+        r, t = rotations.copy(), translations.copy()
+        if rotation is not None:
+            r[row] = rotation
+        if translation is not None:
+            t[row] = translation
+        t[5, 0] = np.nan  # a later bad row does not matter
+        poses, fault = poses_from_stack(r, t)
+        assert (len(poses), fault) == (row, message)
+        assert [p.rotation.tolist() for p in poses] == r[:row].tolist()
+        with pytest.raises(InvalidParameterError, match=message):
+            Pose(r[row], t[row])
+    assert poses_from_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == ([], None)
+
+
+def test_poses_from_stack_owns_read_only_views(rng):
+    rotations = np.array([random_rotation(rng) for _ in range(3)])
+    translations = rng.standard_normal((3, 3))
+    poses, _ = poses_from_stack(rotations, translations)
+    expected = [(p.rotation.copy(), p.translation.copy()) for p in poses]
+    rotations[:] = 0.0  # the caller's arrays are copied, not shared
+    translations[:] = 0.0
+    for pose, (r, t) in zip(poses, expected):
+        assert np.array_equal(pose.rotation, r) and np.array_equal(pose.translation, t)
+        assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+        with pytest.raises(ValueError):
+            pose.rotation.flags.writeable = True
+    assert poses[0].rotation.base is poses[2].rotation.base
 
 
 def test_camera_center_identity_rotation():
