@@ -46,7 +46,7 @@ from .evaluation import (
     score_queries,
     vcre_acceptable,
 )
-from .geometry import poses_from_stack, quaternion_from_rotation, rotation_from_quaternion
+from .geometry import _quaternion_of_rotation, poses_from_stack, rotation_from_quaternion
 from .pipelines import (
     ESTIMATOR_NAMES,
     EstimateStatus,
@@ -82,7 +82,7 @@ def derive_seed(global_seed: int, scene_id: str, query_id: str) -> int:
 def format_estimate_line(scene_id: str, query_id: str, estimate: PoseEstimate) -> str:
     if estimate.status is not EstimateStatus.OK:
         return f"{scene_id} {query_id} {estimate.status.value}"
-    q = quaternion_from_rotation(estimate.pose.rotation)
+    q = _quaternion_of_rotation(estimate.pose.rotation)  # Pose checked the rotation
     t = estimate.pose.translation
     confidence = "-" if estimate.confidence is None else repr(float(estimate.confidence))
     fields = [scene_id, query_id, "ok"] + [repr(float(v)) for v in (*q, *t)] + [confidence]
@@ -220,7 +220,7 @@ def cmd_estimate(args) -> int:
                 args.estimator,
                 manifest.load_matches(query),
                 depth_ref,
-                manifest.load_depth(query),
+                None if args.estimator == "pnp" else manifest.load_depth(query),  # pnp reads no query depth
                 k_ref,
                 manifest.intrinsics[query],
                 cfg,
@@ -239,12 +239,17 @@ def _records_from_estimates(
 ) -> list[EvaluationRecord]:
     manifests: dict[str, SceneManifest] = {}
     unmatched = []
+    causes: dict[str, str] = {}  # why a scene's ground truth could not be loaded
     rows = []
     for scene_id, query_id, estimate in parse_estimates(estimates_path):
+        if scene_id in causes:
+            unmatched.append(f"{scene_id}/{query_id}")
+            continue
         if scene_id not in manifests:
             try:
                 manifests[scene_id] = load_scene(dataset, scene_id)
-            except FormatError:
+            except FormatError as exc:
+                causes[scene_id] = str(exc)
                 unmatched.append(f"{scene_id}/{query_id}")
                 continue
         manifest = manifests[scene_id]
@@ -253,8 +258,9 @@ def _records_from_estimates(
             continue
         rows.append((scene_id, query_id, estimate, manifest.poses[query_id], manifest.intrinsics[query_id]))
     if unmatched:
+        because = "".join(f"; {causes[scene_id]}" for scene_id in sorted(causes))
         raise MissingGroundTruthError(
-            estimates_path, "queries without ground truth: " + ", ".join(sorted(unmatched))
+            estimates_path, "queries without ground truth: " + ", ".join(sorted(unmatched)) + because
         )
     return score_queries(rows, grid)
 

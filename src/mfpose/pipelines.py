@@ -396,12 +396,12 @@ def run_estimator(
     name: str,
     c: CorrespondenceSet,
     depth_ref: DepthMap,
-    depth_query: DepthMap,
+    depth_query: DepthMap | None,
     k_ref: CameraIntrinsics,
     k_query: CameraIntrinsics,
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
-    """Dispatch an estimator by CLI name."""
+    """Dispatch an estimator by CLI name; pnp does not read depth_query, which may then be None."""
     if name == "essmat-dscale":
         return estimate_essmat_dscale(c, depth_ref, depth_query, k_ref, k_query, cfg)
     if name == "pnp":

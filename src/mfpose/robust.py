@@ -162,22 +162,27 @@ def sampson_error(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
 
     e is one (3, 3) essential matrix or an (M, 3, 3) stack of them; matches
     is (n, 4) [x_ref, y_ref, x_query, y_query] in normalized coordinates.
-    Returns (n,) or (M, n) distances, each row bit-identical to a one-matrix
-    call; a single (4,) match with one matrix gives a float.  Zero exactly
-    when the constraint holds.
+    Returns (n,) or (M, n) distances; a single (4,) match with one matrix
+    gives a float.  Zero exactly when the constraint holds.  Every model
+    goes through its own (1, 9) @ (9, n) and (2, 3) @ (3, n) products, one
+    matrix being a stack of one, so a row does not depend on the other
+    models in its stack.
     """
     m = np.asarray(matches, dtype=float)
     single = m.ndim == 1
     m = m.reshape(-1, 4)
     ones = np.ones(len(m))
-    q_ref = np.column_stack([m[:, 0], m[:, 1], ones])
-    q_query = np.column_stack([m[:, 2], m[:, 3], ones])
+    q_ref = np.stack([m[:, 0], m[:, 1], ones])  # (3, n) homogeneous rays
+    q_query = np.stack([m[:, 2], m[:, 3], ones])
     e = np.asarray(e, dtype=float)
-    eq = q_ref @ np.swapaxes(e, -1, -2)  # rows: E @ q_ref
-    etq = q_query @ e  # rows: E^T @ q_query
-    numerator = np.abs(np.sum(q_query * eq, axis=-1))
-    denom_sq = eq[..., 0] ** 2 + eq[..., 1] ** 2 + etq[..., 0] ** 2 + etq[..., 1] ** 2
+    stack = e.reshape(-1, 3, 3)
+    # q_query^T E q_ref = vec(E) . (q_query kron q_ref)
+    numerator = np.abs(stack.reshape(-1, 1, 9) @ (q_query[:, None] * q_ref).reshape(9, -1))[:, 0]
+    eq = stack[:, :2] @ q_ref  # (E q_ref)[:2]
+    etq = np.swapaxes(stack, 1, 2)[:, :2] @ q_query  # (E^T q_query)[:2]
+    denom_sq = eq[:, 0] ** 2 + eq[:, 1] ** 2 + etq[:, 0] ** 2 + etq[:, 1] ** 2
     out = np.where(denom_sq > 0, numerator / np.sqrt(np.maximum(denom_sq, 1e-300)), np.where(numerator > 0, np.inf, 0.0))
+    out = out.reshape(e.shape[:-2] + (len(m),))
     return float(out[0]) if single else out
 
 

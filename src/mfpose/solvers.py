@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import robust
 from .errors import (
@@ -54,55 +53,38 @@ def _monomial_table() -> np.ndarray:
     return table
 
 
-def _scatter_rounds(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(columns, terms) rounds that add every term into its column in term order, each column once per round."""
-    flat = table.ravel()
-    rank = np.array([np.count_nonzero(flat[:t] == flat[t]) for t in range(len(flat))])
-    return [(flat[rank == r], np.flatnonzero(rank == r)) for r in range(rank.max() + 1)]
-
-
-_MON3 = _monomial_table()
-_MON3_ROUNDS = _scatter_rounds(_MON3)
-_LEVI = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-    _LEVI[_i, _j, _k] = _s
+# (64, 20) one-hot map from a product term (a, b, c) of three linear
+# combinations to its monomial column
+_MON3 = np.eye(20)[_monomial_table().ravel()]
 
 
 def _hom(xy: np.ndarray) -> np.ndarray:
     return np.column_stack([xy, np.ones(len(xy))])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two broadcast (..., 3) stacks, with its arithmetic but without its per-call axis handling."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _constraint_matrices(basis: np.ndarray) -> np.ndarray:
     """(K, 10, 20) coefficients of det(E) = 0 and 2*E*E^T*E - tr(E*E^T)*E = 0.
 
     basis is the (K, 4, 3, 3) stack of null-space matrices; E = x*B0 + y*B1 +
-    z*B2 + B3.  Rows are polynomials over the _MONOMIALS columns.  Each
-    column sums its terms from zero in the one-sample order (np.add.at's),
-    which a one-hot matmul would not.
+    z*B2 + B3.  Rows are polynomials over the _MONOMIALS columns.  Every
+    (a, b, c) triple of basis matrices gives one term of each row; the
+    one-hot matmul adds the terms into their monomials.
     """
     k = len(basis)
-    det = np.einsum("ijk,nai,nbj,nck->nabc", _LEVI, basis[:, :, 0, :], basis[:, :, 1, :], basis[:, :, 2, :])
-    # E E^T E for every (a, b, c) triple, summed in the order that
-    # np.einsum("naip,nbqp,ncqj->nabcij") sums in (for each q a running sum
-    # over p from zero, added to the total) without its per-element overhead.
-    # The window runs along the last axis, so the products stream through
-    # memory; each E_a[i,p] E_b[q,p] is formed once and rounds as (x y) z.
-    window_last = np.ascontiguousarray(np.moveaxis(basis, 0, -1))  # (a, i, p, K)
-    pairs = window_last[:, None, :, None] * window_last[None, :, None, :]  # (a, b, i, q, p, K)
-    eet_e = 0.0
-    for q in range(3):
-        right = window_last[None, None, :, None, q]  # E_c[q, j] at (a, b, c, i, j, K)
-        part = 0.0
-        for p in range(3):
-            part = part + pairs[:, :, None, :, q, p, None] * right
-        eet_e = part + eet_e
-    tr_e = np.einsum("napq,nbpq,ncij->nabcij", basis, basis, basis)
-    cubic = (2.0 * eet_e - np.moveaxis(tr_e, 0, -1)).reshape(64, 9, k)
-    terms = np.concatenate([np.moveaxis(det.reshape(k, 64), 0, -1)[:, None], cubic], axis=1)  # (64, 10, K)
-    coef = np.zeros((20, 10, k))
-    for columns, index in _MON3_ROUNDS:
-        coef[columns] += terms[index]
-    return np.ascontiguousarray(np.moveaxis(coef, -1, 0).swapaxes(1, 2))
+    # det(B_a; B_b; B_c) of rows taken from the three matrices: B_a[0] . (B_b[1] x B_c[2])
+    cross = _cross(basis[:, :, None, 1], basis[:, None, :, 2]).reshape(k, 1, 16, 3)  # (b, c) pairs
+    det = (cross @ basis[:, :, 0, :, None]).reshape(k, 64)
+    eet = basis[:, :, None] @ np.swapaxes(basis[:, None], -1, -2)  # B_a B_b^T at (K, a, b, 3, 3)
+    trace = np.trace(eet, axis1=-2, axis2=-1)  # tr(B_a B_b^T)
+    cubic = 2.0 * (eet[:, :, :, None] @ basis[:, None, None]) - trace[..., None, None, None] * basis[:, None, None]
+    terms = np.concatenate([det[:, None], cubic.reshape(k, 64, 9).swapaxes(1, 2)], axis=1)  # (K, 10, 64)
+    return terms @ _MON3
 
 
 def _z_rows(row_i: np.ndarray, row_j: np.ndarray) -> np.ndarray:
@@ -145,31 +127,16 @@ def _polish_roots(polys: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (P, n) stacks, bit-identical to a[i] @ b[i] (a BLAS dot).
-
-    np.linalg.norm(axis=...), np.sum(a * b, axis=1) and einsum sum in other orders.
-    """
-    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Norms of the items of a (P, ...) stack, bit-identical to np.linalg.norm of each (a dot product)."""
-    flat = v.reshape(len(v), int(np.prod(v.shape[1:])))
-    return np.sqrt(_dots(flat, flat))
-
-
 def essential_from_pose(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     """E = [t]x R, of unit norm, for the relative pose mapping reference to query frame.
 
-    Takes one pose or an (N, 3, 3), (N, 3) stack; each stacked matrix rounds
-    as its one-pose call.
+    Takes one pose or an (N, 3, 3), (N, 3) stack.
     """
     t = np.asarray(translation, dtype=float)
-    if np.any(_norms(t.reshape(-1, 3)) == 0):
+    if np.any(np.linalg.norm(t, axis=-1) == 0):
         raise InvalidParameterError("essential matrix undefined for zero translation")
     e = skew(t) @ np.asarray(rotation, dtype=float)
-    return e / _norms(e.reshape(-1, 3, 3)).reshape(e.shape[:-2] + (1, 1))
+    return e / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray):
@@ -194,33 +161,41 @@ def _solve_each(a: np.ndarray, b: np.ndarray):
         return x, solved
 
 
-def _z_polynomial(z_system: np.ndarray) -> np.ndarray:
-    """Degree-10 determinant of one (3, 3, 5) z-system; all three cofactor products are degree 10."""
-    (k1, k2, k3), (l1, l2, l3), (m1, m2, m3) = ((r[0, 1:], r[1, 1:], r[2]) for r in z_system)
-    return (
-        np.convolve(k1, np.convolve(l2, m3) - np.convolve(l3, m2))
-        + np.convolve(k2, np.convolve(l3, m1) - np.convolve(l1, m3))
-        + np.convolve(k3, np.convolve(l1, m2) - np.convolve(l2, m1))
-    )
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two stacks of polynomials along the last axis, highest degree first (np.convolve, stacked)."""
+    width = b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1] + width - 1,))
+    for i in range(a.shape[-1]):
+        out[..., i : i + width] += a[..., i, None] * b
+    return out
 
 
-# the LAPACK least-squares loop inside np.linalg.lstsq, and its default rcond for 3x2 systems
-try:
-    _lstsq = _umath_linalg.lstsq
-except AttributeError:  # numpy 1 names the m > n variant
-    _lstsq = _umath_linalg.lstsq_n
-_LSTSQ_RCOND = np.finfo(float).eps * 3
+def _z_polynomials(z_system: np.ndarray) -> np.ndarray:
+    """(K, 11) degree-10 determinants of a (K, 3, 3, 5) stack of z-systems, by cofactors along the first row.
+
+    The x and y parts carry a leading zero, so the padded products carry two
+    leading zeros that are dropped.
+    """
+    k, l, m = z_system[:, 0], z_system[:, 1], z_system[:, 2]
+    after, before = [1, 2, 0], [2, 0, 1]
+    cofactors = _poly_mul(l[:, after], m[:, before]) - _poly_mul(l[:, before], m[:, after])
+    terms = _poly_mul(k, cofactors)
+    return (terms[:, 0] + terms[:, 1] + terms[:, 2])[:, 2:]
 
 
 def _least_squares_xy(parts: np.ndarray) -> np.ndarray:
     """(P, 2) least-squares (x, y) of x X + y Y = -Z for each (3, 3) [X | Y | Z] of a (P, 3, 3) stack.
 
-    One call of the LAPACK loop inside np.linalg.lstsq, with its default
-    rcond, so each row rounds as np.linalg.lstsq(X, -Z) does; a system whose
-    SVD does not converge gives NaN where np.linalg.lstsq raises.
+    Cramer's rule on the normal equations, with each 2x2 determinant the
+    dot product of two cross products (Binet-Cauchy), which spares the
+    cancellation of |X|^2 |Y|^2 - (X.Y)^2.  A rank-deficient [X | Y] gives
+    inf or NaN.
     """
-    with np.errstate(all="ignore"):
-        return _lstsq(parts[:, :, :2], -parts[:, :, 2:], _LSTSQ_RCOND, signature="ddd->ddid")[0][:, :, 0]
+    x, y, z = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
+    normal = _cross(x, y)
+    numerators = np.stack([_cross(z, y), _cross(x, z)], axis=1) @ normal[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -numerators[:, :, 0] / np.sum(normal * normal, axis=1)[:, None]
 
 
 def _real_roots(polys: np.ndarray, is_real):
@@ -265,9 +240,9 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     reduced and collapsed to a degree-10 polynomial in z whose roots come
     from the companion-matrix eigenvalues (np.roots); roots with |imag| >
     1e-10 are discarded.  A numerically degenerate sample yields an empty
-    list.  Every stage runs per sample, or stacked in a form that rounds
-    exactly as per sample, so a sample's solutions do not depend on the
-    other samples in the stack.
+    list.  Every stage is stacked arithmetic that handles each sample alone
+    (elementwise, or one LAPACK or BLAS call per sample or root), so a
+    sample's solutions do not depend on the other samples in the stack.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[1:] != (5, 4):
@@ -283,22 +258,22 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     reduced, _ = _solve_each(coef[:, :, :10], coef[:, :, 10:])  # Gauss-Jordan; NaN for a singular system
     # (K, 3, 3, 5): rows k, l, m of the z-system, each split into x, y and 1 parts
     z_system = np.stack([_z_rows(reduced[:, i], reduced[:, i + 1]) for i in (4, 6, 8)], axis=1)
-    polys = np.zeros((count, 11))  # all-zero rows have no roots
-    for i in np.flatnonzero(np.isfinite(reduced).all(axis=(1, 2))):
-        poly = _z_polynomial(z_system[i])
-        if np.all(np.isfinite(poly)):  # np.roots raises on inf and nan
-            polys[i] = poly
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = _z_polynomials(z_system)
+    polys[~np.isfinite(polys).all(axis=1)] = 0.0  # all-zero rows have no roots; np.roots raises on inf and nan
     owner, z = _real_roots(polys, lambda roots: np.abs(roots.imag) <= 1e-10)
 
     # every (sample, real root) pair at once from here on
     z = _polish_roots(polys[owner], z)
     parts = _horner(np.moveaxis(z_system[owner], -1, 0), z[:, None, None])  # (P, 3, 3): x, y and 1 parts at z
-    finite = np.isfinite(parts).all(axis=(1, 2))  # LAPACK is not handed inf or nan
+    finite = np.isfinite(parts).all(axis=(1, 2))
     owner, z, parts = owner[finite], z[finite], parts[finite]
-    xy = _least_squares_xy(parts)  # NaN at a root whose SVD does not converge: its norm is not finite below
+    xy = _least_squares_xy(parts)
+    solved = np.isfinite(xy).all(axis=1)  # a rank-deficient root system has no (x, y)
+    owner, z, xy = owner[solved], z[solved], xy[solved]
     b = basis[owner]
     e = xy[:, 0, None, None] * b[:, 0] + xy[:, 1, None, None] * b[:, 1] + z[:, None, None] * b[:, 2] + b[:, 3]
-    norm = _norms(e)
+    norm = np.linalg.norm(e, axis=(1, 2))
     keep = (norm != 0) & np.isfinite(norm)
     owner, e = owner[keep], e[keep] / norm[keep, None, None]
 
@@ -307,12 +282,11 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     sigma = np.zeros_like(e)
     sigma[:, 0, 0] = sigma[:, 1, 1] = 0.5 * (s[:, 0] + s[:, 1])
     e = u @ sigma @ vt
-    e = e / _norms(e)[:, None, None]
+    e = e / np.linalg.norm(e, axis=(1, 2), keepdims=True)
     residual = np.abs(np.einsum("pni,pij,pnj->pn", qq[owner], e, qr[owner])).max(axis=1)
     fits = ~(residual > 1e-8)
     owner, e = owner[fits], e[fits]
-    # a candidate repeats an earlier kept one of its sample when |<E, E'>| ~ 1;
-    # row sums of the products round as np.sum of each product does
+    # a candidate repeats an earlier kept one of its sample when |<E, E'>| ~ 1
     j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
     repeated = np.abs((e[j] * e[k]).reshape(-1, 9).sum(axis=1)) > 1.0 - 1e-9
     if repeated.any():  # rare: drop each candidate that repeats an earlier kept one
@@ -401,7 +375,7 @@ def decompose_essential(e: np.ndarray, matches: np.ndarray):
     return rotation, translation / np.linalg.norm(translation)
 
 
-def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, tolerance, max_iterations):
+def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, tolerance, max_iterations, cost_floor=0.0):
     """Levenberg-Marquardt loop of both refiners; returns (x, initial cost, cost, any step kept).
 
     evaluate(x) -> (cost, residuals, state), the cost infinite for an infeasible
@@ -409,14 +383,14 @@ def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, t
     step) applies the solution of (J^T J + damping I) step = -J^T r.  A step
     that does not raise the cost is kept, its residuals and state reused, and
     the damping divided by 10 (floor 1e-12); a rejected step or a singular
-    system multiplies it by 10.  Stops on a zero or non-finite cost, after a
-    kept step whose relative drop is below `tolerance`, or when no step with
-    damping below `damping_cap` is kept.
+    system multiplies it by 10.  Stops on a cost at or below `cost_floor`
+    or not finite, after a kept step whose relative drop is below
+    `tolerance`, or when no step with damping below `damping_cap` is kept.
     """
     cost, residuals, state = evaluate(x)
     initial_cost, kept = cost, False
     for _ in range(max_iterations):
-        if not 0.0 < cost < np.inf:
+        if not cost_floor < cost < np.inf:
             break
         jac = jacobian(x, residuals, state)
         gradient = jac.T @ residuals
@@ -443,45 +417,72 @@ def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, t
     return x, initial_cost, cost, kept
 
 
+def _tangent_basis(t: np.ndarray) -> np.ndarray:
+    """(2, 3) orthonormal directions perpendicular to the unit vector t."""
+    axis = np.array([1.0, 0.0, 0.0]) if abs(t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    b1 = _cross(t, axis)
+    b1 /= np.linalg.norm(b1)
+    return np.stack([b1, _cross(t, b1)])
+
+
+def _perturb_relative_pose(pose, step: np.ndarray):
+    """(R, t) after a left rotation by step[:3] and a turn of t by step[3:] along its tangent basis."""
+    rotation, t = pose
+    return rotation_from_axis_angle(step[:3]) @ rotation, rotation_from_axis_angle(step[3:] @ _tangent_basis(t)) @ t
+
+
+def _relative_pose_directions(rotation: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(5, 3, 3) derivatives of [t]x R along the steps of _perturb_relative_pose at zero."""
+    turned = _cross(_tangent_basis(t), t)
+    return np.concatenate([skew(t) @ skew(np.eye(3)) @ rotation, skew(turned) @ rotation])
+
+
+def _sampson_jacobian(e: np.ndarray, directions: np.ndarray, q_ref: np.ndarray, q_query: np.ndarray) -> np.ndarray:
+    """(n, k) derivatives of the Sampson errors of E along a (k, 3, 3) stack of directions of E.
+
+    q_ref and q_query are (n, 3) homogeneous rays.  The Sampson error is
+    |a| / d, with a = q_query^T E q_ref and d^2 the sum of the squares of the
+    first two entries of E q_ref and E^T q_query.  It is invariant to the
+    scale of E, so E and its directions need only share one scale.  A match
+    with d = 0 has a zero row.
+    """
+    eq, etq = q_ref @ e.T, q_query @ e
+    deq, detq = q_ref @ np.swapaxes(directions, 1, 2), q_query @ directions
+    a = np.sum(q_query * eq, axis=1)
+    d_sq = eq[:, 0] ** 2 + eq[:, 1] ** 2 + etq[:, 0] ** 2 + etq[:, 1] ** 2
+    da = np.sum(q_query * deq, axis=2)
+    half_dd_sq = np.sum(eq[:, :2] * deq[:, :, :2], axis=2) + np.sum(etq[:, :2] * detq[:, :, :2], axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = np.sign(a) * (da - a * half_dd_sq / d_sq) / np.sqrt(d_sq)
+    return np.where(d_sq > 0, jac, 0.0).T
+
+
 def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt on the Sampson error over the essential manifold.
 
     Minimal-sample hypotheses fit five noisy points exactly but generalize
     poorly; this polishes the 5 pose degrees of freedom (rotation plus
-    translation direction) against all supplied matches.  The result is an
-    exact essential matrix by construction.  Raises CheiralityError when the
-    initial matrix cannot be decomposed against the matches.
+    translation direction) against all supplied matches, with the analytic
+    Jacobian at the current pose.  It stops once the cost reaches 1e-24
+    (exact matches), or after a step that lowers it by less than a relative
+    1e-10.  The result is an exact essential matrix by construction.
+    Raises CheiralityError when the initial matrix cannot be decomposed
+    against the matches.
     """
     matches = np.asarray(matches, dtype=float).reshape(-1, 4)
-    rotation, t_dir = decompose_essential(e, matches)
-    axis = np.array([1.0, 0.0, 0.0]) if abs(t_dir[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(t_dir, axis)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(t_dir, b1)
+    q_ref, q_query = _hom(matches[:, :2]), _hom(matches[:, 2:])
 
-    def build(params: np.ndarray) -> np.ndarray:
-        """(N, 3, 3) essential matrices of an (N, 5) stack of pose parameters."""
-        rot = rotation_from_axis_angle(params[:, :3]) @ rotation
-        direction = rotation_from_axis_angle(b1 * params[:, 3:4] + b2 * params[:, 4:5]) @ t_dir
-        return essential_from_pose(rot, direction)
-
-    def evaluate(p: np.ndarray):
-        res = robust.sampson_error(build(p[None])[0], matches)
+    def evaluate(pose):
+        res = robust.sampson_error(essential_from_pose(*pose), matches)
         return float(np.sum(res**2)), res, None
 
-    def jacobian(p: np.ndarray, res, state) -> np.ndarray:
-        step_h = 1e-6
-        diagonal = np.arange(5)
-        perturbed = np.repeat(p[None], 10, axis=0)  # rows p + h e_j, p - h e_j for j = 0..4
-        perturbed[0::2][diagonal, diagonal] += step_h
-        perturbed[1::2][diagonal, diagonal] -= step_h
-        # central differences: the O(h^2) error keeps the convergence
-        # floor near 1e-12, which the noiseless exactness regime needs
-        rows = robust.sampson_error(build(perturbed), matches)
-        return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / (2.0 * step_h)).T)
+    def jacobian(pose, res, state) -> np.ndarray:
+        rotation, t = pose
+        return _sampson_jacobian(skew(t) @ rotation, _relative_pose_directions(rotation, t), q_ref, q_query)
 
-    params, *_ = _damped_least_squares(np.zeros(5), evaluate, jacobian, np.add, 1e-6, 1e8, 1e-10, 20)
-    return build(params[None])[0]
+    pose = decompose_essential(e, matches)
+    pose, *_ = _damped_least_squares(pose, evaluate, jacobian, _perturb_relative_pose, 1e-6, 1e8, 1e-10, 20, 1e-24)
+    return essential_from_pose(*pose)
 
 
 # --------------------------------------------------------------------------
@@ -490,19 +491,10 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
 
 
 def _p3p_quartics(n_poly, d_poly, r01, cos01, cos02) -> np.ndarray:
-    """(P, 5) quartics in v of the ratio substitution, from (P, 3) N(v) and (P, 2) D(v).
-
-    The products stay per sample with np.convolve, whose BLAS dots may round
-    unlike elementwise arithmetic.
-    """
-    nn, nd, third = (np.empty((len(r01), width)) for width in (5, 4, 5))
-    for i in range(len(r01)):
-        nn[i] = np.convolve(n_poly[i], n_poly[i])
-        nd[i] = np.convolve(n_poly[i], d_poly[i])
-        r_poly = np.array([-r01[i], 2.0 * r01[i] * cos02[i], 1.0 - r01[i]])
-        third[i] = np.convolve(r_poly, np.convolve(d_poly[i], d_poly[i]))
-    padded = np.concatenate([np.zeros((len(r01), 1)), nd], axis=1)
-    return nn - (2.0 * cos01)[:, None] * padded + third
+    """(P, 5) quartics in v of the ratio substitution, from (P, 3) N(v) and (P, 2) D(v)."""
+    r_poly = np.stack([-r01, 2.0 * r01 * cos02, 1.0 - r01], axis=1)
+    padded = np.pad(_poly_mul(n_poly, d_poly), ((0, 0), (1, 0)))
+    return _poly_mul(n_poly, n_poly) - (2.0 * cos01)[:, None] * padded + _poly_mul(r_poly, _poly_mul(d_poly, d_poly))
 
 
 def _p3p_newton(dists, cos01, cos02, cos12, d01, d02, d12) -> np.ndarray:
@@ -553,9 +545,9 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     points.  Candidates that fail to reproject the sample to 1e-6
     (normalized units) or repeat an earlier candidate are dropped.  Poses
     are (rotation, translation) pairs, each one that a Pose accepts.  A
-    collinear or coincident sample yields an empty list.  Every stage runs
-    per sample, or stacked in a form that rounds exactly as per sample, so a
-    sample's poses do not depend on the other samples in the stack.
+    collinear or coincident sample yields an empty list.  Every stage is
+    stacked arithmetic that handles each sample alone, so a sample's poses
+    do not depend on the other samples in the stack.
     """
     points3d = np.asarray(points3d, dtype=float)
     rays = np.asarray(rays, dtype=float)
@@ -565,10 +557,8 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
         )
     poses: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(points3d))]
     spread = np.abs(points3d - points3d.mean(axis=1, keepdims=True)).max(axis=(1, 2))
-    area = _norms(np.cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]))
-    d01 = _norms(points3d[:, 0] - points3d[:, 1])
-    d02 = _norms(points3d[:, 0] - points3d[:, 2])
-    d12 = _norms(points3d[:, 1] - points3d[:, 2])
+    area = np.linalg.norm(_cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]), axis=1)
+    d01, d02, d12 = np.linalg.norm(points3d[:, [0, 0, 1]] - points3d[:, [1, 2, 2]], axis=2).T
     collinear = area <= 1e-12 * np.maximum(spread * spread, 1e-30)
     coincident = (d01 <= 0) | (d02 <= 0) | (d12 <= 0)
     good = np.flatnonzero(~(collinear | coincident))
@@ -576,10 +566,9 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
 
     f = np.concatenate([rays, np.ones((len(good), 3, 1))], axis=2)
     f /= np.linalg.norm(f, axis=2, keepdims=True)
-    cos01, cos02, cos12 = _dots(f[:, 0], f[:, 1]), _dots(f[:, 0], f[:, 2]), _dots(f[:, 1], f[:, 2])
-    # squared one NumPy scalar at a time: that rounds through C pow, array ** 2 as x * x
-    r01 = np.array([ratio**2 for ratio in d01 / d02])
-    r12 = np.array([ratio**2 for ratio in d12 / d02])
+    cos01, cos02, cos12 = np.sum(f[:, [0, 0, 1]] * f[:, [1, 2, 2]], axis=2).T
+    r01 = (d01 / d02) ** 2
+    r12 = (d12 / d02) ** 2
     # q(v) = 1 + v^2 - 2 v cos02; u = N(v)/D(v) after eliminating u^2.
     ones = np.ones(len(good))
     q = np.stack([ones, -2.0 * cos02, ones], axis=1)

@@ -16,7 +16,8 @@ from mfpose.cli import (
 )
 from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
 from mfpose.errors import FormatError
-from mfpose.pipelines import EstimateStatus, PoseEstimate
+from mfpose.geometry import quaternion_from_rotation
+from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, PoseEstimate
 
 
 @pytest.fixture
@@ -56,6 +57,17 @@ def test_estimate_line_round_trip(tmp_path, rng):
     assert np.abs(restored.pose.translation - pose.translation).max() < 1e-12
     assert parsed[1][2].status is EstimateStatus.NO_ESTIMATE
     assert parsed[2][2].status is EstimateStatus.DEGENERATE_SCALE
+
+
+def test_estimate_line_quaternion_is_the_checked_conversion(rng):
+    # the line converts the Pose's already-checked rotation without checking it again
+    from conftest import random_pose
+
+    for _ in range(200):
+        pose = random_pose(rng)
+        line = format_estimate_line("sc", "q0", PoseEstimate(EstimateStatus.OK, pose, 3.5))
+        fields = [repr(float(v)) for v in (*quaternion_from_rotation(pose.rotation), *pose.translation)]
+        assert line == " ".join(["sc", "q0", "ok", *fields, "3.5"])
 
 
 def test_estimates_parse_errors(tmp_path):
@@ -355,6 +367,35 @@ def test_evaluate_unmatched_queries_exit_3(dataset, tmp_path):
     assert main(["evaluate", "--estimates", str(estimates), "--dataset", str(dataset)]) == EXIT_MISMATCH
     curve = tmp_path / "curve.csv"
     assert main(["curves", "--estimates", str(estimates), "--dataset", str(dataset), "--out", str(curve)]) == EXIT_MISMATCH
+
+
+def test_evaluate_names_why_ground_truth_is_missing(dataset, tmp_path, capsys):
+    estimates = tmp_path / "est.txt"
+    assert main(["estimate", "--dataset", str(dataset), "--out", str(estimates), "--estimator", "procrustes"]) == EXIT_OK
+    poses = dataset / "scene0001" / "poses.txt"
+    lines = poses.read_text().splitlines()
+    lines[1] = lines[1].split()[0] + " 0.5 0 0 0 0 0 0"
+    poses.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--estimates", str(estimates), "--dataset", str(dataset)]) == EXIT_MISMATCH
+    assert capsys.readouterr().err == (
+        f"{estimates}: queries without ground truth: scene0001/query0000, scene0001/query0001; "
+        f"{poses}:2: quaternion norm 0.5 is not within 0.001 of 1\n"
+    )
+
+
+def test_pnp_estimate_does_not_read_query_depth(dataset, tmp_path, capsys):
+    depth = dataset / "scene0000" / "depth" / "query0001.mfdm"
+    depth.write_bytes(depth.read_bytes()[:100])
+    for estimator in ESTIMATOR_NAMES:
+        out = tmp_path / f"{estimator}.txt"
+        code = main(["estimate", "--dataset", str(dataset), "--out", str(out), "--estimator", estimator])
+        err = capsys.readouterr().err
+        if estimator == "pnp":
+            assert code == EXIT_OK and len(out.read_text().splitlines()) == 4
+        else:
+            assert code == EXIT_IO, estimator
+            assert f"error: {depth}: payload is 100 bytes, expected 1228812 for 640x480\n" in err
 
 
 def test_missing_dataset_exit_2(tmp_path):

@@ -265,6 +265,19 @@ def test_sampson_nonnegative_and_vectorized(rng):
     assert np.all(values >= 0)
 
 
+def test_sampson_stack_matches_one_matrix_calls_bit_for_bit(rng):
+    # a model's row must not depend on the other models scored with it:
+    # stacks of 1 to 90, a list of one as the refit scores it, a bare matrix
+    matches, _, _, _ = _essential_scene_with_outliers(rng, n=280)
+    for size in [1, 2, 16, 90] + rng.integers(1, 91, 12).tolist():
+        stack = np.array([essential_from_pose(random_rotation(rng, 30.0), rng.normal(size=3)) for _ in range(size)])
+        rows = sampson_error(stack, matches)
+        assert rows.shape == (size, len(matches))
+        for e, row in zip(stack, rows):
+            assert sampson_error(e, matches).tobytes() == row.tobytes()
+            assert sampson_error([e], matches)[0].tobytes() == row.tobytes()
+
+
 def test_sampson_first_order_in_perturbation(rng):
     # finite-difference check: a displacement of size delta along the joint
     # 4-space constraint gradient gives residual -> delta; a one-coordinate

@@ -193,17 +193,16 @@ def _polished_real_roots(poly, is_real):
     return roots
 
 
-def _constraint_matrix_reference(basis):
-    """The one-sample constraint matrix as built with np.einsum and one np.add.at per row."""
-    coef = np.zeros((10, 20))
-    det = np.einsum("ijk,ai,bj,ck->abc", solvers._LEVI, basis[:, 0, :], basis[:, 1, :], basis[:, 2, :])
-    np.add.at(coef[0], solvers._MON3.ravel(), det.ravel())
-    cubic = 2.0 * np.einsum("aip,bqp,cqj->abcij", basis, basis, basis) - np.einsum(
-        "apq,bpq,cij->abcij", basis, basis, basis
-    )
-    for row, (i, j) in enumerate(np.ndindex(3, 3), start=1):
-        np.add.at(coef[row], solvers._MON3.ravel(), cubic[:, :, :, i, j].ravel())
-    return coef
+def _constraint_rows_at(basis, point):
+    """det(E) and the nine entries of 2 E E^T E - tr(E E^T) E at E = x B0 + y B1 + z B2 + B3, directly."""
+    e = np.tensordot(np.append(point, 1.0), basis, axes=1)
+    cubic = 2.0 * e @ e.T @ e - np.trace(e @ e.T) * e
+    return np.concatenate([[np.linalg.det(e)], cubic.ravel()])
+
+
+def _monomials_at(point):
+    x, y, z = point
+    return np.array([x**i * y**j * z**k for i, j, k in solvers._MONOMIALS])
 
 
 def test_five_point_stacked_stages_round_as_their_one_sample_forms():
@@ -212,12 +211,25 @@ def test_five_point_stacked_stages_round_as_their_one_sample_forms():
     design = (rays[:, :, [2, 3, 4], None] * rays[:, :, None, [0, 1, 4]]).reshape(64, 5, 9)
     basis = np.linalg.svd(design)[2][:, -4:].reshape(64, 4, 3, 3)
     stacked = solvers._constraint_matrices(basis)
-    for b, coef in zip(basis, stacked):
-        assert coef.tobytes() == _constraint_matrix_reference(b).tobytes()
-
     rng = np.random.default_rng(3)
-    matrices = rng.normal(size=(200, 3, 3)) * rng.uniform(1e-3, 1e3, (200, 1, 1))
-    assert solvers._norms(matrices).tobytes() == np.array([np.linalg.norm(m) for m in matrices]).tobytes()
+    for i, (b, coef) in enumerate(zip(basis, stacked)):
+        assert coef.tobytes() == solvers._constraint_matrices(basis[i : i + 1])[0].tobytes()
+        point = rng.uniform(-2.0, 2.0, 3)  # the rows are the constraint polynomials
+        assert np.allclose(coef @ _monomials_at(point), _constraint_rows_at(b, point), rtol=0, atol=1e-12)
+
+    # z-polynomials: stacked products, checked against np.convolve cofactors
+    z_system = rng.normal(size=(40, 3, 3, 5))
+    z_system[:, :, :2, 0] = 0.0  # the x and y parts are cubic
+    polys = solvers._z_polynomials(z_system)
+    for i, system in enumerate(z_system):
+        assert polys[i].tobytes() == solvers._z_polynomials(system[None])[0].tobytes()
+        (k1, k2, k3), (l1, l2, l3), (m1, m2, m3) = ((r[0, 1:], r[1, 1:], r[2]) for r in system)
+        expected = (
+            np.convolve(k1, np.convolve(l2, m3) - np.convolve(l3, m2))
+            + np.convolve(k2, np.convolve(l3, m1) - np.convolve(l1, m3))
+            + np.convolve(k3, np.convolve(l1, m2) - np.convolve(l2, m1))
+        )
+        assert np.allclose(polys[i], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     polys = rng.normal(size=(40, 11))
     polys[0, 0] = polys[1, -1] = 0.0  # leading and trailing zeros take np.roots itself
@@ -230,8 +242,7 @@ def test_five_point_stacked_stages_round_as_their_one_sample_forms():
 
 def test_five_point_non_finite_root_system_yields_no_model():
     # five matches sharing the principal point as reference: for most of these
-    # the z-system is inf/nan at some polished root, on which np.linalg.lstsq
-    # raises LinAlgError; such a root is skipped instead
+    # the z-system is inf/nan at some polished root; such a root is skipped
     samples = [
         np.column_stack([np.zeros((5, 2)), np.random.default_rng(seed).uniform(-0.5, 0.5, (5, 2))])
         for seed in range(10)
@@ -241,7 +252,7 @@ def test_five_point_non_finite_root_system_yields_no_model():
             assert all(np.all(np.isfinite(e)) for e in solutions)
 
 
-def test_root_least_squares_round_as_np_linalg_lstsq(monkeypatch):
+def test_root_least_squares_agree_with_np_linalg_lstsq(monkeypatch):
     captured = []  # the root systems of real windows, as the solver hands them over
     solve = solvers._least_squares_xy
     monkeypatch.setattr(solvers, "_least_squares_xy", lambda parts: captured.append(parts) or solve(parts))
@@ -250,23 +261,33 @@ def test_root_least_squares_round_as_np_linalg_lstsq(monkeypatch):
         essential_five_point(samples[start : start + 16])
     real = np.concatenate(captured)
     assert len(real) > 1000
-    # planted near-rank-deficient systems: Y a multiple of X up to a relative
-    # 1e-17 .. 1e-10, around the default rcond of 3 eps; then zero columns
+    # well-conditioned planted systems, and consistent ones as at an exact root
     rng = np.random.default_rng(5)
     planted = rng.normal(size=(400, 3, 3)) * 10.0 ** rng.uniform(-6, 6, (400, 1, 1))
-    wobble = 10.0 ** rng.uniform(-17, -10, (300, 1)) * rng.normal(size=(300, 3))
-    planted[:300, :, 1] = planted[:300, :, 0] * (1.5 + wobble)
-    planted[300:350, :, 1] = 0.0
-    planted[350:, :, :2] = 0.0
+    planted[200:, :, 2] = -(planted[200:, :, :2] @ rng.normal(size=(200, 2, 1)))[:, :, 0]
     for parts in (real, planted):
+        xy = solve(parts)
         expected = np.array([np.linalg.lstsq(p[:, :2], -p[:, 2], rcond=None)[0] for p in parts])
-        assert solve(parts).tobytes() == expected.tobytes()
+        scale = np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(xy - expected) <= 1e-9 * scale + 1e-12)
+        for i in range(0, len(parts), 7):
+            assert xy[i].tobytes() == solve(parts[i : i + 1])[0].tobytes()
+    # rank-deficient [X | Y]: no solution, and no warning
+    singular = planted[:4].copy()
+    singular[0, :, 1] = 2.0 * singular[0, :, 0]
+    singular[1, :, 1] = 0.0
+    singular[2, :, :2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xy = solve(singular)
+    assert not np.isfinite(xy[:3]).all(axis=1).any()
+    assert np.isfinite(xy[3]).all()
     assert solve(np.empty((0, 3, 3))).shape == (0, 2)
 
 
 def test_five_point_nan_root_leaves_its_window_intact(monkeypatch):
-    # a root whose SVD does not converge comes back NaN from the stacked least
-    # squares; only that root is lost, with no error and no warning
+    # a rank-deficient root system comes back inf or NaN from the stacked
+    # least squares; only that root is lost, with no error and no warning
     samples = _real_five_point_samples(6)
     baseline = essential_five_point(samples)
     solve = solvers._least_squares_xy
@@ -529,85 +550,6 @@ def _procrustes_one_pair(ref_points, query_points):
     return rotation, centroid_query - rotation @ centroid_ref
 
 
-def _p3p_one_sample(points3d, rays):
-    """The one-sample P3P body the stacked solver replaced, as (rotation, translation) pairs; [] when degenerate."""
-    spread = float(np.abs(points3d - points3d.mean(axis=0)).max())
-    area = np.linalg.norm(np.cross(points3d[1] - points3d[0], points3d[2] - points3d[0]))
-    if area <= 1e-12 * max(spread * spread, 1e-30):
-        return []
-    f = np.column_stack([rays, np.ones(3)])
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    d01 = np.linalg.norm(points3d[0] - points3d[1])
-    d02 = np.linalg.norm(points3d[0] - points3d[2])
-    d12 = np.linalg.norm(points3d[1] - points3d[2])
-    if min(d01, d02, d12) <= 0:
-        return []
-    cos01, cos02, cos12 = float(f[0] @ f[1]), float(f[0] @ f[2]), float(f[1] @ f[2])
-    r01 = (d01 / d02) ** 2
-    r12 = (d12 / d02) ** 2
-    q = np.array([1.0, -2.0 * cos02, 1.0])
-    n_poly = np.array([-1.0, 0.0, 1.0]) - (r01 - r12) * q
-    d_poly = np.array([-2.0 * cos12, 2.0 * cos01])
-    nd = np.convolve(n_poly, d_poly)
-    quartic = (
-        np.convolve(n_poly, n_poly)
-        - 2.0 * cos01 * np.concatenate([[0.0], nd])
-        + np.convolve(np.array([-r01, 2.0 * r01 * cos02, 1.0 - r01]), np.convolve(d_poly, d_poly))
-    )
-    if not np.any(np.abs(quartic) > 0):
-        return []
-    poses = []
-    for v in _polished_real_roots(quartic, lambda root: abs(root.imag) <= 1e-8 * max(1.0, abs(root.real))):
-        qv = solvers._horner(q, v)
-        dd = solvers._horner(d_poly, v)
-        if qv <= 0 or abs(dd) < 1e-12:
-            continue
-        u = solvers._horner(n_poly, v) / dd
-        k0 = d02 / np.sqrt(qv)
-        dists = np.array([k0, u * k0, v * k0])
-        if np.any(dists <= 0):
-            continue
-        for _ in range(3):
-            k0, k1, k2 = dists
-            g = np.array(
-                [
-                    k0 * k0 + k1 * k1 - 2 * k0 * k1 * cos01 - d01 * d01,
-                    k0 * k0 + k2 * k2 - 2 * k0 * k2 * cos02 - d02 * d02,
-                    k1 * k1 + k2 * k2 - 2 * k1 * k2 * cos12 - d12 * d12,
-                ]
-            )
-            jac = 2.0 * np.array(
-                [
-                    [k0 - k1 * cos01, k1 - k0 * cos01, 0.0],
-                    [k0 - k2 * cos02, 0.0, k2 - k0 * cos02],
-                    [0.0, k1 - k2 * cos12, k2 - k1 * cos12],
-                ]
-            )
-            try:
-                step = np.linalg.solve(jac, g)
-            except np.linalg.LinAlgError:
-                break
-            dists = dists - step
-        if np.any(dists <= 0) or not np.all(np.isfinite(dists)):
-            continue
-        aligned = _procrustes_one_pair(points3d, dists[:, None] * f)
-        if aligned is None:
-            continue
-        rotation, translation = aligned
-        projected = points3d @ rotation.T + translation
-        if np.any(projected[:, 2] <= 0):
-            continue
-        if np.abs(projected[:, :2] / projected[:, 2:3] - rays).max() > 1e-6:
-            continue
-        if any(
-            np.abs(rotation - r).max() < 1e-9 and np.abs(translation - t).max() < 1e-9 * (1.0 + np.abs(t).max())
-            for r, t in poses
-        ):
-            continue
-        poses.append((rotation, translation))
-    return poses
-
-
 def _same_poses(reference, poses):
     return len(reference) == len(poses) and all(
         r.tobytes() == rotation.tobytes() and t.tobytes() == translation.tobytes()
@@ -633,32 +575,32 @@ def _real_p3p_samples(count):
     return np.array(samples[:count]), k
 
 
-def test_p3p_stack_matches_one_sample_body_bit_for_bit():
+def test_p3p_stack_matches_one_sample_calls_bit_for_bit():
     samples, k = _real_p3p_samples(1040)
-    # the one-sample body saw the robust loop's strided views of one sample
-    reference = [_p3p_one_sample(sample[:, 2:], normalized_coords(k, sample[:, :2])) for sample in samples]
-    assert sum(map(len, reference)) > len(samples)  # the comparison covers many roots
-    for window in (1, 5, 16):
+    points, rays = samples[:, :, 2:], normalized_coords(k, samples[:, :, :2])
+    alone = [pnp_p3p(points[i : i + 1], rays[i : i + 1])[0] for i in range(len(samples))]
+    assert sum(map(len, alone)) > len(samples)  # the comparison covers many roots
+    for window in (5, 16):
         stacked = []
         for start in range(0, len(samples), window):
-            part = samples[start : start + window]
-            stacked += pnp_p3p(part[:, :, 2:], normalized_coords(k, part[:, :, :2]))
+            stacked += pnp_p3p(points[start : start + window], rays[start : start + window])
         assert len(stacked) == len(samples)
-        for i, (expected, poses) in enumerate(zip(reference, stacked)):
+        for i, (expected, poses) in enumerate(zip(alone, stacked)):
             assert _same_poses(expected, poses), (window, i)
 
 
-def test_p3p_squares_distance_ratios_as_numpy_scalars():
-    # a sample whose d01/d02 squares differently through C pow (NumPy scalar
-    # ** 2) than as x * x (array ** 2), and whose poses differ with the latter
-    rng = np.random.default_rng(132)
-    points = np.column_stack([rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3), rng.uniform(3, 9, 3)])
-    rays = points[:, :2] / points[:, 2:3]
-    ratio = np.linalg.norm(points[0] - points[1]) / np.linalg.norm(points[0] - points[2])
-    assert ratio**2 != (np.array([ratio]) ** 2)[0]
-    reference = _p3p_one_sample(points, rays)
-    assert reference
-    assert _same_poses(reference, pnp_p3p(points[None], rays[None])[0])
+def test_p3p_quartics_match_np_convolve():
+    rng = np.random.default_rng(11)
+    n_poly, d_poly = rng.normal(size=(50, 3)), rng.normal(size=(50, 2))
+    r01, cos01, cos02 = rng.uniform(0.1, 4.0, 50), rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)
+    quartics = solvers._p3p_quartics(n_poly, d_poly, r01, cos01, cos02)
+    for i in range(50):
+        expected = (
+            np.convolve(n_poly[i], n_poly[i])
+            - 2.0 * cos01[i] * np.concatenate([[0.0], np.convolve(n_poly[i], d_poly[i])])
+            + np.convolve([-r01[i], 2.0 * r01[i] * cos02[i], 1.0 - r01[i]], np.convolve(d_poly[i], d_poly[i]))
+        )
+        assert np.allclose(quartics[i], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 def test_p3p_degenerate_samples_leave_their_window_intact():
@@ -675,7 +617,6 @@ def test_p3p_degenerate_samples_leave_their_window_intact():
     neighbours = solutions[:5] + solutions[6:10] + solutions[11:]
     assert sum(map(len, neighbours)) > 0
     for sample, poses in zip(samples, neighbours):
-        assert _same_poses(_p3p_one_sample(sample[:, 2:], normalized_coords(k, sample[:, :2])), poses)
         alone = pnp_p3p(sample[None, :, 2:], normalized_coords(k, sample[None, :, :2]))[0]
         assert _same_poses(alone, poses)
 
@@ -744,10 +685,13 @@ def _perturbed_start(seed, pixel_noise_px=0.0):
 
 
 def test_refine_essential_recovers_exact_rotation_from_nearby_start():
+    # noiseless matches: the exact pose, not a point short of it
     for seed in range(20):
         matches, truth, start = _perturbed_start(seed)
-        rotation, _ = decompose_essential(refine_essential(start, matches), matches)
-        assert small_angle_deg(rotation, truth.rotation) < 1e-3, seed
+        rotation, direction = decompose_essential(refine_essential(start, matches), matches)
+        assert small_angle_deg(rotation, truth.rotation) < 1e-9, seed
+        truth_direction = truth.translation / np.linalg.norm(truth.translation)
+        assert np.linalg.norm(direction - truth_direction) < 1e-10, seed
 
 
 def test_refine_essential_never_raises_sampson_cost_on_noise():
@@ -794,54 +738,34 @@ def test_stacked_essential_from_pose_rounds_as_the_one_pose_form():
     stacked = essential_from_pose(rotations, translations)
     one = [essential_from_pose(r, t) for r, t in zip(rotations, translations)]
     reference = [_skew_reference(t) @ r / np.linalg.norm(_skew_reference(t) @ r) for r, t in zip(rotations, translations)]
-    assert stacked.tobytes() == np.array(one).tobytes() == np.array(reference).tobytes()
+    assert stacked.tobytes() == np.array(one).tobytes()
+    assert np.abs(stacked - reference).max() < 1e-15
     translations[3] = 0.0
     with pytest.raises(InvalidParameterError):
         essential_from_pose(rotations, translations)
 
 
-def _refine_essential_reference(e, matches):
-    """refine_essential with its ten perturbed models built one at a time by the one-vector forms."""
-    rotation, t_dir = decompose_essential(e, matches)
-    axis = np.array([1.0, 0.0, 0.0]) if abs(t_dir[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(t_dir, axis)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(t_dir, b1)
-
-    def build(p):
-        rot = _rodrigues_reference(p[:3]) @ rotation
-        direction = _rodrigues_reference(b1 * p[3] + b2 * p[4]) @ t_dir
-        m = _skew_reference(direction) @ rot
-        return m / np.linalg.norm(m)
-
-    def evaluate(p):
-        res = sampson_error(build(p), matches)
-        return float(np.sum(res**2)), res, None
-
-    def jacobian(p, res, state):
-        step_h = 1e-6
-        perturbed = []
-        for j in range(5):
-            forward = p.copy()
-            forward[j] += step_h
-            backward = p.copy()
-            backward[j] -= step_h
-            perturbed += [build(forward), build(backward)]
-        rows = sampson_error(np.stack(perturbed), matches)
-        return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / (2.0 * step_h)).T)
-
-    params, *_ = solvers._damped_least_squares(np.zeros(5), evaluate, jacobian, np.add, 1e-6, 1e8, 1e-10, 20)
-    return build(params)
-
-
-def test_refine_essential_stacked_jacobian_models_round_as_one_at_a_time():
-    steps = 0
+def test_sampson_jacobian_matches_central_differences():
+    step = 1e-6
+    checked = 0
     for seed in range(8):
         for noise in (0.0, 1.0):
             matches, _, start = _perturbed_start(seed, pixel_noise_px=noise)
-            assert refine_essential(start, matches).tobytes() == _refine_essential_reference(start, matches).tobytes()
-            steps += 1
-    assert steps == 16
+            rotation, t = pose = decompose_essential(start, matches)
+            q_ref = np.column_stack([matches[:, :2], np.ones(len(matches))])
+            q_query = np.column_stack([matches[:, 2:], np.ones(len(matches))])
+            directions = solvers._relative_pose_directions(rotation, t)
+            jac = solvers._sampson_jacobian(skew(t) @ rotation, directions, q_ref, q_query)
+            central = np.empty_like(jac)
+            for j, delta in enumerate(step * np.eye(5)):
+                forward = sampson_error(essential_from_pose(*solvers._perturb_relative_pose(pose, delta)), matches)
+                backward = sampson_error(essential_from_pose(*solvers._perturb_relative_pose(pose, -delta)), matches)
+                central[:, j] = (forward - backward) / (2.0 * step)
+            away = sampson_error(start, matches) > 1e-4  # |a| / d is not differentiable where it is zero
+            assert away.sum() > 0.9 * len(matches)
+            assert np.abs(jac[away] - central[away]).max() <= 1e-6 * np.abs(jac[away]).max(), (seed, noise)
+            checked += 1
+    assert checked == 16
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,19 @@ FIXTURES = {
 ESTIMATORS = ("essmat-dscale", "pnp", "procrustes")
 RECORDED = {
     ("clean", "essmat-dscale", "estimate"):
-        "db051e5b734be09c49a51dbf09f3c581bf0794976f890abaf5bb97a5cb14cdb0",
+        "1d34a52e9a2dd2ed7f6b13b56d7b55a2d1c69e7ac5ac93abff35fca705b582fa",
     ("clean", "essmat-dscale", "evaluate.json"):
-        "8b25ed0c30715d751a11ad359f8588be5f2861d5ede5afaec50153fcfd4f0af4",
+        "3fe5a3b4787c18a20f194e40534a609a35387a05ef7485086acd8af0d2013547",
     ("clean", "essmat-dscale", "evaluate.csv"):
-        "a146b9f642edbb420ef88745e083c64494a93069ec7431e3d1f83e34c45a3de4",
+        "cd378d62774b5324fb2671954e51112b84919f5cd1da8d19baeae28afc683084",
     ("clean", "essmat-dscale", "curves.csv"):
         "fb418a09d475df5f3fbd6356a46b3852394a15c3f2dd721a0370c67c4f6ddd21",
     ("clean", "pnp", "estimate"):
-        "0b9dea6918c9ca5d32880e2b7070c7316435a3c7032687c89c8baba5b10b5d1e",
+        "0d5649c16394ef1845d02eec844bfddc6653b1ce195edef1b67581826495da0f",
     ("clean", "pnp", "evaluate.json"):
-        "e388bfb4df2799cde0767d54b6ec385d29187034312a01bdbd84758afd969836",
+        "5955c86ce2bbc9a5ca1c159aa8ff28e8fd99d1403a14c6a0d630a17d25edb7fc",
     ("clean", "pnp", "evaluate.csv"):
-        "8c3c3b38bf47eb1e7b78a9ce1f4e63759050052366cff7cb7ab271055a1910f7",
+        "9024da930ecabf67529269eb1070209eb433ed93ffa8ff3c73d043b6550180fb",
     ("clean", "pnp", "curves.csv"):
         "5d7997b6aa05946259c3b9c53ba026866760a9351bcd693a866d8561978c4aba",
     ("clean", "procrustes", "estimate"):
@@ -60,19 +60,19 @@ RECORDED = {
     ("clean", "procrustes", "curves.csv"):
         "8dcdf2cc78a6dd4b4ef6da35a8970558faa456aae4a933034e2c6990a46a52ab",
     ("1px-noise", "essmat-dscale", "estimate"):
-        "37a88baded07273d4f92eb611db4efede621ebab670828ff407ba3183483f1e3",
+        "0323009a4b0f3f2e5e6a10d61855307db9562a87b554d0c34d8136a27fb28a53",
     ("1px-noise", "essmat-dscale", "evaluate.json"):
-        "3560c5d534c9365362f01815ad7c6f1f50ad66d995e295c5eb54ca0b346c0b48",
+        "54cbd28c39958aa164a9d450635d840d1ea8dcb2b1b1bda06cf46a7e10fb2b0e",
     ("1px-noise", "essmat-dscale", "evaluate.csv"):
-        "9bb5b7f9637ff0618c089f1584311c827a80486b4659b7c166cb1831cdf3cd94",
+        "30d8efee8d1dda37f711a43ded7127eb32489d70fe04c4ba29951f611f067a92",
     ("1px-noise", "essmat-dscale", "curves.csv"):
         "629b581ba54a0080faca7614bb7e467947d10387842d1054b6706370967e00c8",
     ("1px-noise", "pnp", "estimate"):
-        "776cad4fc03d15329b272fd39aaa25ce2356e8e51f20a95b2ab85d10feb173cf",
+        "86f8fa763b6d8f56064517b9509197ff5bd7d1d3932b90952f05193b95604b7f",
     ("1px-noise", "pnp", "evaluate.json"):
-        "e8c702aa3fd576beeb0965d31b33042dcbfa49509184176d525adac849b409cd",
+        "e78c878a00638197449c7839f7482049140d2d37d0ddd6847db22c8d0ed64101",
     ("1px-noise", "pnp", "evaluate.csv"):
-        "bd083cf92f0f8cb6c4f98b2deed409106bfd3d9af7c7ab34a28c7005f05f1985",
+        "1917af9ade7ecc0990a318a532069375b020bd70a4a47cc311b7d54a730de2d1",
     ("1px-noise", "pnp", "curves.csv"):
         "a9941ed31afa27eba3605f29b1ade4129425cfc6bf6cd36ae3f9fa155fd36269",
     ("1px-noise", "procrustes", "estimate"):
