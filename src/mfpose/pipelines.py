@@ -246,6 +246,41 @@ def _fabricated(c: CorrespondenceSet, support, sample_size: int) -> bool:
     return min(_cell_count(c.ref_px[support]), _cell_count(c.query_px[support])) < sample_size
 
 
+def _rank_below(rows: np.ndarray, rank: int) -> bool:
+    """Whether the (n, 3) rows span fewer than `rank` dimensions.
+
+    The relative rule that solvers._kabsch applies to a sample: the rank-th
+    singular value of rows^T rows is at most 1e-12 of the largest.  Those
+    are the squares of the singular values of rows, which are compared
+    instead so that nothing overflows.
+    """
+    s = np.linalg.svd(rows, compute_uv=False)
+    return bool(s[rank - 1] <= 1e-6 * s[0])
+
+
+def _collinear(points: np.ndarray) -> bool:
+    """Whether the (n, 3) points lie on one line (or coincide)."""
+    return _rank_below(points - points.mean(axis=0), 2)
+
+
+def _until_degenerate(solve, degenerate):
+    """`solve`, raising NoConsensusError when a window gives no model and degenerate() holds.
+
+    degenerate() checks the whole match set for a configuration in which
+    every minimal sample fails, so that the robust loop could only run to
+    its cap.  It is asked only after a window comes back empty, so a
+    solvable query does not pay for it.
+    """
+
+    def checked(samples: np.ndarray):
+        model_lists = solve(samples)
+        if not any(model_lists) and degenerate():
+            raise NoConsensusError("every minimal sample of the match set is degenerate")
+        return model_lists
+
+    return checked
+
+
 def estimate_essmat_dscale(
     c: CorrespondenceSet,
     depth_ref: DepthMap,
@@ -278,11 +313,14 @@ def estimate_essmat_dscale(
         except CheiralityError:
             return model
 
+    # collinear pixels on either image: the scene points lie on a plane through that camera's centre
+    solve = _until_degenerate(
+        solvers.essential_five_point,
+        lambda: _rank_below(solvers._hom(data[:, :2]), 3) or _rank_below(solvers._hom(data[:, 2:]), 3),
+    )
     try:
         # sampson_error scores a window's list of matrices as one (M, 3, 3) stack
-        result = ransac(
-            data, solvers.essential_five_point, sampson_error, 5, cfg.ransac_config(threshold), refit=refit
-        )
+        result = ransac(data, solve, sampson_error, 5, cfg.ransac_config(threshold), refit=refit)
     except NoConsensusError:
         return _NO_ESTIMATE
     if _fabricated(c, result.inlier_mask, 5):
@@ -326,8 +364,10 @@ def estimate_pnp(
         return _NO_ESTIMATE
     data = np.column_stack([pixels, points3d])
 
-    def solve(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    def p3p(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         return solvers.pnp_p3p(samples[:, :, 2:], normalized_coords(k_query, samples[:, :, :2]))
+
+    solve = _until_degenerate(p3p, lambda: _collinear(points3d))
 
     def residuals(poses: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
         cam = _transform(poses, rows[:, 2:])
@@ -368,9 +408,11 @@ def estimate_procrustes(
         return _NO_ESTIMATE
     data = np.column_stack([x_ref, x_query])
 
-    def solve(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    def kabsch(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         rotations, translations, ok = solvers._kabsch(samples[:, :, :3], samples[:, :, 3:])
         return [[(r, t)] if aligned else [] for r, t, aligned in zip(rotations, translations, ok)]
+
+    solve = _until_degenerate(kabsch, lambda: _collinear(x_ref) or _collinear(x_query))
 
     def residuals(poses: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
         return np.linalg.norm(_transform(poses, rows[:, :3]) - rows[:, 3:], axis=2)

@@ -5,9 +5,12 @@ is any (n, d) array, the minimal solver maps a (K, m, d) stack of samples to
 K lists of candidate models (an empty list for an unusable sample), and the
 residual function maps (models, data) to an (M, n) array of non-negative
 residuals, one row per model.  Scoring is MSAC (truncated squared
-residual); iteration count adapts to the observed inlier ratio.  Samples and
-models are consumed in draw order, so the result does not depend on the
-window size, and everything is deterministic given the seed.
+residual); iteration count adapts to the observed inlier ratio.  After a
+first window of min_iterations samples, each window draws what the adaptive
+stop still asks for, up to a bound that keeps the (models, n) score arrays
+small.  Samples and models are consumed in draw order, so the result does
+not depend on the window size, and everything is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ import numpy as np
 
 from .errors import InvalidParameterError, NoConsensusError, ScaleConsensusError
 
-# most samples drawn and solved at once; a window never holds more samples
-# than have been consumed so far (or min_iterations), so at most one
-# window's worth is solved past the adaptive stop
-_WINDOW = 16
+# Most samples drawn and solved at once.  Each solve and score call has a
+# fixed cost that a wide window pays once; the samples it solves past the
+# adaptive stop are the price.  Past _WINDOW_ROWS samples x data rows
+# (n > 256) a window narrows, so that its (models, n) score arrays stay
+# small, down to 16 samples (n >= 1024) and no further.
+_WINDOW = 64
+_WINDOW_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,15 @@ def ransac(
 ) -> RobustResult:
     """Best model by MSAC score; raises NoConsensusError when support is too thin.
 
-    Samples are drawn in windows of min(remaining, 16, max(min_iterations,
-    drawn so far)), each with its own rng.choice call in draw order; each
-    window is solved by one `solve` call and its models scored by one
-    `residuals` call.  Models are then consumed in draw order, so
-    `iterations` counts consumed samples and the result is bit-identical for
-    a given rng_seed.  Samples drawn past the adaptive stop are discarded.
+    The first window draws min_iterations samples, all that a clean problem
+    needs; each later one draws what the adaptive stop still asks for.  No
+    window holds more than min(64, max(16, 2**14 // len(data))) samples.
+    Each sample is its own
+    rng.choice call, in draw order; each window is solved by one `solve`
+    call and its models scored by one `residuals` call.  Models are then
+    consumed in draw order, so `iterations` counts consumed samples and the
+    result is bit-identical for a given rng_seed, whatever the window sizes.
+    Samples drawn past the adaptive stop are discarded.
 
     When `refit(model, inlier_data)` is given it is applied to the winning
     consensus set (up to two rounds); the refitted model is adopted only if
@@ -106,8 +115,9 @@ def ransac(
     best_mask = None
     iteration_cap = config.max_iterations
     iteration = 0
+    limit = min(_WINDOW, max(16, _WINDOW_ROWS // n))
     while iteration < iteration_cap:
-        window = min(iteration_cap - iteration, _WINDOW, max(config.min_iterations, iteration))
+        window = min(iteration_cap - iteration, limit, limit if iteration else config.min_iterations)
         draws = [rng.choice(n, size=sample_size, replace=False) for _ in range(window)]
         model_lists = solve(data[np.array(draws)])
         models = [model for sample_models in model_lists for model in sample_models]

@@ -596,14 +596,22 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         error = np.abs(projected[:, :, :2] / projected[:, :, 2:3] - rays[owner]).max(axis=(1, 2))
     fits = aligned & ~np.any(projected[:, :, 2] <= 0, axis=1) & ~(error > 1e-6)
-    for i in np.flatnonzero(fits):
-        kept = poses[good[owner[i]]]
-        if any(
-            np.abs(rotation[i] - r).max() < 1e-9 and np.abs(translation[i] - t).max() < 1e-9 * (1.0 + np.abs(t).max())
-            for r, t in kept
-        ):
-            continue
-        kept.append((rotation[i], translation[i]))
+    owner, rotation, translation = owner[fits], rotation[fits], translation[fits]
+    # a candidate repeats an earlier kept one (r, t) of its sample when it is within 1e-9 of r and 1e-9 (1 + |t|) of t
+    j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
+    repeated = (np.abs(rotation[j] - rotation[k]).max(axis=(1, 2)) < 1e-9) & (
+        np.abs(translation[j] - translation[k]).max(axis=1) < 1e-9 * (1.0 + np.abs(translation[k]).max(axis=1))
+    )
+    if repeated.any():  # rare: drop each candidate that repeats an earlier kept one
+        repeats = np.zeros((len(owner), len(owner)), dtype=bool)
+        repeats[j, k] = repeated
+        kept: list[int] = []
+        for candidate in range(len(owner)):
+            if not repeats[candidate, kept].any():
+                kept.append(candidate)
+        owner, rotation, translation = owner[kept], rotation[kept], translation[kept]
+    for sample, r, t in zip(good[owner], rotation, translation):
+        poses[sample].append((r, t))
     return poses
 
 

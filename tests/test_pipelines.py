@@ -261,6 +261,58 @@ def test_matches_sharing_one_pixel_are_no_consensus(monkeypatch):
                         assert estimate.status is not EstimateStatus.OK, (pixel, seed, name)
 
 
+def test_collinear_support_is_no_estimate_after_one_window(monkeypatch):
+    # 12 matches from 12 distinct reference pixels on one image row, at one
+    # depth, to scattered query pixels: every five-point sample has its
+    # reference rays in one plane and every P3P or Kabsch sample is
+    # collinear, so the robust loop could only run to its cap.  Such a set is
+    # turned down once its first window gives no model
+    calls = []
+
+    def count(name):
+        solver = getattr(solvers, name)
+        return lambda samples, *rest: calls.append((name, len(samples))) or solver(samples, *rest)
+
+    solver_of = dict(zip(ESTIMATOR_NAMES, ("essential_five_point", "pnp_p3p", "_kabsch")))
+    for name in solver_of.values():
+        monkeypatch.setattr(solvers, name, count(name))
+    depth = DepthMap(np.full((480, 640), 3.0))
+    row = np.column_stack([np.linspace(60.0, 580.0, 12), np.full(12, 200.0)])
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        scattered = rng.uniform([50.0, 50.0], [590.0, 430.0], (12, 2))
+        cfg = EstimatorConfig(rng_seed=seed)
+        # pnp lifts only the reference side, and a plane of reference points is no degeneracy
+        for ref_px, query_px, names in (
+            (row, scattered, ESTIMATOR_NAMES),
+            (scattered, row, ("essmat-dscale", "procrustes")),
+        ):
+            c = CorrespondenceSet(ref_px, query_px, np.ones(12))
+            for name in names:
+                calls.clear()
+                estimate = run_estimator(name, c, depth, depth, K, K, cfg)
+                assert estimate.status is EstimateStatus.NO_ESTIMATE, (seed, name)
+                windows = [samples for called, samples in calls if called == solver_of[name]]
+                assert windows == [10], (seed, name)  # one window of min_iterations
+        # one pixel off the row by half a pixel: the loop runs to its cap of 20 samples
+        bent = row.copy()
+        bent[5, 1] += 0.5
+        c = CorrespondenceSet(bent, scattered, np.ones(12))
+        for name in ESTIMATOR_NAMES:
+            calls.clear()
+            run_estimator(name, c, depth, depth, K, K, replace(cfg, max_iterations=20))
+            assert [samples for called, samples in calls if called == solver_of[name]] == [10, 10], (seed, name)
+
+    # a solvable query never pays for the check
+    def never(*args):
+        raise AssertionError("a solvable query checked its whole match set")
+
+    monkeypatch.setattr(pipelines, "_rank_below", never)
+    _, inputs = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0, outlier_fraction=0.4, pixel_noise_px=1.0)))
+    for name in ESTIMATOR_NAMES:
+        assert run_estimator(name, *inputs).status is EstimateStatus.OK
+
+
 def test_consensus_through_one_pixel_among_scattered_matches_is_no_estimate(monkeypatch):
     # the shared-pixel matches plus scattered ones: the set as a whole covers
     # enough cells, so the robust loop runs, and a consensus through the

@@ -124,15 +124,22 @@ class RecordingSolver:
         return sum(len(w) for w in self.windows)
 
 
+def _window_limit(n):
+    """The widest window after the first one, for n data rows."""
+    return min(robust._WINDOW, max(16, robust._WINDOW_ROWS // n))
+
+
 def _check_window_rules(data, solver, result, sample_size, config):
     # the solver sees the samples of one default_rng(seed).choice per sample, in order
     rng = np.random.default_rng(config.rng_seed)
     expected = data[np.array([rng.choice(len(data), size=sample_size, replace=False) for _ in range(solver.solved)])]
     assert np.array_equal(np.concatenate(solver.windows), expected)
-    # windows grow with the samples consumed so far, capped at 16
-    drawn = 0
-    for window in solver.windows:
-        assert 1 <= len(window) <= min(16, max(config.min_iterations, drawn))
+    # the first window is min_iterations; each later one is what the cap leaves; none passes the limit
+    limit = _window_limit(len(data))
+    assert len(solver.windows[0]) == min(config.min_iterations, config.max_iterations, limit)
+    drawn = len(solver.windows[0])
+    for window in solver.windows[1:]:
+        assert 1 <= len(window) <= min(config.max_iterations - drawn, limit)
         drawn += len(window)
     # consumed samples are the reported iterations; only the last window runs past them
     assert solver.solved - len(solver.windows[-1]) < result.iterations <= solver.solved
@@ -156,6 +163,32 @@ def test_ransac_windows_on_essential_problem(rng):
     _check_window_rules(matches, solver, result, 5, cfg)
 
 
+def test_ransac_solves_a_40_percent_outlier_essential_problem_in_few_windows(rng):
+    # each solve call has a fixed cost, so a 280-match query with 40% outliers
+    # (about 120 samples) takes few wide windows, not 8 of at most 16
+    for seed in range(4):
+        matches, _, _, _ = _essential_scene_with_outliers(rng, n=300)
+        matches = matches[:280]
+        cfg = RansacConfig(rng_seed=seed, inlier_threshold=4.0 / 500.0)
+        solver = RecordingSolver(essential_five_point)
+        result = ransac(matches, solver, sampson_error, 5, cfg)
+        _check_window_rules(matches, solver, result, 5, cfg)
+        assert result.iterations > 10 + 10 + 16 + 16  # more than 4 windows of the old 16-sample schedule
+        assert len(solver.windows) <= 4, [len(w) for w in solver.windows]
+
+
+def test_ransac_windows_of_a_large_problem_stay_at_16(rng):
+    # the samples x rows bound: score arrays of a 4096-row problem stay at the
+    # size of a 16-sample window
+    data = make_line_data(rng, n=4096, outliers=0.7, noise=0.05)
+    cfg = RansacConfig(rng_seed=1, inlier_threshold=0.2)
+    solver = RecordingSolver(line_solver)
+    result = ransac(data, solver, line_residual, 2, cfg)
+    _check_window_rules(data, solver, result, 2, cfg)
+    assert len(solver.windows) > 2
+    assert max(len(w) for w in solver.windows) == 16
+
+
 def test_ransac_clean_problem_solves_min_iterations(rng):
     data = make_line_data(rng)
     cfg = RansacConfig(rng_seed=5, inlier_threshold=0.01)
@@ -173,17 +206,20 @@ def test_ransac_result_does_not_depend_on_window_size(rng, monkeypatch):
         data[::5, 0] = 3.0  # frequent unusable (vertical) samples
         cfg = RansacConfig(rng_seed=seed, inlier_threshold=0.1)
         results = []
-        for window in (1, 3, 16):
+        # 64 samples, or 20 under a row bound of 20 x 200 rows
+        for window, rows in ((1, 2**14), (3, 2**14), (16, 2**14), (64, 20 * len(data)), (64, 2**14)):
             monkeypatch.setattr(robust, "_WINDOW", window)
+            monkeypatch.setattr(robust, "_WINDOW_ROWS", rows)
             solver = RecordingSolver(line_solver)
             results.append(ransac(data, solver, line_residual, 2, cfg))
+            _check_window_rules(data, solver, results[-1], 2, cfg)
         overrun += solver.solved - results[-1].iterations
         for other in results[1:]:
             assert other.model == results[0].model
             assert other.score == results[0].score
             assert other.iterations == results[0].iterations
             assert np.array_equal(other.inlier_mask, results[0].inlier_mask)
-    assert overrun > 0  # some windows of 16 were cut short by the adaptive stop
+    assert overrun > 0  # some windows of 64 were cut short by the adaptive stop
 
 
 def _essential_scene_with_outliers(rng, n=150, outlier_fraction=0.4, noise=1.0 / 500.0):

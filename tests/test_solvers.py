@@ -580,13 +580,37 @@ def test_p3p_stack_matches_one_sample_calls_bit_for_bit():
     points, rays = samples[:, :, 2:], normalized_coords(k, samples[:, :, :2])
     alone = [pnp_p3p(points[i : i + 1], rays[i : i + 1])[0] for i in range(len(samples))]
     assert sum(map(len, alone)) > len(samples)  # the comparison covers many roots
-    for window in (5, 16):
+    for window in (5, 16, 64):
         stacked = []
         for start in range(0, len(samples), window):
             stacked += pnp_p3p(points[start : start + window], rays[start : start + window])
         assert len(stacked) == len(samples)
         for i, (expected, poses) in enumerate(zip(alone, stacked)):
             assert _same_poses(expected, poses), (window, i)
+
+
+def test_p3p_repeated_roots_are_dropped_as_one_sample_calls_drop_them(monkeypatch):
+    # every real root planted twice: each candidate then repeats its twin, and
+    # the stacked de-duplication must keep exactly the poses it kept before,
+    # as singleton calls with the same planted repeats do
+    samples, k = _real_p3p_samples(200)
+    points, rays = samples[:, :, 2:], normalized_coords(k, samples[:, :, :2])
+    plain = pnp_p3p(points, rays)
+    real_roots = solvers._real_roots
+
+    def twice(polys, is_real):
+        owner, roots = real_roots(polys, is_real)
+        return np.repeat(owner, 2), np.repeat(roots, 2)
+
+    monkeypatch.setattr(solvers, "_real_roots", twice)
+    alone = [pnp_p3p(points[i : i + 1], rays[i : i + 1])[0] for i in range(len(samples))]
+    assert sum(map(len, plain)) > len(samples)
+    for window in (16, 64, len(samples)):
+        stacked = []
+        for start in range(0, len(samples), window):
+            stacked += pnp_p3p(points[start : start + window], rays[start : start + window])
+        for i, (expected, once, poses) in enumerate(zip(alone, plain, stacked)):
+            assert _same_poses(expected, poses) and _same_poses(once, poses), (window, i)
 
 
 def test_p3p_quartics_match_np_convolve():
