@@ -100,8 +100,8 @@ class DepthMap:
     def __post_init__(self):
         with np.errstate(invalid="ignore"):  # a signaling NaN is an invalid pixel like any NaN
             values = np.array(self.values, dtype=float, order="C")  # the map's own copy, never a view
-        if values.ndim != 2:
-            raise InvalidParameterError("depth map must be a 2-D array")
+        if values.ndim != 2 or values.size == 0:  # sample_nearest needs a pixel to clamp to
+            raise InvalidParameterError("depth map must be a 2-D array with at least one pixel")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -152,8 +152,6 @@ class PoseEstimate:
             raise InvalidParameterError("confidence must be a number >= 0")
 
 
-_NO_ESTIMATE = PoseEstimate(EstimateStatus.NO_ESTIMATE)
-_DEGENERATE_SCALE = PoseEstimate(EstimateStatus.DEGENERATE_SCALE)
 _MIN_SCALE_SUPPORT = 5  # valid-depth inliers required before voting
 
 
@@ -191,12 +189,6 @@ class EstimatorConfig:
         return ScaleConsensusConfig(self.scale_relative_tolerance)
 
 
-def _normalized_matches(c: CorrespondenceSet, k_ref: CameraIntrinsics, k_query: CameraIntrinsics) -> np.ndarray:
-    return np.column_stack(
-        [normalized_coords(k_ref, c.ref_px), normalized_coords(k_query, c.query_px)]
-    )
-
-
 def _transform(poses, points: np.ndarray) -> np.ndarray:
     """(M, n, 3) camera-frame points of (n, 3) world points under each of M (rotation, translation) pairs.
 
@@ -206,24 +198,18 @@ def _transform(poses, points: np.ndarray) -> np.ndarray:
     return points @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
 
 
-def _plausible(points: np.ndarray) -> np.ndarray:
-    """Mask of (n, 3) lifted points whose squared norm is finite; an implausible depth overflows it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite(np.sum(points * points, axis=1))
+def _lift(k: CameraIntrinsics, pixels: np.ndarray, depth: DepthMap) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-frame 3D points of (n, 2) pixels at their nearest-pixel depth, and the mask of the valid and plausible ones.
 
-
-def _lift_both(ref_px, query_px, depth_ref: DepthMap, depth_query: DepthMap, k_ref, k_query):
-    """Camera-frame 3D points, on each side, of the matches with valid and plausible depth on both sides.
-
-    Returns (ref points, query points, indices of those matches).
+    A depth is implausible when it overflows the point's squared norm.  Rows
+    outside the mask are zero.
     """
-    d_ref = depth_ref.sample_nearest(ref_px)
-    d_query = depth_query.sample_nearest(query_px)
-    valid = DepthMap.valid(d_ref) & DepthMap.valid(d_query)
-    x_ref = backproject(k_ref, ref_px[valid], d_ref[valid])
-    x_query = backproject(k_query, query_px[valid], d_query[valid])
-    plausible = _plausible(x_ref) & _plausible(x_query)
-    return x_ref[plausible], x_query[plausible], np.flatnonzero(valid)[plausible]
+    d = depth.sample_nearest(pixels)
+    valid = DepthMap.valid(d)
+    points = np.zeros((len(d), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        points[valid] = backproject(k, pixels[valid], d[valid])
+        return points, valid & np.isfinite(np.sum(points * points, axis=1))
 
 
 def _cell_count(pixels: np.ndarray) -> int:
@@ -263,22 +249,55 @@ def _collinear(points: np.ndarray) -> bool:
     return _rank_below(points - points.mean(axis=0), 2)
 
 
-def _until_degenerate(solve, degenerate):
-    """`solve`, raising NoConsensusError when a window gives no model and degenerate() holds.
+def _robust_estimate(
+    c: CorrespondenceSet,
+    cfg: EstimatorConfig,
+    threshold: float,
+    sample_size: int,
+    min_rows: int,
+    lift,
+    solve,
+    residuals,
+    degenerate,
+    finish,
+    refit=None,
+) -> PoseEstimate:
+    """Lift, sample, solve, score, refit and finish: the recipe the three estimators share.
 
-    degenerate() checks the whole match set for a configuration in which
-    every minimal sample fails, so that the robust loop could only run to
-    its cap.  It is asked only after a window comes back empty, so a
-    solvable query does not pay for it.
+    lift(c) gives an (n, d) data row for each distinct match and the mask of
+    the rows to keep.  Fewer than min_rows rows, or rows through too few
+    pixels (_fabricated), are turned down before the robust loop, and so is
+    a consensus through too few.  When a window of `solve` gives no model
+    and degenerate(data) holds, every minimal sample fails, so the loop
+    stops there (a solvable query never asks).  finish(model, inlier rows,
+    their reference pixels, their query pixels) makes the pose.
+
+    The one place that maps failures to statuses: NoConsensusError and
+    CheiralityError become no_estimate, ScaleConsensusError degenerate_scale.
     """
+    c = c.distinct()
+    try:
+        rows, kept = lift(c)
+        data, index = rows[kept], np.flatnonzero(kept)
+        if len(data) < min_rows or _fabricated(c, index, sample_size):
+            raise NoConsensusError(f"fewer than {min_rows} lifted matches or {sample_size} pixels on a side")
 
-    def checked(samples: np.ndarray):
-        model_lists = solve(samples)
-        if not any(model_lists) and degenerate():
-            raise NoConsensusError("every minimal sample of the match set is degenerate")
-        return model_lists
+        def checked(samples: np.ndarray):
+            model_lists = solve(samples)
+            if not any(model_lists) and degenerate(data):
+                raise NoConsensusError("every minimal sample of the match set is degenerate")
+            return model_lists
 
-    return checked
+        result = ransac(data, checked, residuals, sample_size, cfg.ransac_config(threshold), refit=refit)
+        support = index[result.inlier_mask]
+        if _fabricated(c, support, sample_size):
+            raise NoConsensusError("the consensus covers fewer distinct pixels than a minimal sample")
+        pose = finish(result.model, data[result.inlier_mask], c.ref_px[support], c.query_px[support])
+    except (NoConsensusError, CheiralityError):
+        return PoseEstimate(EstimateStatus.NO_ESTIMATE)
+    except ScaleConsensusError:
+        return PoseEstimate(EstimateStatus.DEGENERATE_SCALE)
+    return PoseEstimate(EstimateStatus.OK, pose, float(result.inlier_count))
 
 
 def estimate_essmat_dscale(
@@ -298,14 +317,18 @@ def estimate_essmat_dscale(
     decomposition; minimal five-point fits alone are too noisy to meet the
     benchmark's accuracy regime.
     """
-    c = c.distinct()
-    if len(c) < 5 or _fabricated(c, slice(None), 5):
-        return _NO_ESTIMATE
-    data = _normalized_matches(c, k_ref, k_query)
     if cfg.sampson_threshold is not None:
         threshold = cfg.sampson_threshold
     else:
         threshold = 4.0 / float((k_ref.fx * k_ref.fy * k_query.fx * k_query.fy) ** 0.25)
+
+    def lift(c: CorrespondenceSet):
+        normalized = np.column_stack([normalized_coords(k_ref, c.ref_px), normalized_coords(k_query, c.query_px)])
+        return normalized, np.ones(len(c), dtype=bool)
+
+    # collinear pixels on either image: the scene points lie on a plane through that camera's centre
+    def degenerate(data: np.ndarray) -> bool:
+        return _rank_below(solvers._hom(data[:, :2]), 3) or _rank_below(solvers._hom(data[:, 2:]), 3)
 
     def refit(model, inliers):
         try:
@@ -313,34 +336,20 @@ def estimate_essmat_dscale(
         except CheiralityError:
             return model
 
-    # collinear pixels on either image: the scene points lie on a plane through that camera's centre
-    solve = _until_degenerate(
-        solvers.essential_five_point,
-        lambda: _rank_below(solvers._hom(data[:, :2]), 3) or _rank_below(solvers._hom(data[:, 2:]), 3),
-    )
-    try:
-        # sampson_error scores a window's list of matrices as one (M, 3, 3) stack
-        result = ransac(data, solve, sampson_error, 5, cfg.ransac_config(threshold), refit=refit)
-    except NoConsensusError:
-        return _NO_ESTIMATE
-    if _fabricated(c, result.inlier_mask, 5):
-        return _NO_ESTIMATE
-    try:
-        rotation, t_hat = solvers.decompose_essential(result.model, data[result.inlier_mask])
-    except CheiralityError:
-        return _NO_ESTIMATE
+    def finish(e, inliers, ref_px, query_px):
+        rotation, t_hat = solvers.decompose_essential(e, inliers)
+        x_ref, valid_ref = _lift(k_ref, ref_px, depth_ref)
+        x_query, valid_query = _lift(k_query, query_px, depth_query)
+        both = valid_ref & valid_query
+        if np.count_nonzero(both) < _MIN_SCALE_SUPPORT:
+            raise ScaleConsensusError(f"fewer than {_MIN_SCALE_SUPPORT} inliers have depth on both sides")
+        scale, _ = scale_consensus(x_ref[both], x_query[both], rotation, t_hat, cfg.scale_config())
+        return Pose(rotation, scale * t_hat)
 
-    x_ref, x_query, _ = _lift_both(
-        c.ref_px[result.inlier_mask], c.query_px[result.inlier_mask], depth_ref, depth_query, k_ref, k_query
+    # sampson_error scores a window's list of matrices as one (M, 3, 3) stack
+    return _robust_estimate(
+        c, cfg, threshold, 5, 5, lift, solvers.essential_five_point, sampson_error, degenerate, finish, refit
     )
-    if len(x_ref) < _MIN_SCALE_SUPPORT:
-        return _DEGENERATE_SCALE
-    try:
-        scale, _ = scale_consensus(x_ref, x_query, rotation, t_hat, cfg.scale_config())
-    except ScaleConsensusError:
-        return _DEGENERATE_SCALE
-    pose = Pose(rotation, scale * t_hat)
-    return PoseEstimate(EstimateStatus.OK, pose, float(result.inlier_count))
 
 
 def estimate_pnp(
@@ -351,23 +360,13 @@ def estimate_pnp(
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
     """PnP over 2D query features and 3D points lifted from reference depth."""
-    c = c.distinct()
-    if len(c) < 4:
-        return _NO_ESTIMATE
-    d_ref = depth_ref.sample_nearest(c.ref_px)
-    valid = DepthMap.valid(d_ref)
-    points3d = backproject(k_ref, c.ref_px[valid], d_ref[valid])
-    plausible = _plausible(points3d)
-    lifted = np.flatnonzero(valid)[plausible]
-    points3d, pixels = points3d[plausible], c.query_px[lifted]
-    if len(points3d) < 4 or _fabricated(c, lifted, 3):
-        return _NO_ESTIMATE
-    data = np.column_stack([pixels, points3d])
+
+    def lift(c: CorrespondenceSet):
+        points3d, lifted = _lift(k_ref, c.ref_px, depth_ref)
+        return np.column_stack([c.query_px, points3d]), lifted
 
     def p3p(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         return solvers.pnp_p3p(samples[:, :, 2:], normalized_coords(k_query, samples[:, :, :2]))
-
-    solve = _until_degenerate(p3p, lambda: _collinear(points3d))
 
     def residuals(poses: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
         cam = _transform(poses, rows[:, 2:])
@@ -377,18 +376,14 @@ def estimate_pnp(
             v = k_query.fy * cam[:, :, 1] / z + k_query.cy
             return np.where(z > 0, np.hypot(u - rows[:, 0], v - rows[:, 1]), np.inf)
 
-    try:
-        result = ransac(data, solve, residuals, 3, cfg.ransac_config(cfg.pnp_threshold_px))
-    except NoConsensusError:
-        return _NO_ESTIMATE
-    if _fabricated(c, lifted[result.inlier_mask], 3):
-        return _NO_ESTIMATE
-    if result.inlier_count < 4:  # possible when min_inliers < 4; refine_pnp needs 4
-        return _NO_ESTIMATE
-    refined = solvers.refine_pnp(
-        Pose(*result.model), points3d[result.inlier_mask], pixels[result.inlier_mask], k_query
+    def finish(model, inliers, *_):
+        if len(inliers) < 4:  # possible when min_inliers < 4; refine_pnp needs 4
+            raise NoConsensusError(f"{len(inliers)} inliers are too few to refine a pose")
+        return solvers.refine_pnp(Pose(*model), inliers[:, 2:], inliers[:, :2], k_query).pose
+
+    return _robust_estimate(
+        c, cfg, cfg.pnp_threshold_px, 3, 4, lift, p3p, residuals, lambda data: _collinear(data[:, 2:]), finish
     )
-    return PoseEstimate(EstimateStatus.OK, refined.pose, float(result.inlier_count))
 
 
 def estimate_procrustes(
@@ -400,35 +395,29 @@ def estimate_procrustes(
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
     """Rigid alignment of 3D-3D correspondences back-projected from both images."""
-    c = c.distinct()
-    if len(c) < 3:
-        return _NO_ESTIMATE
-    x_ref, x_query, lifted = _lift_both(c.ref_px, c.query_px, depth_ref, depth_query, k_ref, k_query)
-    if len(x_ref) < 3 or _fabricated(c, lifted, 3):
-        return _NO_ESTIMATE
-    data = np.column_stack([x_ref, x_query])
+
+    def lift(c: CorrespondenceSet):
+        x_ref, valid_ref = _lift(k_ref, c.ref_px, depth_ref)
+        x_query, valid_query = _lift(k_query, c.query_px, depth_query)
+        return np.column_stack([x_ref, x_query]), valid_ref & valid_query
 
     def kabsch(samples: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         rotations, translations, ok = solvers._kabsch(samples[:, :, :3], samples[:, :, 3:])
         return [[(r, t)] if aligned else [] for r, t, aligned in zip(rotations, translations, ok)]
 
-    solve = _until_degenerate(kabsch, lambda: _collinear(x_ref) or _collinear(x_query))
-
     def residuals(poses: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
         return np.linalg.norm(_transform(poses, rows[:, :3]) - rows[:, 3:], axis=2)
 
-    try:
-        result = ransac(data, solve, residuals, 3, cfg.ransac_config(cfg.procrustes_threshold_m))
-    except NoConsensusError:
-        return _NO_ESTIMATE
-    if _fabricated(c, lifted[result.inlier_mask], 3):
-        return _NO_ESTIMATE
-    pose = Pose(*result.model)
-    try:
-        pose = solvers.procrustes_align(x_ref[result.inlier_mask], x_query[result.inlier_mask])
-    except DegenerateSampleError:
-        pass  # keep the minimal-sample model when the inlier re-fit degenerates
-    return PoseEstimate(EstimateStatus.OK, pose, float(result.inlier_count))
+    def finish(model, inliers, *_):
+        try:
+            return solvers.procrustes_align(inliers[:, :3], inliers[:, 3:])
+        except DegenerateSampleError:
+            return Pose(*model)  # keep the minimal-sample model when the inlier re-fit degenerates
+
+    return _robust_estimate(
+        c, cfg, cfg.procrustes_threshold_m, 3, 3, lift, kabsch, residuals,
+        lambda data: _collinear(data[:, :3]) or _collinear(data[:, 3:]), finish,
+    )
 
 
 ESTIMATOR_NAMES = ("essmat-dscale", "pnp", "procrustes")
@@ -443,11 +432,13 @@ def run_estimator(
     k_query: CameraIntrinsics,
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
-    """Dispatch an estimator by CLI name; pnp does not read depth_query, which may then be None."""
-    if name == "essmat-dscale":
-        return estimate_essmat_dscale(c, depth_ref, depth_query, k_ref, k_query, cfg)
+    """Dispatch an estimator by CLI name; only pnp reads no depth_query, so only pnp accepts None for it."""
     if name == "pnp":
         return estimate_pnp(c, depth_ref, k_ref, k_query, cfg)
-    if name == "procrustes":
-        return estimate_procrustes(c, depth_ref, depth_query, k_ref, k_query, cfg)
-    raise InvalidParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    if name not in ESTIMATOR_NAMES:
+        raise InvalidParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    if depth_query is None:
+        raise InvalidParameterError(f"{name} reads the query depth map, and none was given")
+    if name == "essmat-dscale":
+        return estimate_essmat_dscale(c, depth_ref, depth_query, k_ref, k_query, cfg)
+    return estimate_procrustes(c, depth_ref, depth_query, k_ref, k_query, cfg)

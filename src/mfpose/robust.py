@@ -44,6 +44,9 @@ class RansacConfig:
     min_iterations: int = 10
 
     def __post_init__(self):
+        counts = (self.max_iterations, self.min_iterations, self.min_inliers, self.rng_seed)
+        if not all(isinstance(count, (int, np.integer)) for count in counts) or self.rng_seed < 0:
+            raise InvalidParameterError("iteration counts, min_inliers and rng_seed must be integers, rng_seed >= 0")
         if self.max_iterations < 1 or self.min_iterations < 1:
             raise InvalidParameterError("iteration counts must be >= 1")
         if not (0.0 < self.confidence < 1.0):

@@ -6,7 +6,7 @@ import pytest
 
 from mfpose import pipelines, solvers
 from mfpose.dataset import SyntheticSceneConfig, synth_scene
-from mfpose.errors import InvalidParameterError
+from mfpose.errors import CheiralityError, DegenerateSampleError, InvalidParameterError, ScaleConsensusError
 from mfpose.geometry import (
     CameraIntrinsics,
     Pose,
@@ -28,7 +28,7 @@ from mfpose.pipelines import (
     pixel_index,
     run_estimator,
 )
-from mfpose.robust import RobustResult
+from mfpose.robust import RansacConfig, RobustResult
 
 from conftest import random_pose, small_angle_deg
 
@@ -93,8 +93,9 @@ def test_depth_map_owns_a_read_only_float64_copy():
             if source.flags.writeable:
                 source[0, 0] = 9.0
                 assert dm.values[0, 0] == 1.0, name
-    with pytest.raises(InvalidParameterError):
-        DepthMap(np.ones(4))
+    for bad in (np.ones(4), np.ones((0, 4)), np.ones((3, 0)), np.ones((0, 0))):
+        with pytest.raises(InvalidParameterError):
+            DepthMap(bad)
 
 
 def test_pixel_index_half_up():
@@ -186,10 +187,18 @@ def test_estimator_config_rejects_values_the_estimators_would():
         {"sampson_threshold": 0.0},
         {"pnp_threshold_px": np.nan},
         {"scale_relative_tolerance": np.nan},
+        {"rng_seed": -1},
+        {"rng_seed": 1.5},
+        {"rng_seed": 2.0},
+        {"max_iterations": 2.5},
+        {"min_inliers": 2.5},
     ):
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(**bad)
+    with pytest.raises(InvalidParameterError):
+        RansacConfig(min_iterations=2.5)
     EstimatorConfig(sampson_threshold=None)
+    EstimatorConfig(max_iterations=np.int64(20), min_inliers=np.int32(5), rng_seed=np.uint64(2**64 - 1))
 
 
 def test_pnp_consensus_below_four_is_no_estimate():
@@ -426,6 +435,38 @@ def test_pure_rotation_is_flagged_not_fabricated():
     assert estimate.pose is None
 
 
+def test_typed_errors_after_the_robust_loop_map_to_statuses(monkeypatch):
+    # a solvable query whose finish step meets each typed error in turn
+    _, inputs = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0, outlier_fraction=0.4, pixel_noise_px=1.0)))
+
+    def raising(error):
+        def fail(*args, **kwargs):
+            raise error("raised by the test")
+
+        return fail
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "decompose_essential", raising(CheiralityError))
+        estimate = run_estimator("essmat-dscale", *inputs)
+        assert (estimate.status, estimate.pose) == (EstimateStatus.NO_ESTIMATE, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipelines, "scale_consensus", raising(ScaleConsensusError))
+        estimate = run_estimator("essmat-dscale", *inputs)
+        assert (estimate.status, estimate.pose) == (EstimateStatus.DEGENERATE_SCALE, None)
+
+    # a degenerate inlier re-fit keeps the robust loop's minimal-sample pose
+    results = []
+    ransac = pipelines.ransac
+    monkeypatch.setattr(pipelines, "ransac", lambda *args, **kwargs: results.append(ransac(*args, **kwargs)) or results[-1])
+    monkeypatch.setattr(solvers, "procrustes_align", raising(DegenerateSampleError))
+    estimate = run_estimator("procrustes", *inputs)
+    (result,) = results
+    assert (estimate.status, estimate.confidence) == (EstimateStatus.OK, float(result.inlier_count))
+    minimal = Pose(*result.model)
+    assert estimate.pose.rotation.tobytes() == minimal.rotation.tobytes()
+    assert estimate.pose.translation.tobytes() == minimal.translation.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # scale propagation and bias probes
 # ---------------------------------------------------------------------------
@@ -549,6 +590,14 @@ def test_confidence_is_monotone_evidence():
     assert errors[confidences >= median_conf].mean() < errors[confidences < median_conf].mean()
 
 
-def test_unknown_estimator_rejected():
+def test_unknown_estimator_rejected(monkeypatch):
     with pytest.raises(InvalidParameterError):
         run_estimator("magic", CorrespondenceSet.empty(), DepthMap(np.zeros((2, 2))), DepthMap(np.zeros((2, 2))), K, K)
+    # an estimator that reads query depth turns down a missing map before any work
+    monkeypatch.setattr(CorrespondenceSet, "distinct", lambda self: pytest.fail("an estimator ran"))
+    _, (c, depth_ref, _, *intrinsics) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0)))
+    for name in ("essmat-dscale", "procrustes"):
+        with pytest.raises(InvalidParameterError):
+            run_estimator(name, c, depth_ref, None, *intrinsics)
+    monkeypatch.undo()
+    assert run_estimator("pnp", c, depth_ref, None, *intrinsics).status is EstimateStatus.OK
