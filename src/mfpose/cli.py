@@ -22,15 +22,13 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import (
     SceneManifest,
     SyntheticSceneConfig,
+    format_estimate_line,
     list_scenes,
     load_scene,
-    parse_floats,
-    read_fields,
+    parse_estimates,
     synth_scene,
     synth_write,
 )
@@ -46,14 +44,7 @@ from .evaluation import (
     score_queries,
     vcre_acceptable,
 )
-from .geometry import _quaternion_of_rotation, poses_from_stack, rotation_from_quaternion
-from .pipelines import (
-    ESTIMATOR_NAMES,
-    EstimateStatus,
-    EstimatorConfig,
-    PoseEstimate,
-    run_estimator,
-)
+from .pipelines import ESTIMATOR_NAMES, EstimatorConfig, run_estimator
 
 DEFAULT_SEED = 0
 EXIT_OK = 0
@@ -72,99 +63,6 @@ def derive_seed(global_seed: int, scene_id: str, query_id: str) -> int:
         f"{global_seed}/{scene_id}/{query_id}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little") >> 1
-
-
-# --------------------------------------------------------------------------
-# Estimates file format
-# --------------------------------------------------------------------------
-
-
-def format_estimate_line(scene_id: str, query_id: str, estimate: PoseEstimate) -> str:
-    if estimate.status is not EstimateStatus.OK:
-        return f"{scene_id} {query_id} {estimate.status.value}"
-    q = _quaternion_of_rotation(estimate.pose.rotation)  # Pose checked the rotation
-    t = estimate.pose.translation
-    confidence = "-" if estimate.confidence is None else repr(float(estimate.confidence))
-    fields = [scene_id, query_id, "ok"] + [repr(float(v)) for v in (*q, *t)] + [confidence]
-    return " ".join(fields)
-
-
-def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
-    """Parse the lines `format_estimate_line` writes.
-
-    The file is parsed in one pass: the numbers of all ok lines go through
-    `float()` together and their poses are converted and checked as one
-    stack.  On a malformed file the error names the first bad line, whatever
-    its fault.
-    """
-    path = Path(path)
-    lines: list[tuple[str, str, EstimateStatus]] = []
-    numbers: list[int] = []  # line of each ok line
-    tokens: list[str] = []  # per ok line: seven pose fields and the confidence ("nan" when there is none)
-    has_confidence: list[bool] = []
-    first_lines: dict[tuple[str, str], int] = {}  # a repeated query would count twice in every rate
-    error = None  # (line, message) of the first line with a bad layout
-    for number, fields in read_fields(path):
-        if len(fields) < 3:
-            error = (number, "expected `scene query status ...`")
-            break
-        scene_id, query_id, status_text = fields[:3]
-        first = first_lines.setdefault((scene_id, query_id), number)
-        if first != number:
-            error = (number, f"repeated estimate for {scene_id} {query_id}, first given on line {first}")
-            break
-        try:
-            status = EstimateStatus(status_text)
-        except ValueError:
-            error = (number, f"unknown status {status_text!r}")
-            break
-        if status is not EstimateStatus.OK:
-            if len(fields) != 3:
-                error = (number, f"{status_text} lines must have 3 fields")
-                break
-        elif len(fields) not in (10, 11):
-            error = (number, f"ok lines need 10 or 11 fields, got {len(fields)}")
-            break
-        else:
-            confidence = fields[10] if len(fields) == 11 else "-"
-            numbers.append(number)
-            tokens += fields[3:10]
-            tokens.append("nan" if confidence == "-" else confidence)
-            has_confidence.append(confidence != "-")
-        lines.append((scene_id, query_id, status))
-    values, exc = parse_floats(tokens)
-    rows = len(values) // 8
-    if exc is not None:
-        kind = "pose field" if len(values) % 8 < 7 else "confidence"
-        error = (numbers[rows], f"non-numeric {kind}: {exc}")
-        del values[8 * rows :]
-    arr = np.array(values).reshape(rows, 8)
-
-    rotations = rotation_from_quaternion(arr[:, :4])  # all NaN where the norm is zero or not finite
-    poses, fault = poses_from_stack(rotations, arr[:, 4:7])
-    bad_confidence = np.array(has_confidence[:rows], dtype=bool) & ~(arr[:, 7] >= 0)  # NaN fails too
-    faults = [  # (row, message) of each check's first failing row, in the order a line is checked
-        *[(row, "quaternion has zero or non-finite norm")
-          for row in np.flatnonzero(np.isnan(rotations[:, 0, 0]))[:1]],
-        (len(poses), fault),
-        *[(row, "confidence must be a number >= 0") for row in np.flatnonzero(bad_confidence)[:1]],
-    ]
-    row, message = min(faults, key=lambda f: f[0])  # on a tie the earlier check wins
-    if row < rows:
-        raise FormatError(path, message, numbers[row])
-    if error is not None:
-        raise FormatError(path, error[1], error[0]) from exc
-
-    confidences = [value if given else None for value, given in zip(values[7::8], has_confidence)]
-    ok = iter(zip(poses, confidences))
-    out = []
-    for scene_id, query_id, status in lines:
-        if status is EstimateStatus.OK:
-            estimate = PoseEstimate(status, *next(ok))
-        else:
-            estimate = PoseEstimate(status)
-        out.append((scene_id, query_id, estimate))
-    return out
 
 
 # --------------------------------------------------------------------------

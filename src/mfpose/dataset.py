@@ -16,6 +16,10 @@ magic 'MFDM', little-endian u32 width and height, then width*height
 little-endian float32 values, row-major, in meters (non-positive or
 non-finite values mark invalid pixels).
 
+An estimates file, the output of `mfpose estimate`, holds one
+`scene query status` line per query; ok lines add `qw qx qy qz tx ty tz`
+and a confidence (`-` when there is none).
+
 Loaders reject malformed data instead of repairing it; errors carry the
 file and line.  The pose file direction (x = R y + t) is stated here
 because public pose formats disagree on it.
@@ -33,6 +37,7 @@ from .errors import FormatError, GenerationError, InvalidParameterError
 from .geometry import (
     CameraIntrinsics,
     Pose,
+    _quaternion_of_rotation,
     backproject,
     canonical_quaternions,
     poses_from_stack,
@@ -41,7 +46,7 @@ from .geometry import (
     rotation_from_quaternion,
     row_norms,
 )
-from .pipelines import CorrespondenceSet, DepthMap, pixel_index
+from .pipelines import CorrespondenceSet, DepthMap, EstimateStatus, PoseEstimate, pixel_index
 
 DEPTH_MAGIC = b"MFDM"
 _QUATERNION_NORM_TOL = 1e-3
@@ -66,51 +71,98 @@ def read_fields(path: Path):
         yield number, line.split()
 
 
+def _read_table(path: Path, kinds: tuple[str, ...], layout):
+    """Read a text file of numeric rows in one pass; return the (rows, width) array and its `fail`.
+
+    `layout(line, fields)` is called on each line in turn.  It returns the
+    line's number tokens (one per entry of `kinds`), None for a line with no
+    numbers, or a message that ends the read at that line.  All tokens then
+    go through `float()` together; a bad one ends the rows at its line with
+    `non-numeric <kind of its column>`.
+
+    `fail(faults)` takes the (row, message) of each array check's first
+    failing row, in the order a line is checked, and raises the FormatError
+    of the earliest row (on a tie the earlier check wins).  Every row
+    precedes the line that ended the read, so when no check fails, `fail`
+    raises that line's layout or number error, if any.
+    """
+    numbers: list[int] = []  # line of each row
+    tokens: list[str] = []
+    error = None  # (line, message) of the line that ended the read
+    for number, fields in read_fields(path):
+        row = layout(number, fields)
+        if row is None:
+            continue
+        if type(row) is str:
+            error = (number, row)
+            break
+        numbers.append(number)
+        tokens += row
+    width = len(kinds)
+    exc = None
+    try:
+        values = list(map(float, tokens))
+    except ValueError:  # find the first bad token and keep the whole rows before it
+        values = []
+        for token in tokens:
+            try:
+                values.append(float(token))
+            except ValueError as bad:
+                exc = bad
+                break
+        rows = len(values) // width
+        error = (numbers[rows], f"non-numeric {kinds[len(values) % width]}: {exc}")
+        del values[width * rows :]
+    table = np.array(values).reshape(-1, width)
+
+    def fail(faults) -> None:
+        row, message = min(faults, key=lambda f: f[0], default=(len(table), None))
+        if row < len(table):
+            raise FormatError(path, message, numbers[row])
+        if error is not None:
+            raise FormatError(path, error[1], error[0]) from exc
+
+    return table, fail
+
+
+def _pose_rows(table: np.ndarray) -> tuple[list[Pose], list[tuple[int, str]]]:
+    """Poses from the `qw qx qy qz tx ty tz` columns of a table, checked as one stack.
+
+    Returns the poses of the rows before the first that fails, and the
+    (row, message) of each check's first failing row, for `fail`.
+    """
+    rotations = rotation_from_quaternion(table[:, :4])  # all NaN where the norm is zero or not finite
+    poses, fault = poses_from_stack(rotations, table[:, 4:7])
+    no_norm = np.flatnonzero(np.isnan(rotations[:, 0, 0]))[:1]
+    return poses, [*[(row, "quaternion has zero or non-finite norm") for row in no_norm], (len(poses), fault)]
+
+
 def load_poses(path) -> dict[str, Pose]:
     """Parse `frame qw qx qy qz tx ty tz` lines into world-to-camera poses.
 
-    The file is parsed in one pass and its poses are converted and checked
-    as one stack (see load_correspondences); on a malformed file the error
-    names the first bad line, whatever its fault.
+    The file is read in one pass and its poses are checked as one stack; on
+    a malformed file the error names the first bad line, whatever its fault.
     """
     path = Path(path)
     names: dict[str, None] = {}
-    numbers: list[int] = []
-    tokens: list[str] = []
-    error = None  # (line, message) of the first line that is not a new frame and seven fields
-    for number, fields in read_fields(path):
+
+    def layout(number, fields):
         if len(fields) != 8:
-            error = (number, f"expected 8 fields, got {len(fields)}")
-            break
+            return f"expected 8 fields, got {len(fields)}"
         name = fields[0]
         if name in names:
-            error = (number, f"duplicate frame {name!r}")
-            break
+            return f"duplicate frame {name!r}"
         names[name] = None
-        numbers.append(number)
-        tokens += fields[1:]
-    values, exc = parse_floats(tokens)
-    rows = len(values) // 7
-    if exc is not None:
-        error = (numbers[rows], f"non-numeric field: {exc}")
-        del values[7 * rows :]
-    arr = np.array(values).reshape(rows, 7)
+        return fields[1:]
 
-    norm = row_norms(arr[:, :4])
-    rotations = rotation_from_quaternion(arr[:, :4])  # all NaN where the norm is zero or not finite
-    poses, fault = poses_from_stack(rotations, arr[:, 4:])
-    faults = [  # (row, message) of each check's first failing row, in the order a line is checked
+    table, fail = _read_table(path, ("field",) * 7, layout)
+    norm = row_norms(table[:, :4])
+    poses, faults = _pose_rows(table)  # a NaN norm passes the norm check and fails there
+    fail([
         *[(row, f"quaternion norm {float(norm[row]):.6g} is not within {_QUATERNION_NORM_TOL} of 1")
           for row in np.flatnonzero(np.abs(norm - 1.0) > _QUATERNION_NORM_TOL)[:1]],
-        *[(row, "quaternion has zero or non-finite norm")  # a NaN norm passes the check above
-          for row in np.flatnonzero(np.isnan(rotations[:, 0, 0]))[:1]],
-        (len(poses), fault),
-    ]
-    row, message = min(faults, key=lambda f: f[0])  # on a tie the earlier check wins
-    if row < rows:
-        raise FormatError(path, message, numbers[row])
-    if error is not None:
-        raise FormatError(path, error[1], error[0]) from exc
+        *faults,
+    ])
     return dict(zip(names, poses))
 
 
@@ -154,74 +206,100 @@ def save_intrinsics(path, intrinsics: dict[str, CameraIntrinsics]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_floats(tokens: list[str]) -> tuple[list[float], ValueError | None]:
-    """`float()` of each token up to the first that fails, and that token's error (None if all parse)."""
-    try:
-        return list(map(float, tokens)), None
-    except ValueError:
-        pass
-    values = []
-    for token in tokens:
-        try:
-            values.append(float(token))
-        except ValueError as exc:
-            return values, exc
-    return values, None
+def _match_layout(number, fields):
+    return fields if len(fields) == 5 else f"expected 5 fields, got {len(fields)}"
 
 
 def load_correspondences(path, k_ref: CameraIntrinsics, k_query: CameraIntrinsics) -> CorrespondenceSet:
     """Parse `u_ref v_ref u_query v_query score` lines; empty file = empty set.
 
-    The file is parsed in one pass: tokens go through `float()` together and
-    the finiteness and image-bounds checks run as array masks.  On a
-    malformed file the error names the first bad line, whatever its fault.
+    The file is read in one pass and the finiteness and image-bounds checks
+    run as array masks.  On a malformed file the error names the first bad
+    line, whatever its fault.
     """
     path = Path(path)
-    numbers: list[int] = []
-    tokens: list[str] = []
-    error = None  # (line, message) of the first line that is not five numbers
-    for number, fields in read_fields(path):
-        if len(fields) != 5:
-            error = (number, f"expected 5 fields, got {len(fields)}")
-            break
-        numbers.append(number)
-        tokens += fields
-    values, exc = parse_floats(tokens)
-    rows = len(values) // 5
-    if exc is not None:  # keep the whole lines before the one that failed
-        error = (numbers[rows], f"non-numeric field: {exc}")
-        del values[5 * rows :]
-    arr = np.array(values).reshape(rows, 5)
+    table, fail = _read_table(path, ("field",) * 5, _match_layout)
 
-    non_finite = ~np.isfinite(arr).all(axis=1)
-    outside_ref = ~k_ref.contains(arr[:, 0:2])  # NaN counts as outside; non_finite is reported first
-    outside_query = ~k_query.contains(arr[:, 2:4])
-    bad = np.flatnonzero(non_finite | outside_ref | outside_query)
-    if len(bad):  # every parsed line precedes `error`'s line, so the first bad row wins
-        row = bad[0]
-        if non_finite[row]:
-            raise FormatError(path, "non-finite value", numbers[row])
-        if outside_ref[row]:
-            side, k, (u, v) = "reference", k_ref, arr[row, 0:2]
-        else:
-            side, k, (u, v) = "query", k_query, arr[row, 2:4]
-        raise FormatError(path, f"{side} pixel ({u:g}, {v:g}) outside {k.width}x{k.height} image", numbers[row])
-    if error is not None:
-        raise FormatError(path, error[1], error[0]) from exc
-    if not rows:
+    def outside(side, k, pixels):  # NaN counts as outside; the finiteness check comes first
+        return [(row, f"{side} pixel ({pixels[row, 0]:g}, {pixels[row, 1]:g}) outside {k.width}x{k.height} image")
+                for row in np.flatnonzero(~k.contains(pixels))[:1]]
+
+    fail([
+        *[(row, "non-finite value") for row in np.flatnonzero(~np.isfinite(table).all(axis=1))[:1]],
+        *outside("reference", k_ref, table[:, 0:2]),
+        *outside("query", k_query, table[:, 2:4]),
+    ])
+    if not len(table):
         return CorrespondenceSet.empty()
-    return CorrespondenceSet(arr[:, 0:2], arr[:, 2:4], arr[:, 4])
+    return CorrespondenceSet(table[:, 0:2], table[:, 2:4], table[:, 4])
 
 
 def save_correspondences(path, c: CorrespondenceSet) -> None:
-    lines = [
-        " ".join(
-            repr(float(v))
-            for v in (c.ref_px[i, 0], c.ref_px[i, 1], c.query_px[i, 0], c.query_px[i, 1], c.scores[i])
-        )
-        for i in range(len(c))
-    ]
+    rows = np.column_stack([c.ref_px, c.query_px, c.scores]).tolist()
+    lines = [" ".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+_STATUSES = {status.value: status for status in EstimateStatus}
+
+
+def format_estimate_line(scene_id: str, query_id: str, estimate: PoseEstimate) -> str:
+    if estimate.status is not EstimateStatus.OK:
+        return f"{scene_id} {query_id} {estimate.status.value}"
+    q = _quaternion_of_rotation(estimate.pose.rotation)  # Pose checked the rotation
+    t = estimate.pose.translation
+    confidence = "-" if estimate.confidence is None else repr(float(estimate.confidence))
+    fields = [scene_id, query_id, "ok"] + [repr(float(v)) for v in (*q, *t)] + [confidence]
+    return " ".join(fields)
+
+
+def parse_estimates(path) -> list[tuple[str, str, PoseEstimate]]:
+    """Parse the lines `format_estimate_line` writes.
+
+    The file is read in one pass like a pose file: the numbers of all ok
+    lines go through `float()` together and their poses are checked as one
+    stack.  On a malformed file the error names the first bad line, whatever
+    its fault.
+    """
+    path = Path(path)
+    lines: list[tuple[str, str, EstimateStatus]] = []
+    has_confidence: list[bool] = []  # per ok line
+    first_lines: dict[tuple[str, str], int] = {}  # a repeated query would count twice in every rate
+
+    def layout(number, fields):
+        if len(fields) < 3:
+            return "expected `scene query status ...`"
+        scene_id, query_id, status_text = fields[:3]
+        first = first_lines.setdefault((scene_id, query_id), number)
+        if first != number:
+            return f"repeated estimate for {scene_id} {query_id}, first given on line {first}"
+        status = _STATUSES.get(status_text)
+        if status is None:
+            return f"unknown status {status_text!r}"
+        if status is not EstimateStatus.OK:
+            if len(fields) != 3:
+                return f"{status_text} lines must have 3 fields"
+            row = None
+        elif len(fields) not in (10, 11):
+            return f"ok lines need 10 or 11 fields, got {len(fields)}"
+        else:  # seven pose fields and the confidence ("nan" when there is none)
+            confidence = fields[10] if len(fields) == 11 else "-"
+            has_confidence.append(confidence != "-")
+            row = fields[3:10] + ["nan" if confidence == "-" else confidence]
+        lines.append((scene_id, query_id, status))
+        return row
+
+    table, fail = _read_table(path, ("pose field",) * 7 + ("confidence",), layout)
+    poses, faults = _pose_rows(table)
+    bad_confidence = np.array(has_confidence[: len(table)], dtype=bool) & ~(table[:, 7] >= 0)  # NaN fails too
+    fail([*faults, *[(row, "confidence must be a number >= 0") for row in np.flatnonzero(bad_confidence)[:1]]])
+
+    confidences = [value if given else None for value, given in zip(table[:, 7].tolist(), has_confidence)]
+    ok = iter(zip(poses, confidences))
+    return [
+        (scene_id, query_id, PoseEstimate(status, *next(ok)) if status is EstimateStatus.OK else PoseEstimate(status))
+        for scene_id, query_id, status in lines
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +318,8 @@ def load_depth_map(path) -> DepthMap:
     magic, width, height = struct.unpack("<4sII", blob[:12])
     if magic != DEPTH_MAGIC:
         raise FormatError(path, f"bad magic {magic!r}, expected {DEPTH_MAGIC!r}")
+    if not width or not height:
+        raise FormatError(path, f"depth map is {width}x{height}, need at least one pixel")
     expected = 12 + 4 * width * height
     if len(blob) != expected:
         raise FormatError(path, f"payload is {len(blob)} bytes, expected {expected} for {width}x{height}")

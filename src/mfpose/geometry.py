@@ -413,9 +413,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidParameterError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0 or int(self.width) != self.width or int(self.height) != self.height:
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):  # NaN fails too
+            raise InvalidParameterError("focal lengths must be finite and positive")
+        if not all(0 < n < np.inf and int(n) == n for n in (self.width, self.height)):
             raise InvalidParameterError("image dimensions must be positive integers")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidParameterError("principal point must lie inside the image")
@@ -423,9 +423,6 @@ class CameraIntrinsics:
     @property
     def diagonal(self) -> float:
         return float(np.hypot(self.width, self.height))
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
 
     def contains(self, pixels: np.ndarray) -> np.ndarray:
         """Bounds mask for (..., 2) pixel coordinates."""

@@ -232,6 +232,22 @@ def _real_roots(polys: np.ndarray, is_real):
     return owner, roots
 
 
+def _unrepeated(j: np.ndarray, k: np.ndarray, repeated: np.ndarray, count: int):
+    """Index of the candidates kept when each one that repeats an earlier kept one is dropped.
+
+    `repeated` flags the pairs (j[i], k[i]), k < j, of `count` candidates that repeat each other.
+    """
+    if not repeated.any():  # the common case: keep all
+        return slice(None)
+    repeats = np.zeros((count, count), dtype=bool)
+    repeats[j, k] = repeated
+    kept: list[int] = []
+    for candidate in range(count):
+        if not repeats[candidate, kept].any():
+            kept.append(candidate)
+    return kept
+
+
 def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     """Minimal five-point relative pose solver over a (K, 5, 4) stack of samples.
 
@@ -289,14 +305,8 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     # a candidate repeats an earlier kept one of its sample when |<E, E'>| ~ 1
     j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
     repeated = np.abs((e[j] * e[k]).reshape(-1, 9).sum(axis=1)) > 1.0 - 1e-9
-    if repeated.any():  # rare: drop each candidate that repeats an earlier kept one
-        repeats = np.zeros((len(owner), len(owner)), dtype=bool)
-        repeats[j, k] = repeated
-        kept: list[int] = []
-        for candidate in range(len(owner)):
-            if not repeats[candidate, kept].any():
-                kept.append(candidate)
-        owner, e = owner[kept], e[kept]
+    kept = _unrepeated(j, k, repeated, len(owner))
+    owner, e = owner[kept], e[kept]
     bounds = np.searchsorted(owner, np.arange(count + 1))  # owner ascends
     return [list(e[start:stop]) for start, stop in zip(bounds[:-1], bounds[1:])]
 
@@ -602,14 +612,8 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     repeated = (np.abs(rotation[j] - rotation[k]).max(axis=(1, 2)) < 1e-9) & (
         np.abs(translation[j] - translation[k]).max(axis=1) < 1e-9 * (1.0 + np.abs(translation[k]).max(axis=1))
     )
-    if repeated.any():  # rare: drop each candidate that repeats an earlier kept one
-        repeats = np.zeros((len(owner), len(owner)), dtype=bool)
-        repeats[j, k] = repeated
-        kept: list[int] = []
-        for candidate in range(len(owner)):
-            if not repeats[candidate, kept].any():
-                kept.append(candidate)
-        owner, rotation, translation = owner[kept], rotation[kept], translation[kept]
+    kept = _unrepeated(j, k, repeated, len(owner))
+    owner, rotation, translation = owner[kept], rotation[kept], translation[kept]
     for sample, r, t in zip(good[owner], rotation, translation):
         poses[sample].append((r, t))
     return poses
@@ -655,14 +659,7 @@ def refine_pnp(initial: Pose, points3d: np.ndarray, pixels: np.ndarray, k: Camer
         d_proj[:, 1, 1] = k.fy / z
         d_proj[:, 1, 2] = -k.fy * cam[:, 1] / z**2
         # camera point under left perturbation: d(cam)/dw = -[cam]x, d(cam)/dt = I
-        cross = np.zeros((n, 3, 3))
-        cross[:, 0, 1] = cam[:, 2]
-        cross[:, 0, 2] = -cam[:, 1]
-        cross[:, 1, 0] = -cam[:, 2]
-        cross[:, 1, 2] = cam[:, 0]
-        cross[:, 2, 0] = cam[:, 1]
-        cross[:, 2, 1] = -cam[:, 0]
-        jac = np.concatenate([np.einsum("nij,njk->nik", d_proj, cross), d_proj], axis=2)
+        jac = np.concatenate([np.einsum("nij,njk->nik", d_proj, skew(-cam)), d_proj], axis=2)
         return jac.reshape(2 * n, 6)
 
     def update(pose: Pose, step: np.ndarray) -> Pose:

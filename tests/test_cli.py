@@ -398,6 +398,22 @@ def test_pnp_estimate_does_not_read_query_depth(dataset, tmp_path, capsys):
             assert f"error: {depth}: payload is 100 bytes, expected 1228812 for 640x480\n" in err
 
 
+@pytest.mark.parametrize("focal", ["inf", "nan"])
+def test_estimate_rejects_a_non_finite_focal_length(dataset, tmp_path, capsys, focal):
+    # such a focal length once gave pnp and procrustes `ok` poses far off the truth
+    intrinsics = dataset / "scene0000" / "intrinsics.txt"
+    lines = intrinsics.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, start=1) if line.startswith("reference "))
+    lines[number - 1] = lines[number - 1].replace(" 500.0 ", f" {focal} ", 1)
+    intrinsics.write_text("\n".join(lines) + "\n")
+    for estimator in ESTIMATOR_NAMES:
+        out = tmp_path / f"{estimator}.txt"
+        code = main(["estimate", "--dataset", str(dataset), "--out", str(out), "--estimator", estimator])
+        assert code == EXIT_IO, estimator
+        assert capsys.readouterr().err == f"error: {intrinsics}:{number}: focal lengths must be finite and positive\n"
+        assert not out.exists()
+
+
 def test_missing_dataset_exit_2(tmp_path):
     estimates = tmp_path / "est.txt"
     estimates.write_text("")

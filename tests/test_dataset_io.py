@@ -65,6 +65,15 @@ def test_depth_truncated(tmp_path):
         load_depth_map(path)
 
 
+@pytest.mark.parametrize("width, height", [(7, 0), (0, 5), (0, 0)])
+def test_depth_empty_header_names_the_file(tmp_path, width, height):
+    path = tmp_path / "d.mfdm"
+    path.write_bytes(DEPTH_MAGIC + struct.pack("<II", width, height))
+    with pytest.raises(FormatError) as info:
+        load_depth_map(path)
+    assert str(info.value) == f"{path}: depth map is {width}x{height}, need at least one pixel"
+
+
 def test_depth_float32_load_is_lossless(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.uniform(0.1, 50.0, (7, 5)).astype(np.float32)

@@ -519,3 +519,12 @@ def test_intrinsics_validation():
     with pytest.raises(InvalidParameterError):
         CameraIntrinsics(500.0, 500.0, 320.0, 240.0, -640, 480)
     assert CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480).diagonal == 800.0
+
+
+@pytest.mark.parametrize("field", ["fx", "fy", "width", "height"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_intrinsics_reject_non_finite_values(field, value):
+    # NaN fails no `<= 0` test and int(inf) raises OverflowError, so both need their own check
+    values = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480, field: value}
+    with pytest.raises(InvalidParameterError):
+        CameraIntrinsics(**values)
