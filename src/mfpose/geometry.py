@@ -417,6 +417,8 @@ class CameraIntrinsics:
             raise InvalidParameterError("focal lengths must be finite and positive")
         if not all(0 < n < np.inf and int(n) == n for n in (self.width, self.height)):
             raise InvalidParameterError("image dimensions must be positive integers")
+        object.__setattr__(self, "width", int(self.width))  # 640.0 is stored as 640, which load_intrinsics reads back
+        object.__setattr__(self, "height", int(self.height))
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidParameterError("principal point must lie inside the image")
 

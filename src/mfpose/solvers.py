@@ -10,6 +10,7 @@ q_query^T E q_ref = 0 on homogeneous rays (x, y, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -385,23 +386,33 @@ def decompose_essential(e: np.ndarray, matches: np.ndarray):
     return rotation, translation / np.linalg.norm(translation)
 
 
-def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, tolerance, max_iterations, cost_floor=0.0):
-    """Levenberg-Marquardt loop of both refiners; returns (x, initial cost, cost, any step kept).
+# A solved step at most this times (1 + |t|), t the current translation, is roundoff: the point is converged.
+_STEP_TOLERANCE = 1e-12
+
+
+def _damped_least_squares(
+    x, evaluate, jacobian, update, translation, damping, damping_cap, tolerance, max_iterations, cost_floor=0.0
+):
+    """Levenberg-Marquardt loop of both refiners; returns (x, initial cost, cost, diverged).
 
     evaluate(x) -> (cost, residuals, state), the cost infinite for an infeasible
     x; jacobian(x, residuals, state) differentiates the residuals; update(x,
-    step) applies the solution of (J^T J + damping I) step = -J^T r.  A step
-    that does not raise the cost is kept, its residuals and state reused, and
-    the damping divided by 10 (floor 1e-12); a rejected step or a singular
-    system multiplies it by 10.  Stops on a cost at or below `cost_floor`
-    or not finite, after a kept step whose relative drop is below
-    `tolerance`, or when no step with damping below `damping_cap` is kept.
+    step) applies the solution of (J^T J + damping I) step = -J^T r;
+    translation(x) is the translation vector of x.  A step that does not
+    raise the cost is kept, its residuals and state reused, and the damping
+    divided by 10 (floor 1e-12); a rejected step or a singular system
+    multiplies it by 10.  x is converged, and the loop stops, on a cost at
+    or below `cost_floor`, on a solved step no longer than 1e-12 (1 + |t|)
+    (Madsen, Nielsen & Tingleff 2004, section 3.2), or after a kept step
+    whose relative drop is below `tolerance`.  It also stops on a cost that
+    is not finite, or when no step with damping below `damping_cap` is
+    kept.  diverged is True when no step was kept and x is not converged.
     """
     cost, residuals, state = evaluate(x)
     initial_cost, kept = cost, False
     for _ in range(max_iterations):
         if not cost_floor < cost < np.inf:
-            break
+            return x, initial_cost, cost, not kept and not cost <= cost_floor
         jac = jacobian(x, residuals, state)
         gradient = jac.T @ residuals
         hessian = jac.T @ jac
@@ -411,6 +422,8 @@ def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, t
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
+            if np.linalg.norm(step) <= _STEP_TOLERANCE * (1.0 + np.linalg.norm(translation(x))):
+                return x, initial_cost, cost, False
             candidate = update(x, step)
             new_cost, new_residuals, new_state = evaluate(candidate)
             if new_cost <= cost:
@@ -419,12 +432,12 @@ def _damped_least_squares(x, evaluate, jacobian, update, damping, damping_cap, t
                 damping = max(damping / 10.0, 1e-12)
                 kept = True
                 if relative_drop < tolerance:
-                    return x, initial_cost, cost, kept
+                    return x, initial_cost, cost, False
                 break
             damping *= 10.0
         else:
             break  # no step below the damping cap was kept
-    return x, initial_cost, cost, kept
+    return x, initial_cost, cost, not kept
 
 
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
@@ -474,8 +487,10 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     poorly; this polishes the 5 pose degrees of freedom (rotation plus
     translation direction) against all supplied matches, with the analytic
     Jacobian at the current pose.  It stops once the cost reaches 1e-24
-    (exact matches), or after a step that lowers it by less than a relative
-    1e-10.  The result is an exact essential matrix by construction.
+    (exact matches), once a solved step is no longer than 1e-12 (1 + |t|) =
+    2e-12 (t is the unit translation direction), or after a step that
+    lowers it by less than a relative 1e-10.  The result is an exact
+    essential matrix by construction.
     Raises CheiralityError when the initial matrix cannot be decomposed
     against the matches.
     """
@@ -491,7 +506,9 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
         return _sampson_jacobian(skew(t) @ rotation, _relative_pose_directions(rotation, t), q_ref, q_query)
 
     pose = decompose_essential(e, matches)
-    pose, *_ = _damped_least_squares(pose, evaluate, jacobian, _perturb_relative_pose, 1e-6, 1e8, 1e-10, 20, 1e-24)
+    pose, *_ = _damped_least_squares(
+        pose, evaluate, jacobian, _perturb_relative_pose, itemgetter(1), 1e-6, 1e8, 1e-10, 20, 1e-24
+    )
     return essential_from_pose(*pose)
 
 
@@ -631,10 +648,12 @@ def refine_pnp(initial: Pose, points3d: np.ndarray, pixels: np.ndarray, k: Camer
     """Damped Gauss-Newton on pixel reprojection error.
 
     Damping starts at 1e-3 and follows the shared Levenberg-Marquardt
-    schedule; convergence is a relative cost change below 1e-12.  The
-    returned cost never exceeds the initial cost; if no step is ever
-    accepted (an infeasible start included) the initial pose comes back with
-    diverged=True.
+    schedule; convergence is a solved step no longer than 1e-12 (1 + |t|),
+    t the current translation, or a kept step whose relative cost change is
+    below 1e-12.  The returned cost never exceeds the initial cost.  If no
+    step is ever accepted, the initial pose comes back, with diverged=True
+    unless it is already converged (a zero cost or a negligible step); an
+    infeasible start diverges.
     """
     points3d = np.asarray(points3d, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -666,11 +685,9 @@ def refine_pnp(initial: Pose, points3d: np.ndarray, pixels: np.ndarray, k: Camer
         dr = rotation_from_axis_angle(step[:3])
         return Pose(dr @ pose.rotation, dr @ pose.translation + step[3:])
 
-    pose, initial_cost, cost, kept = _damped_least_squares(
-        initial, evaluate, jacobian, update, 1e-3, 1e12, 1e-12, 100
+    return RefineResult(
+        *_damped_least_squares(initial, evaluate, jacobian, update, attrgetter("translation"), 1e-3, 1e12, 1e-12, 100)
     )
-    # with no step kept, pose and cost are the initial ones
-    return RefineResult(pose, initial_cost, cost, not kept and cost != 0.0)
 
 
 # --------------------------------------------------------------------------

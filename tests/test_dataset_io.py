@@ -206,6 +206,15 @@ def test_intrinsics_round_trip(tmp_path):
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
+def test_intrinsics_with_integral_float_sizes_round_trip(tmp_path):
+    k = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640.0, np.float64(480.0))
+    assert (type(k.width), type(k.height)) == (int, int)
+    path = tmp_path / "intrinsics.txt"
+    save_intrinsics(path, {"a": k})
+    assert path.read_text() == "a 500.0 500.0 320.0 240.0 640 480\n"
+    assert load_intrinsics(path) == {"a": k}
+
+
 def test_intrinsics_invalid_values_are_located(tmp_path):
     path = tmp_path / "intrinsics.txt"
     path.write_text("a 500 500 320 240 640 480\nb -1 500 320 240 640 480\n")

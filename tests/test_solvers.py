@@ -820,6 +820,24 @@ def test_refine_at_optimum_is_noop(rng):
     assert np.abs(result.pose.translation - pose.translation).max() < 1e-9
 
 
+def test_refine_from_the_exact_pose_stops_within_two_trials(monkeypatch):
+    transform = Pose.transform
+    calls = []
+
+    def counted(pose, points):
+        calls.append(pose)
+        return transform(pose, points)
+
+    monkeypatch.setattr(Pose, "transform", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        pose, world, pixels = _pnp_scene(rng)
+        calls.clear()
+        result = refine_pnp(pose, world, pixels, K)
+        assert not result.diverged
+        assert len(calls) <= 3  # the initial evaluation and at most two trial steps
+
+
 def test_refine_recovers_from_perturbation(rng):
     for _ in range(10):
         pose, world, pixels = _pnp_scene(rng)

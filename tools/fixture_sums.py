@@ -44,11 +44,11 @@ RECORDED = {
     ("clean", "essmat-dscale", "curves.csv"):
         "fb418a09d475df5f3fbd6356a46b3852394a15c3f2dd721a0370c67c4f6ddd21",
     ("clean", "pnp", "estimate"):
-        "0d5649c16394ef1845d02eec844bfddc6653b1ce195edef1b67581826495da0f",
+        "39e6b88e6c0807fe925c63d4045184a08e4d76accd7dc6caa88b4626a43cac38",
     ("clean", "pnp", "evaluate.json"):
-        "5955c86ce2bbc9a5ca1c159aa8ff28e8fd99d1403a14c6a0d630a17d25edb7fc",
+        "a81e99e77ed048dcd107b54792f4286662fa7b80e4f5f7726676abaf327e6dd5",
     ("clean", "pnp", "evaluate.csv"):
-        "9024da930ecabf67529269eb1070209eb433ed93ffa8ff3c73d043b6550180fb",
+        "389a0d38027ef95b51f7f204050f206ef176443abbc4c917c4e611afe5172e50",
     ("clean", "pnp", "curves.csv"):
         "5d7997b6aa05946259c3b9c53ba026866760a9351bcd693a866d8561978c4aba",
     ("clean", "procrustes", "estimate"):
