@@ -290,7 +290,8 @@ def _robust_estimate(
 
         result = ransac(data, checked, residuals, sample_size, cfg.ransac_config(threshold), refit=refit)
         support = index[result.inlier_mask]
-        if _fabricated(c, support, sample_size):
+        # a consensus of every lifted row is the set the check above passed
+        if len(support) < len(index) and _fabricated(c, support, sample_size):
             raise NoConsensusError("the consensus covers fewer distinct pixels than a minimal sample")
         pose = finish(result.model, data[result.inlier_mask], c.ref_px[support], c.query_px[support])
     except (NoConsensusError, CheiralityError):

@@ -30,6 +30,10 @@ from .errors import InvalidParameterError, NoConsensusError, ScaleConsensusError
 # small, down to 16 samples (n >= 1024) and no further.
 _WINDOW = 64
 _WINDOW_ROWS = 2**14
+# Most models x data rows scored by one `residuals` call, so that a window's
+# score arrays stay small whatever its model count.  A window of up to 10
+# models per sample (the five-point solver's most) is one call up to n = 1024.
+_SCORE_ENTRIES = 10 * _WINDOW_ROWS
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,11 @@ def ransac(
     window holds more than min(64, max(16, 2**14 // len(data))) samples.
     Each sample is its own
     rng.choice call, in draw order; each window is solved by one `solve`
-    call and its models scored by one `residuals` call.  Models are then
-    consumed in draw order, so `iterations` counts consumed samples and the
-    result is bit-identical for a given rng_seed, whatever the window sizes.
-    Samples drawn past the adaptive stop are discarded.
+    call and its models scored by one `residuals` call per block of at most
+    10 * 2**14 // len(data) models.  Models are then consumed in draw
+    order, so `iterations` counts consumed samples and the result is
+    bit-identical for a given rng_seed, whatever the window and block
+    sizes.  Samples drawn past the adaptive stop are discarded.
 
     When `refit(model, inlier_data)` is given it is applied to the winning
     consensus set (up to two rounds); the refitted model is adopted only if
@@ -108,10 +113,16 @@ def ransac(
     rng = np.random.default_rng(config.rng_seed)
     threshold_sq = config.inlier_threshold**2
 
+    block = max(1, _SCORE_ENTRIES // n)
+
     def score(models):
-        """MSAC losses (truncated squared residuals) and inlier masks, one row per model."""
-        rows = np.asarray(residuals(models, data), dtype=float)
-        return np.minimum(rows**2, threshold_sq).sum(axis=1), rows <= config.inlier_threshold
+        """MSAC losses (truncated squared residuals) and inlier masks, one row per model, `block` models a call."""
+        losses, masks = [], []
+        for start in range(0, len(models), block):
+            rows = np.asarray(residuals(models[start : start + block], data), dtype=float)
+            losses.append(np.minimum(rows**2, threshold_sq).sum(axis=1))
+            masks.append(rows <= config.inlier_threshold)
+        return np.concatenate(losses), np.concatenate(masks)
 
     best_loss = np.inf
     best_model = None
@@ -220,35 +231,76 @@ def scale_consensus(
 
     Each 3D-3D correspondence votes s_i = t_hat . (Xq_i - R @ Xr_i), where
     t_hat must be a unit vector.  Every estimate above min_component is a
-    candidate cluster center; the center whose relative_tolerance band holds
-    the most estimates wins (ties: smaller mean absolute deviation, then
-    smaller scale) and the returned scale is the mean of its supporters.
-    Raises ScaleConsensusError when no estimate is positive.
+    candidate cluster center c; its supporters are the estimates s with
+    |s - c| <= relative_tolerance * c, as rounded in float64.  The center
+    whose band holds the most estimates wins (ties: smaller mean absolute
+    deviation, then smaller scale) and the returned scale is the mean of
+    its supporters in ascending order.
+    Raises ScaleConsensusError when no estimate is positive, and
+    InvalidParameterError when an estimate is not finite.
+
+    Sorted-run rule: the rounded difference s - c never decreases as s
+    grows, so a candidate's supporters are one contiguous run of the sorted
+    estimates.  searchsorted on c -/+ band finds each run's ends, the same
+    <= test then moves each end past the values that round to the other
+    side of the band edge, and the vote costs O(n log n).
     """
     ref_points = np.asarray(ref_points, dtype=float).reshape(-1, 3)
     query_points = np.asarray(query_points, dtype=float).reshape(-1, 3)
     estimates = (query_points - ref_points @ np.asarray(rotation, dtype=float).T) @ np.asarray(
         t_hat, dtype=float
     )
+    if not np.all(np.isfinite(estimates)):
+        raise InvalidParameterError("per-correspondence scale estimates must be finite")
     candidates = estimates[estimates > config.min_component]
     if len(candidates) == 0:
         raise ScaleConsensusError("all per-correspondence scale estimates are non-positive")
 
-    # O(n^2) support matrix: row i = estimates within the band around candidate i
-    support = np.abs(estimates[None, :] - candidates[:, None]) <= config.relative_tolerance * candidates[:, None]
-    counts = support.sum(axis=1)
+    ordered = np.sort(estimates)
+    band = config.relative_tolerance * candidates
+    lo = _run_end(ordered, candidates, band, upper=False)
+    hi = _run_end(ordered, candidates, band, upper=True)
+    counts = np.maximum(hi - lo, 0)
     best_count = counts.max()
     best = None
-    seen_masks: set[bytes] = set()  # tied candidates often share one supporter set
-    for idx in np.flatnonzero(counts == best_count):
-        mask_key = support[idx].tobytes()
-        if mask_key in seen_masks:
-            continue
-        seen_masks.add(mask_key)
-        supporters = np.sort(estimates[support[idx]])
+    # tied candidates with one count and one start share one supporter run
+    for start in dict.fromkeys(lo[counts == best_count].tolist()):
+        supporters = ordered[start : start + best_count]
         scale = float(np.mean(supporters))
         mad = float(np.mean(np.abs(supporters - scale)))
         key = (mad, scale)
         if best is None or key < best[0]:
             best = (key, scale)
     return best[1], int(best_count)
+
+
+def _run_end(ordered: np.ndarray, centers: np.ndarray, band: np.ndarray, upper: bool) -> np.ndarray:
+    """Per center, the index into the ascending `ordered` where its supporter run starts or (upper) ends.
+
+    With c a run's center, an estimate s lies before the run while
+    s - c < -band and before the run's upper end while s - c <= band, both
+    as rounded; each test holds for a prefix of `ordered`, and the index
+    returned is the first at which it fails.  searchsorted on c -/+ band
+    guesses it; each correction steps over a whole run of equal values, and
+    the guess is off by a few distinct values at most.
+    """
+
+    def before(index, which):
+        offset = ordered[index] - centers[which]
+        return offset <= band[which] if upper else offset < -band[which]
+
+    if upper:
+        ends = np.searchsorted(ordered, centers + band, "right")
+    else:
+        ends = np.searchsorted(ordered, centers - band, "left")
+    down = np.flatnonzero(ends > 0)
+    while len(down):
+        down = down[~before(ends[down] - 1, down)]
+        ends[down] = np.searchsorted(ordered, ordered[ends[down] - 1], "left")
+        down = down[ends[down] > 0]
+    up = np.flatnonzero(ends < len(ordered))
+    while len(up):
+        up = up[before(ends[up], up)]
+        ends[up] = np.searchsorted(ordered, ordered[ends[up]], "right")
+        up = up[ends[up] < len(ordered)]
+    return ends

@@ -325,9 +325,12 @@ def triangulate_midpoints(rotation: np.ndarray, translation: np.ndarray, matches
     matches = np.asarray(matches, dtype=float).reshape(-1, 4)
     d_ref = _hom(matches[:, :2])
     d_query = _hom(matches[:, 2:]) @ rotation  # rows: R.T @ ray_query
-    center = -(rotation.T @ translation)
+    return _midpoints(d_ref, np.sum(d_ref * d_ref, axis=1), d_query, rotation, translation)
 
-    a11 = np.sum(d_ref * d_ref, axis=1)
+
+def _midpoints(d_ref, a11, d_query, rotation, translation):
+    """triangulate_midpoints from the (n, 3) reference rays, their squared norms and the rotated query rays."""
+    center = -(rotation.T @ translation)
     a12 = np.sum(d_ref * d_query, axis=1)
     a22 = np.sum(d_query * d_query, axis=1)
     det = a11 * a22 - a12 * a12
@@ -362,23 +365,32 @@ def decompose_essential(e: np.ndarray, matches: np.ndarray):
     to the candidate with the larger mean depth margin.  If no candidate
     puts any well-conditioned match in front of both cameras, raises
     CheiralityError.
+
+    One triangulation per rotation: negating t negates every midpoint and
+    both depths exactly (rounding is sign-symmetric), so (R, -t) is judged
+    on the negated depths of (R, t).  Only an exact zero can change sign,
+    and a zero depth is never in front.
     """
     matches = np.asarray(matches, dtype=float).reshape(-1, 4)
     if len(matches) == 0:
         raise InvalidParameterError("cheirality needs at least one match")
     candidates = essential_pose_candidates(e)
+    d_ref = _hom(matches[:, :2])
+    a11 = np.sum(d_ref * d_ref, axis=1)
+    rays = _hom(matches[:, 2:])
 
     best = None
-    for rotation, translation in candidates:
-        points, well = triangulate_midpoints(rotation, translation, matches)
+    for rotation, translation in candidates[::2]:  # (R, t); (R, -t) follows it in `candidates`
+        points, well = _midpoints(d_ref, a11, rays @ rotation, rotation, translation)
         z_ref = points[:, 2]
         z_query = points @ rotation[2] + translation[2]
-        front = well & (z_ref > 0) & (z_query > 0)
-        count = int(front.sum())
-        margin = float(np.minimum(z_ref[front], z_query[front]).mean()) if count else 0.0
-        key = (count, margin)
-        if best is None or key > best[0]:
-            best = (key, rotation, translation)
+        for depth_ref, depth_query, t in ((z_ref, z_query, translation), (-z_ref, -z_query, -translation)):
+            front = well & (depth_ref > 0) & (depth_query > 0)
+            count = int(front.sum())
+            margin = float(np.minimum(depth_ref[front], depth_query[front]).mean()) if count else 0.0
+            key = (count, margin)
+            if best is None or key > best[0]:
+                best = (key, rotation, t)
 
     if best[0][0] == 0:
         raise CheiralityError("no decomposition places a match in front of both cameras")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -348,6 +349,39 @@ def test_consensus_through_one_pixel_among_scattered_matches_is_no_estimate(monk
     for seed, c in cases(6):
         for name in ESTIMATOR_NAMES:
             assert run_estimator(name, c, depth, depth, K, K, cfg).status is EstimateStatus.NO_ESTIMATE, (seed, name)
+
+
+def test_whole_set_consensus_skips_the_second_pixel_check(monkeypatch):
+    # _fabricated passed on every lifted row before the loop, so it runs again
+    # only on a consensus that leaves some out
+    checks, results = [], []
+    fabricated, ransac = pipelines._fabricated, pipelines.ransac
+    monkeypatch.setattr(pipelines, "_fabricated", lambda *args: checks.append(1) or fabricated(*args))
+    monkeypatch.setattr(pipelines, "ransac", lambda *args, **kwargs: results.append(ransac(*args, **kwargs)) or results[-1])
+    whole = 0
+    for outliers in (0.0, 0.4):
+        _, inputs = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=1, outlier_fraction=outliers)))
+        for name in ESTIMATOR_NAMES:
+            checks.clear()
+            assert run_estimator(name, *inputs).status is EstimateStatus.OK
+            everything = bool(results[-1].inlier_mask.all())
+            assert len(checks) == (1 if everything else 2), (outliers, name)
+            whole += everything
+    assert 0 < whole < 2 * len(ESTIMATOR_NAMES)
+
+
+def test_essmat_scores_a_large_query_in_bounded_memory():
+    # 7000 matches at 95% outliers: a window of 16 five-point samples holds up to
+    # 160 models, and scored at once their (models, n) arrays peak near 40 MB
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=0, num_points=7000, outlier_fraction=0.95, pixel_noise_px=1.0))
+    _, inputs = scene_inputs(scene)
+    tracemalloc.start()
+    try:
+        run_estimator("essmat-dscale", *inputs, EstimatorConfig(max_iterations=60))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
 
 
 def test_implausible_depth_is_not_ok_and_raises_no_warning():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfpose import robust
 from mfpose.errors import (
     CheiralityError,
+    InvalidParameterError,
     NoConsensusError,
     ScaleConsensusError,
 )
@@ -254,6 +257,29 @@ def essential_refit(model, inliers):
         return model
 
 
+def test_ransac_scores_a_window_in_bounded_blocks_with_the_same_result(rng, monkeypatch):
+    matches, _, _, _ = _essential_scene_with_outliers(rng, n=150, outlier_fraction=0.6)
+    cfg = RansacConfig(rng_seed=3, inlier_threshold=4.0 / 500.0, max_iterations=300)
+    results = []
+    for models_per_call in (None, 7, 1):  # None: the module's bound, one call per window here
+        if models_per_call is not None:
+            monkeypatch.setattr(robust, "_SCORE_ENTRIES", models_per_call * len(matches) + len(matches) - 1)
+        calls = []
+
+        def residuals(models, data):
+            calls.append(len(models))
+            return sampson_error(np.array(models), data)
+
+        results.append(ransac(matches, essential_five_point, residuals, 5, cfg, refit=essential_refit))
+        assert max(calls) <= (models_per_call or 10 * 64)
+        assert models_per_call is None or max(calls) == models_per_call
+    for other in results[1:]:
+        assert other.model.tobytes() == results[0].model.tobytes()
+        assert other.score == results[0].score
+        assert other.iterations == results[0].iterations
+        assert np.array_equal(other.inlier_mask, results[0].inlier_mask)
+
+
 def test_ransac_essential_with_outliers(rng):
     # Monte-Carlo: 60% inliers at 1 px noise (f = 500), consensus refit on;
     # 400 raw matches is the regime of learned matchers
@@ -349,13 +375,12 @@ def test_sampson_first_order_in_perturbation(rng):
 
 
 def brute_force_consensus(estimates, tolerance, min_component):
-    """Independent O(n^2) oracle with explicit loops and the spec tie-breaks."""
+    """Independent O(n^2) oracle: every candidate's band tested against every estimate, with the spec tie-breaks."""
     best = None
     for i, center in enumerate(estimates):
         if center <= min_component:
             continue
-        supporters = [s for s in estimates if abs(s - center) <= tolerance * center]
-        supporters = np.sort(np.array(supporters))
+        supporters = np.sort(estimates[np.abs(estimates - center) <= tolerance * center])
         scale = float(np.mean(supporters))
         mad = float(np.mean(np.abs(supporters - scale)))
         key = (-len(supporters), mad, scale)
@@ -419,30 +444,82 @@ def test_scale_consensus_order_invariance(rng):
     assert support1 == support2
 
 
+def exact_scale_problem(estimates):
+    """3D-3D correspondences whose per-match scale estimates are exactly `estimates`, unrounded."""
+    query = np.zeros((len(estimates), 3))
+    query[:, 2] = estimates
+    return np.zeros_like(query), query, np.eye(3), np.array([0.0, 0.0, 1.0])
+
+
+def _vote_matches_brute_force(ref, query, rotation, t_hat, cfg):
+    expected = brute_force_consensus((query - ref @ rotation.T) @ t_hat, cfg.relative_tolerance, cfg.min_component)
+    if expected is None:
+        with pytest.raises(ScaleConsensusError):
+            scale_consensus(ref, query, rotation, t_hat, cfg)
+        return
+    scale, support = scale_consensus(ref, query, rotation, t_hat, cfg)
+    assert scale == expected[0]
+    assert support == expected[1]
+
+
+def _mixed_estimates(rng, n, kind):
+    if kind == 0:
+        return rng.uniform(-1.0, 10.0, n)
+    if kind == 1:
+        return np.concatenate([rng.normal(2.0, 0.02, max(1, n // 2)), rng.uniform(0.1, 20.0, n - max(1, n // 2))])
+    return np.round(rng.uniform(0.0, 5.0, n), 1)  # exercises exact ties
+
+
 def test_scale_consensus_matches_brute_force(rng):
     cfg = ScaleConsensusConfig()
     for _ in range(200):
         n = rng.integers(1, 40)
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            estimates = rng.uniform(-1.0, 10.0, n)
-        elif kind == 1:
-            estimates = np.concatenate(
-                [rng.normal(2.0, 0.02, max(1, n // 2)), rng.uniform(0.1, 20.0, n - max(1, n // 2))]
+        estimates = _mixed_estimates(rng, n, rng.integers(0, 3))
+        _vote_matches_brute_force(*make_scale_problem(rng, estimates), cfg)
+    tolerances = (1e-9, 0.1, 2.0)
+    for n in (300, 1000, 3000):  # large populations, at the tightest, default and loosest bands
+        for kind in range(3):
+            for tolerance in tolerances:
+                estimates = _mixed_estimates(rng, n, kind)
+                _vote_matches_brute_force(*make_scale_problem(rng, estimates), ScaleConsensusConfig(tolerance))
+    for tolerance in tolerances:  # votes on a band's edges, rounded either way, and one ulp either side
+        for _ in range(10):
+            centers = rng.uniform(0.5, 4.0, 6)
+            edges = np.concatenate(
+                [centers * (1.0 - tolerance), centers * (1.0 + tolerance), centers - tolerance * centers,
+                 centers + tolerance * centers]
             )
-        else:
-            estimates = np.round(rng.uniform(0.0, 5.0, n), 1)  # exercises exact ties
-        ref, query, rotation, t_hat = make_scale_problem(rng, estimates)
-        expected = brute_force_consensus(
-            (query - ref @ rotation.T) @ t_hat, cfg.relative_tolerance, cfg.min_component
-        )
-        if expected is None:
-            with pytest.raises(ScaleConsensusError):
-                scale_consensus(ref, query, rotation, t_hat, cfg)
-            continue
-        scale, support = scale_consensus(ref, query, rotation, t_hat, cfg)
-        assert scale == expected[0]
-        assert support == expected[1]
+            edges = edges[edges != 0.0]
+            votes = np.concatenate([centers, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+            votes = rng.choice(votes, rng.integers(1, len(votes) + 1), replace=False)
+            _vote_matches_brute_force(*exact_scale_problem(votes), ScaleConsensusConfig(tolerance))
+    for tolerance in tolerances:  # long runs of one value, ties among their candidates
+        for _ in range(5):
+            values = np.concatenate([rng.uniform(0.5, 4.0, 4), np.round(rng.uniform(0.5, 4.0, 4), 1)])
+            runs = np.repeat(values, rng.integers(1, 500, len(values)))
+            votes = np.concatenate([runs, rng.uniform(-1.0, 10.0, rng.integers(0, 200))])
+            _vote_matches_brute_force(*exact_scale_problem(rng.permutation(votes)), ScaleConsensusConfig(tolerance))
+
+
+def test_scale_consensus_rejects_non_finite_estimates(rng):
+    for bad in (np.inf, -np.inf, np.nan):
+        estimates = np.concatenate([rng.normal(2.0, 0.05, 10), [bad]])
+        with pytest.raises(InvalidParameterError):
+            scale_consensus(*exact_scale_problem(estimates))
+
+
+def test_scale_consensus_memory_stays_linear_in_the_voters(rng):
+    # the band test of every candidate against every voter needs n x n arrays: 200 MB at n = 5000
+    estimates = np.concatenate([rng.normal(2.0, 0.05, 2500), rng.uniform(0.1, 10.0, 2500)])
+    problem = exact_scale_problem(estimates)
+    tracemalloc.start()
+    try:
+        scale, support = scale_consensus(*problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert support > 2500 and abs(scale - 2.0) < 0.01
 
 
 def test_scale_consensus_noiseless_exactness(rng):

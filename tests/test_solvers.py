@@ -422,6 +422,86 @@ def test_decompose_cheirality_failure():
         decompose_essential(e, pure_rotation_match)
 
 
+def _four_triangulation_decomposition(e, matches):
+    """decompose_essential with one full midpoint triangulation per candidate, (R, -t) included."""
+    matches = np.asarray(matches, dtype=float).reshape(-1, 4)
+    ones = np.ones(len(matches))
+    best = None
+    for rotation, translation in essential_pose_candidates(e):
+        d_ref = np.column_stack([matches[:, :2], ones])
+        d_query = np.column_stack([matches[:, 2:], ones]) @ rotation
+        center = -(rotation.T @ translation)
+        a11 = np.sum(d_ref * d_ref, axis=1)
+        a12 = np.sum(d_ref * d_query, axis=1)
+        a22 = np.sum(d_query * d_query, axis=1)
+        det = a11 * a22 - a12 * a12
+        well = (det > 1e-12 * a11 * a22) & (float(np.linalg.norm(center)) > 1e-12)
+        b1 = d_ref @ center
+        b2 = d_query @ center
+        safe_det = np.where(well, det, 1.0)
+        s = np.where(well, (b1 * a22 - b2 * a12) / safe_det, b1 / a11)
+        u = np.where(well, (a12 * b1 - a11 * b2) / safe_det, 0.0)
+        points = 0.5 * (s[:, None] * d_ref + center + u[:, None] * d_query)
+        z_ref = points[:, 2]
+        z_query = points @ rotation[2] + translation[2]
+        front = well & (z_ref > 0) & (z_query > 0)
+        count = int(front.sum())
+        margin = float(np.minimum(z_ref[front], z_query[front]).mean()) if count else 0.0
+        if best is None or (count, margin) > best[0]:
+            best = ((count, margin), rotation, translation)
+    if best[0][0] == 0:
+        return None
+    return best[1], best[2] / np.linalg.norm(best[2])
+
+
+def _decomposes_as_four_triangulations(e, matches):
+    expected = _four_triangulation_decomposition(e, matches)
+    if expected is None:
+        with pytest.raises(CheiralityError):
+            decompose_essential(e, matches)
+        return False
+    rotation, translation = decompose_essential(e, matches)
+    assert rotation.tobytes() == expected[0].tobytes()
+    assert translation.tobytes() == expected[1].tobytes()
+    return True
+
+
+def test_decompose_matches_four_triangulations_bit_for_bit(rng):
+    # the one triangulation per rotation judges (R, -t) on negated depths; the
+    # reference above triangulates all four candidates
+    for _ in range(40):  # generic scenes, with and without noise
+        rotation, translation, _, matches = make_two_view(rng, n=int(rng.integers(1, 60)))
+        noisy = matches + rng.normal(0.0, 2e-3, matches.shape) * rng.integers(0, 2)
+        assert _decomposes_as_four_triangulations(essential_from_pose(rotation, translation), noisy)
+    ill_conditioned, resolved = 0, 0
+    for baseline in (1e-3, 1e-6, 1e-9):  # near-parallel rays: a tiny baseline, then far points
+        for translation, depth in (([baseline, 0.0, 0.0], (3.0, 8.0)), ([1.0, 0.0, 0.0], (3.0 / baseline, 8.0 / baseline))):
+            rotation, translation, _, matches = make_two_view(rng, n=40, translation=translation, depth=depth)
+            e = essential_from_pose(rotation, [1.0, 0.0, 0.0])
+            for r, t in essential_pose_candidates(e):
+                ill_conditioned += np.count_nonzero(~triangulate_midpoints(r, t, matches)[1])
+            resolved += _decomposes_as_four_triangulations(e, matches)
+    assert ill_conditioned > 0 and resolved > 0
+    # a grid of simple matches puts well-conditioned points exactly on a camera plane (zero depth)
+    grid = np.array(np.meshgrid(*[[-1.0, -0.5, 0.0, 0.5, 1.0]] * 4, indexing="ij")).reshape(4, -1).T
+    e = essential_from_pose(np.eye(3), [1.0, 0.0, 0.0])
+    points, well = triangulate_midpoints(*essential_pose_candidates(e)[1], grid)
+    assert np.any(well & (points[:, 2] == 0.0))
+    for _ in range(40):
+        _decomposes_as_four_triangulations(e, grid[rng.random(len(grid)) < 0.2])
+    assert _decomposes_as_four_triangulations(e, grid)
+
+
+def test_decompose_all_behind_set_raises_cheirality_error():
+    # well-conditioned matches that no candidate puts in front of both cameras
+    grid = np.array(np.meshgrid(*[[-1.0, -0.5, 0.0, 0.5, 1.0]] * 4, indexing="ij")).reshape(4, -1).T
+    e = essential_from_pose(rot_y(20.0), np.array([1.0, 0.0, 0.3]) / np.hypot(1.0, 0.3))
+    behind = [row for row in grid if _four_triangulation_decomposition(e, row) is None]
+    assert len(behind) > 20
+    assert not any(np.all(triangulate_midpoints(r, t, behind)[1] == 0) for r, t in essential_pose_candidates(e))
+    assert not _decomposes_as_four_triangulations(e, behind)
+
+
 # ---------------------------------------------------------------------------
 # midpoint triangulation
 # ---------------------------------------------------------------------------
