@@ -35,15 +35,10 @@ from .geometry import (
     backproject,
     camera_center,
     compose,
-    inverse,
     project,
-    relative,
     rotation_error_deg,
-    rotation_from_6d,
-    rotation_from_discrete_euler,
     rotation_from_quaternion,
     translation_error_m,
-    translation_from_spherical,
 )
 from .pipelines import (
     CorrespondenceSet,

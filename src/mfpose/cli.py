@@ -91,7 +91,7 @@ def _select_scenes(dataset: Path, scene_filter: str) -> list[str]:
     missing = sorted(set(wanted) - set(available))
     if missing:
         raise FormatError(dataset, f"scenes not found: {', '.join(missing)}")
-    return sorted(wanted)
+    return sorted(set(wanted))  # a scene named twice is estimated once
 
 
 def cmd_estimate(args) -> int:

@@ -463,8 +463,12 @@ class SyntheticSceneConfig:
             raise InvalidParameterError("baseline range must be positive and ordered")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise InvalidParameterError("outlier fraction must be in [0, 1)")
-        if self.pixel_noise_px < 0 or self.depth_noise_sigma < 0:
-            raise InvalidParameterError("noise levels must be non-negative")
+        if not (0 <= self.pixel_noise_px < np.inf and 0 <= self.depth_noise_sigma < np.inf):  # NaN fails too
+            raise InvalidParameterError("noise levels must be finite and non-negative")
+        if not 0 <= self.rotation_perturb_deg < np.inf:
+            raise InvalidParameterError("rotation_perturb_deg must be finite and non-negative")
+        if not -1 < self.depth_bias < np.inf:  # a bias of -1 or less leaves no valid depth
+            raise InvalidParameterError("depth_bias must be finite and > -1")
         if min(self.width, self.height) <= 2 * _MARGIN_PX:
             raise InvalidParameterError(f"width and height must exceed twice the {_MARGIN_PX:g} px margin")
 

@@ -196,8 +196,9 @@ class Thresholds:
     pose_rotation_deg: float = 5.0
 
     def __post_init__(self):
-        if any(f <= 0 for f in self.vcre_fractions) or self.pose_translation_m <= 0 or self.pose_rotation_deg <= 0:
-            raise InvalidParameterError("thresholds must be positive")
+        cutoffs = (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg)
+        if not all(0 < c < np.inf for c in cutoffs):  # NaN fails too
+            raise InvalidParameterError("thresholds must be finite and positive")
 
     def vcre_cutoff_px(self, k_or_diagonal) -> tuple[float, ...]:
         diagonal = k_or_diagonal.diagonal if isinstance(k_or_diagonal, CameraIntrinsics) else float(k_or_diagonal)

@@ -66,33 +66,6 @@ def _rotation_faults(rotations: np.ndarray) -> np.ndarray:
     return ~(bounded & (defect <= ROTATION_TOL))
 
 
-def _check_rotation(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise InvalidParameterError(f"rotation must be 3x3, got {r.shape}")
-    if _rotation_faults(r[None])[0]:
-        raise InvalidParameterError("matrix is not a proper rotation")
-    return r
-
-
-def rot_x(angle_deg: float) -> np.ndarray:
-    a = np.radians(angle_deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle_deg: float) -> np.ndarray:
-    a = np.radians(angle_deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle_deg: float) -> np.ndarray:
-    a = np.radians(angle_deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (N, n) stack, rounding as np.linalg.norm of the row (a BLAS dot).
 
@@ -143,16 +116,8 @@ def rotation_from_quaternion(q) -> np.ndarray:
     return r[0] if q.ndim == 1 else r
 
 
-def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Convert a rotation matrix to a unit quaternion (w, x, y, z).
-
-    The sign is canonicalized (first non-zero component positive) so the
-    output is deterministic despite the double cover.
-    """
-    return _quaternion_of_rotation(_check_rotation(r))
-
-
 def _quaternion_of_rotation(r: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of a checked rotation, first non-zero component positive."""
     trace = r[0, 0] + r[1, 1] + r[2, 2]
     if trace > 0:
         s = 0.5 / np.sqrt(trace + 1.0)
@@ -186,7 +151,7 @@ def _quaternion_of_rotation(r: np.ndarray) -> np.ndarray:
 def canonical_quaternions(rotations) -> np.ndarray:
     """Quaternions of an (N, 3, 3) rotation stack that are bit-stable under a parse -> matrix -> format cycle.
 
-    Iterating quaternion_from_rotation(rotation_from_quaternion(q)) settles on
+    Iterating _quaternion_of_rotation(rotation_from_quaternion(q)) settles on
     a fixed point within a few rounds; writing that fixed point makes pose
     files byte-identical across write -> read -> write.  A row whose
     sequence comes back to an earlier quaternion, or has not settled after
@@ -226,65 +191,6 @@ def canonical_quaternions(rotations) -> np.ndarray:
     for row in np.flatnonzero(pending):
         result[row] = least(row, rounds)
     return result
-
-
-def rotation_from_6d(a, b) -> np.ndarray:
-    """Build a rotation from two 3-vectors by partial Gram-Schmidt.
-
-    Column 1 is a normalized, column 2 is b with its a-component removed and
-    normalized, column 3 their cross product.  Invariant to positive
-    rescaling of a and b; degenerate (zero or parallel) input is rejected.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (3,) or b.shape != (3,):
-        raise InvalidParameterError("6d parameterization needs two 3-vectors")
-    na = np.linalg.norm(a)
-    if na == 0.0 or not np.isfinite(na):
-        raise InvalidParameterError("first 6d vector is zero or non-finite")
-    c1 = a / na
-    residual = b - (b @ c1) * c1
-    nr = np.linalg.norm(residual)
-    if nr <= 1e-12 * max(1.0, float(np.linalg.norm(b))) or not np.isfinite(nr):
-        raise InvalidParameterError("second 6d vector is parallel to the first")
-    c2 = residual / nr
-    c3 = np.cross(c1, c2)
-    return np.column_stack([c1, c2, c3])
-
-
-def rotation_from_discrete_euler(yaw_index: int, roll_index: int, pitch_index: int) -> np.ndarray:
-    """Decode discretized Euler angles into a rotation.
-
-    yaw_index and roll_index are 1-degree bins in [0, 360); pitch_index is a
-    bin in [0, 180) with bin 90 meaning zero pitch.  The composition is
-    R = Ry(yaw) @ Rx(pitch) @ Rz(roll).
-    """
-    for name, value, limit in (
-        ("yaw_index", yaw_index, 360),
-        ("roll_index", roll_index, 360),
-        ("pitch_index", pitch_index, 180),
-    ):
-        if int(value) != value:
-            raise InvalidParameterError(f"{name} must be integral, got {value!r}")
-        if not (0 <= int(value) < limit):
-            raise InvalidParameterError(f"{name}={value} out of range [0, {limit})")
-    return rot_y(float(yaw_index)) @ rot_x(float(pitch_index) - 90.0) @ rot_z(float(roll_index))
-
-
-def translation_from_spherical(phi_deg: float, theta_deg: float, scale_m: float) -> np.ndarray:
-    """Decode (azimuth phi, inclination theta, scale) into a translation.
-
-    theta is measured from the +Y polar axis and phi in the XZ plane from +Z
-    towards +X, so (phi=0, theta=0, s=1) is the unit +Y vector.
-    """
-    if scale_m < 0:
-        raise InvalidParameterError(f"scale must be non-negative, got {scale_m}")
-    phi = np.radians(phi_deg)
-    theta = np.radians(theta_deg)
-    direction = np.array(
-        [np.sin(theta) * np.sin(phi), np.cos(theta), np.sin(theta) * np.cos(phi)]
-    )
-    return scale_m * direction
 
 
 def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
@@ -385,15 +291,6 @@ def poses_from_stack(rotations, translations) -> tuple[list[Pose], str | None]:
 def compose(a: Pose, b: Pose) -> Pose:
     """Pose product a . b: apply b first, then a."""
     return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def inverse(p: Pose) -> Pose:
-    return Pose(p.rotation.T, -(p.rotation.T @ p.translation))
-
-
-def relative(ref: Pose, query: Pose) -> Pose:
-    """Pose of query anchored to ref: relative(ref, q) maps ref-frame points to q-frame."""
-    return compose(query, inverse(ref))
 
 
 def camera_center(p: Pose) -> np.ndarray:

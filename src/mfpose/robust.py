@@ -6,7 +6,7 @@ K lists of candidate models (an empty list for an unusable sample), and the
 residual function maps (models, data) to an (M, n) array of non-negative
 residuals, one row per model.  Scoring is MSAC (truncated squared
 residual); iteration count adapts to the observed inlier ratio.  After a
-first window of min_iterations samples, each window draws what the adaptive
+first window of _MIN_ITERATIONS samples, each window draws what the adaptive
 stop still asks for, up to a bound that keeps the (models, n) score arrays
 small.  Samples and models are consumed in draw order, so the result does
 not depend on the window size, and everything is deterministic given the
@@ -34,6 +34,9 @@ _WINDOW_ROWS = 2**14
 # score arrays stay small whatever its model count.  A window of up to 10
 # models per sample (the five-point solver's most) is one call up to n = 1024.
 _SCORE_ENTRIES = 10 * _WINDOW_ROWS
+# Floor for the adaptive count: at 100% inliers the formula alone would
+# stop after one sample, leaving an ill-conditioned hypothesis unbeaten.
+_MIN_ITERATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -43,15 +46,12 @@ class RansacConfig:
     confidence: float = 0.9999
     min_inliers: int = 5
     rng_seed: int = 0
-    # floor for the adaptive count: at 100% inliers the formula alone would
-    # stop after one sample, leaving an ill-conditioned hypothesis unbeaten
-    min_iterations: int = 10
 
     def __post_init__(self):
-        counts = (self.max_iterations, self.min_iterations, self.min_inliers, self.rng_seed)
+        counts = (self.max_iterations, self.min_inliers, self.rng_seed)
         if not all(isinstance(count, (int, np.integer)) for count in counts) or self.rng_seed < 0:
             raise InvalidParameterError("iteration counts, min_inliers and rng_seed must be integers, rng_seed >= 0")
-        if self.max_iterations < 1 or self.min_iterations < 1:
+        if self.max_iterations < 1:
             raise InvalidParameterError("iteration counts must be >= 1")
         if not (0.0 < self.confidence < 1.0):
             raise InvalidParameterError("confidence must be in (0, 1)")
@@ -88,10 +88,10 @@ def ransac(
 ) -> RobustResult:
     """Best model by MSAC score; raises NoConsensusError when support is too thin.
 
-    The first window draws min_iterations samples, all that a clean problem
-    needs; each later one draws what the adaptive stop still asks for.  No
-    window holds more than min(64, max(16, 2**14 // len(data))) samples.
-    Each sample is its own
+    The first window draws _MIN_ITERATIONS (10) samples, all that a clean
+    problem needs and the floor of the adaptive stop; each later one draws
+    what the adaptive stop still asks for.  No window holds more than
+    min(64, max(16, 2**14 // len(data))) samples.  Each sample is its own
     rng.choice call, in draw order; each window is solved by one `solve`
     call and its models scored by one `residuals` call per block of at most
     10 * 2**14 // len(data) models.  Models are then consumed in draw
@@ -131,7 +131,7 @@ def ransac(
     iteration = 0
     limit = min(_WINDOW, max(16, _WINDOW_ROWS // n))
     while iteration < iteration_cap:
-        window = min(iteration_cap - iteration, limit, limit if iteration else config.min_iterations)
+        window = min(iteration_cap - iteration, limit, limit if iteration else _MIN_ITERATIONS)
         draws = [rng.choice(n, size=sample_size, replace=False) for _ in range(window)]
         model_lists = solve(data[np.array(draws)])
         models = [model for sample_models in model_lists for model in sample_models]
@@ -148,7 +148,7 @@ def ransac(
                         config.max_iterations,
                         max(
                             iteration,
-                            config.min_iterations,
+                            _MIN_ITERATIONS,
                             _adaptive_iterations(
                                 best_mask.mean(), sample_size, config.confidence, config.max_iterations
                             ),

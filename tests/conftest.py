@@ -11,6 +11,13 @@ def random_rotation(rng, max_angle_deg=180.0):
     return rotation_from_axis_angle(axis * angle)
 
 
+def axis_rotation(axis, deg):
+    """Rotation by deg degrees about the "x", "y" or "z" axis."""
+    w = np.zeros(3)
+    w["xyz".index(axis)] = np.radians(deg)
+    return rotation_from_axis_angle(w)
+
+
 def random_pose(rng, max_angle_deg=180.0, translation_scale=2.0):
     return Pose(random_rotation(rng, max_angle_deg), rng.normal(0.0, translation_scale, 3))
 

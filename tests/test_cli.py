@@ -16,7 +16,7 @@ from mfpose.cli import (
 )
 from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
 from mfpose.errors import FormatError
-from mfpose.geometry import quaternion_from_rotation
+from mfpose.geometry import _quaternion_of_rotation
 from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, PoseEstimate
 
 
@@ -66,7 +66,7 @@ def test_estimate_line_quaternion_is_the_checked_conversion(rng):
     for _ in range(200):
         pose = random_pose(rng)
         line = format_estimate_line("sc", "q0", PoseEstimate(EstimateStatus.OK, pose, 3.5))
-        fields = [repr(float(v)) for v in (*quaternion_from_rotation(pose.rotation), *pose.translation)]
+        fields = [repr(float(v)) for v in (*_quaternion_of_rotation(pose.rotation), *pose.translation)]
         assert line == " ".join(["sc", "q0", "ok", *fields, "3.5"])
 
 
@@ -248,6 +248,24 @@ def test_estimate_then_evaluate_then_curves(dataset, tmp_path, capsys):
     assert ratios == sorted(ratios, reverse=True)
 
 
+def test_evaluate_rejects_non_finite_thresholds_exit_2(dataset, tmp_path, capsys):
+    estimates = tmp_path / "est.txt"
+    assert main(["estimate", "--dataset", str(dataset), "--out", str(estimates), "--estimator", "procrustes"]) == EXIT_OK
+    report = tmp_path / "report.json"
+    base = ["evaluate", "--estimates", str(estimates), "--dataset", str(dataset), "--out-json", str(report)]
+    for flags in (
+        ["--threshold-pose-m", "nan"],
+        ["--threshold-pose-deg", "inf"],
+        ["--threshold-vcre", "inf"],
+        ["--threshold-vcre", "0.05", "nan"],
+        ["--threshold-pose-m", "0"],
+    ):
+        assert main(base + flags) == EXIT_IO, flags
+        captured = capsys.readouterr()
+        assert "finite and positive" in captured.err and captured.out == "", flags
+        assert not report.exists(), flags
+
+
 def test_estimate_determinism_across_threads(dataset, tmp_path, monkeypatch):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
@@ -282,6 +300,15 @@ def test_estimate_scene_filter_and_config_file(dataset, tmp_path):
          "--estimator", "pnp", "--scenes", "scene0000"]
     ) == EXIT_OK
     assert out.read_bytes() == abbreviated
+
+
+def test_estimate_scene_named_twice_is_estimated_once(dataset, tmp_path, capsys):
+    once, twice = tmp_path / "once.txt", tmp_path / "twice.txt"
+    base = ["estimate", "--dataset", str(dataset), "--estimator", "procrustes", "--scenes"]
+    assert main(base + ["scene0000", "--out", str(once)]) == EXIT_OK
+    assert main(base + ["scene0000,scene0000", "--out", str(twice)]) == EXIT_OK
+    assert twice.read_bytes() == once.read_bytes()
+    assert main(["evaluate", "--estimates", str(twice), "--dataset", str(dataset)]) == EXIT_OK
 
 
 def test_estimate_empty_matches_status_lines(dataset, tmp_path):
@@ -472,6 +499,17 @@ def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path, capsys):
         assert str(config) in capsys.readouterr().err, options
         assert list(work.iterdir()) == [], options
         assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json", "work"], options
+
+
+def test_synth_rejects_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys):
+    out_root = tmp_path / "gen"
+    for options in ({"depth_bias": float("nan")}, {"depth_bias": -1.0}, {"depth_bias": float("inf")},
+                    {"pixel_noise_px": float("nan")}, {"depth_noise_sigma": float("inf")},
+                    {"rotation_perturb_deg": float("nan")}, {"rotation_perturb_deg": -1.0}):
+        config = synth_config_file(tmp_path, **options)
+        assert main(["synth", "--config", str(config), "--out", str(out_root)]) == EXIT_IO, options
+        assert str(config) in capsys.readouterr().err, options
+        assert not out_root.exists(), options
 
 
 def test_synth_command_round_trip(tmp_path, capsys):

@@ -20,10 +20,12 @@ from mfpose.dataset import (
     synth_write,
 )
 from mfpose.errors import FormatError, InvalidParameterError
-from mfpose.geometry import CameraIntrinsics, Pose, rot_y
+from mfpose.geometry import CameraIntrinsics, Pose
 from mfpose.pipelines import CorrespondenceSet, DepthMap
 from mfpose.robust import RansacConfig, ransac
 from mfpose.geometry import backproject
+
+from conftest import axis_rotation
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -341,7 +343,7 @@ def test_load_scene_rejects_non_identity_reference(tmp_path):
     scene = synth_scene(SyntheticSceneConfig(rng_seed=1, num_points=60))
     synth_write(scene, tmp_path, "scene0")
     poses = load_poses(tmp_path / "scene0" / "poses.txt")
-    poses["reference"] = Pose(rot_y(3.0), np.zeros(3))
+    poses["reference"] = Pose(axis_rotation("y", 3.0), np.zeros(3))
     save_poses(tmp_path / "scene0" / "poses.txt", poses)
     with pytest.raises(FormatError, match="identity"):
         load_scene(tmp_path, "scene0")

@@ -23,16 +23,12 @@ from mfpose.geometry import (
     Pose,
     camera_center,
     compose,
-    inverse,
-    rot_x,
-    rot_y,
-    rot_z,
     rotation_defect,
     rotation_from_axis_angle,
 )
 from mfpose.pipelines import EstimateStatus, PoseEstimate
 
-from conftest import random_pose, random_rotation
+from conftest import axis_rotation, random_pose, random_rotation
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 K_TALL = CameraIntrinsics(480.0, 480.0, 270.0, 360.0, 540, 720)
@@ -177,8 +173,8 @@ def test_score_query_failed_estimate_has_no_errors():
 
 
 def test_score_query_synthetic_perturbation():
-    gt = Pose(rot_y(10.0), np.array([0.0, 0.0, 1.0]))
-    est = Pose(rot_z(2.0) @ gt.rotation, gt.translation)
+    gt = Pose(axis_rotation("y", 10.0), np.array([0.0, 0.0, 1.0]))
+    est = Pose(axis_rotation("z", 2.0) @ gt.rotation, gt.translation)
     record = score_query("s", "q", PoseEstimate(EstimateStatus.OK, est, 1.0), gt, K)
     assert record.rotation_error_deg == pytest.approx(2.0, abs=1e-9)
     # same translation, different rotation: centers -R^T t differ
@@ -190,13 +186,17 @@ def test_score_query_synthetic_perturbation():
 
 def test_score_query_scores_valid_poses_whose_product_is_off_tolerance():
     # each rotation is within ROTATION_TOL of proper, their product R_est @ R_gt^T is not
-    est = Pose(rot_z(10.0) * (1 + 3e-10), np.array([0.1, 0.0, 0.0]))
-    gt = Pose(rot_z(-30.0) * (1 + 3e-10), np.zeros(3))
+    est = Pose(axis_rotation("z", 10.0) * (1 + 3e-10), np.array([0.1, 0.0, 0.0]))
+    gt = Pose(axis_rotation("z", -30.0) * (1 + 3e-10), np.zeros(3))
     assert rotation_defect(est.rotation @ gt.rotation.T) > 1e-9
     record = score_query("s", "q", PoseEstimate(EstimateStatus.OK, est, 1.0), gt, K)
     assert record.rotation_error_deg == pytest.approx(40.0, abs=1e-6)
     assert record.translation_error_m == pytest.approx(0.1, abs=1e-9)
     assert 0.0 < record.vcre_px == vcre(est, gt, K) <= K.diagonal
+
+
+def _inverse(p):
+    return Pose(p.rotation.T, -(p.rotation.T @ p.translation))
 
 
 def one_record_reference(estimate, gt, k, grid=VirtualGrid()):
@@ -208,7 +208,7 @@ def one_record_reference(estimate, gt, k, grid=VirtualGrid()):
     if np.array_equal(pose.rotation, gt.rotation) and np.array_equal(pose.translation, gt.translation):
         return rotation, translation, 0.0, k.diagonal
     points = build_virtual_grid(grid)
-    moved = compose(pose, inverse(gt)).transform(points)
+    moved = compose(pose, _inverse(gt)).transform(points)
     cap = k.diagonal
     z_ref = points[:, 2]
     u_ref = k.fx * points[:, 0] / z_ref + k.cx
@@ -245,7 +245,7 @@ def mixed_rows(rng, count):
         elif kind == 3:  # part of the grid pushed behind the camera
             est = Pose(gt.rotation, gt.translation + [0.0, 0.0, -rng.uniform(1.9, 3.5)])
         elif kind == 4:  # the whole grid behind the camera
-            est = Pose(rot_x(180.0) @ gt.rotation, gt.translation)
+            est = Pose(axis_rotation("x", 180.0) @ gt.rotation, gt.translation)
         elif kind == 5:
             rows.append((f"s{i % 5}", f"q{i}", PoseEstimate(EstimateStatus.NO_ESTIMATE), gt, k))
             continue
@@ -279,7 +279,7 @@ def test_stacked_scoring_rounds_each_row_as_the_one_record_code(rng, monkeypatch
             seen.add("identical")
         angle = record.rotation_error_deg
         seen.add("near 0" if angle < 1e-5 else "near 180" if angle > 179.99 else "")
-        behind = np.count_nonzero(compose(pose, inverse(gt)).transform(build_virtual_grid())[:, 2] <= 0)
+        behind = np.count_nonzero(compose(pose, _inverse(gt)).transform(build_virtual_grid())[:, 2] <= 0)
         seen.add("all behind" if behind == 196 else "partly behind" if behind else "")
     assert {"identical", "near 0", "near 180", "all behind", "partly behind"} <= seen
     assert len({k.diagonal for *_, k in rows}) > 1000
@@ -503,7 +503,7 @@ def test_report_acceptance_rates_recount():
 
 def test_report_pose_acceptance_uses_both_limits():
     good = Pose.identity()
-    bad_rotation = Pose(rot_z(10.0), np.zeros(3))
+    bad_rotation = Pose(axis_rotation("z", 10.0), np.zeros(3))
     records = [
         score_query("s", "a", PoseEstimate(EstimateStatus.OK, good, 1.0), Pose.identity(), K),
         score_query("s", "b", PoseEstimate(EstimateStatus.OK, bad_rotation, 2.0), Pose.identity(), K),

@@ -5,31 +5,23 @@ from mfpose.errors import BehindCameraError, InvalidDepthError, InvalidParameter
 from mfpose.geometry import (
     CameraIntrinsics,
     Pose,
+    _quaternion_of_rotation,
     backproject,
     camera_center,
     canonical_quaternions,
     compose,
-    inverse,
     normalized_coords,
     poses_from_stack,
     project,
-    quaternion_from_rotation,
-    relative,
-    rot_x,
-    rot_y,
-    rot_z,
     rotation_defect,
     rotation_error_deg,
-    rotation_from_6d,
     rotation_from_axis_angle,
-    rotation_from_discrete_euler,
     rotation_from_quaternion,
     row_norms,
     translation_error_m,
-    translation_from_spherical,
 )
 
-from conftest import random_pose, random_rotation
+from conftest import axis_rotation, random_pose, random_rotation
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -72,9 +64,8 @@ def test_quaternion_zero_norm_rejected():
 
 
 def test_quaternion_round_trip(rng):
-    for _ in range(50):
-        r = random_rotation(rng)
-        q = quaternion_from_rotation(r)
+    rotations = np.array([random_rotation(rng) for _ in range(50)])
+    for r, q in zip(rotations, canonical_quaternions(rotations)):
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert np.allclose(rotation_from_quaternion(q), r, atol=1e-12)
 
@@ -140,7 +131,7 @@ def test_quaternion_stack_marks_bad_norms_without_warning():
 
 def _one_canonical_quaternion(rotation):
     """The one-pose fixed-point search as written before stacks, and how it ended: the oracle."""
-    q = quaternion_from_rotation(rotation)
+    q = _quaternion_of_rotation(rotation)
     seen = []
     for _ in range(8):
         key = q.tobytes()
@@ -149,7 +140,7 @@ def _one_canonical_quaternion(rotation):
         if key in seen:
             return np.frombuffer(min(seen), dtype=np.float64), "came back"
         seen.append(key)
-        q = quaternion_from_rotation(rotation_from_quaternion(q))
+        q = _quaternion_of_rotation(rotation_from_quaternion(q))
     return np.frombuffer(min(seen), dtype=np.float64), "eight rounds"
 
 
@@ -170,9 +161,7 @@ def test_canonical_quaternions_match_the_one_pose_search():
 def test_constructors_satisfy_rotation_invariants(rng):
     for _ in range(30):
         assert rotation_defect(rotation_from_quaternion(rng.standard_normal(4))) < 1e-9
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert rotation_defect(rotation_from_6d(a, b)) < 1e-9
-    assert rotation_defect(rotation_from_discrete_euler(17, 211, 43)) < 1e-9
+        assert rotation_defect(rotation_from_axis_angle(rng.standard_normal(3))) < 1e-9
 
 
 def test_rotation_defect_of_a_stack_is_each_matrix_defect(rng):
@@ -186,114 +175,8 @@ def test_rotation_defect_of_a_stack_is_each_matrix_defect(rng):
 
 
 # ---------------------------------------------------------------------------
-# 6d parameterization
-# ---------------------------------------------------------------------------
-
-
-def test_6d_identity():
-    assert np.allclose(rotation_from_6d([1, 0, 0], [0, 1, 0]), np.eye(3))
-
-
-def test_6d_scale_invariance():
-    assert np.allclose(rotation_from_6d([2, 0, 0], [0, 3, 0]), np.eye(3))
-
-
-def test_6d_scale_invariance_random(rng):
-    for _ in range(20):
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        r1 = rotation_from_6d(a, b)
-        r2 = rotation_from_6d(4.2 * a, 0.37 * b)
-        assert np.allclose(r1, r2, atol=1e-12)
-
-
-def test_6d_gram_schmidt_oracle():
-    a, b = np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    # independent Gram-Schmidt, step by step
-    c1 = a / np.linalg.norm(a)
-    res = b - (b @ c1) * c1
-    c2 = res / np.linalg.norm(res)
-    expected = np.column_stack([c1, c2, np.cross(c1, c2)])
-    assert np.allclose(rotation_from_6d(a, b), expected, atol=1e-15)
-    assert np.allclose(expected[:, 2], [0.0, 0.0, 1.0])
-
-
-def test_6d_degenerate_rejected():
-    with pytest.raises(InvalidParameterError):
-        rotation_from_6d([0, 0, 0], [1, 0, 0])
-    with pytest.raises(InvalidParameterError):
-        rotation_from_6d([1, 1, 0], [2, 2, 0])
-
-
-# ---------------------------------------------------------------------------
-# discrete Euler
-# ---------------------------------------------------------------------------
-
-
-def _axis_rot(axis, deg):
-    # independent axis-rotation oracle (Rodrigues on a unit axis)
-    a = np.radians(deg)
-    u = np.zeros(3)
-    u[axis] = 1.0
-    k = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0.0]])
-    return np.eye(3) + np.sin(a) * k + (1 - np.cos(a)) * (k @ k)
-
-
-def test_discrete_euler_identity():
-    assert np.allclose(rotation_from_discrete_euler(0, 0, 90), np.eye(3))
-
-
-def test_discrete_euler_pure_yaw():
-    assert np.allclose(rotation_from_discrete_euler(90, 0, 90), _axis_rot(1, 90.0))
-
-
-def test_discrete_euler_composition_oracle():
-    # yaw 10, roll 20, pitch bin 120 -> +30 deg about x
-    expected = _axis_rot(1, 10.0) @ _axis_rot(0, 30.0) @ _axis_rot(2, 20.0)
-    assert np.allclose(rotation_from_discrete_euler(10, 20, 120), expected, atol=1e-12)
-
-
-def test_discrete_euler_range_checks():
-    for bad in [(-1, 0, 90), (360, 0, 90), (0, 360, 90), (0, 0, 180), (0, 0, -1), (1.5, 0, 90)]:
-        with pytest.raises(InvalidParameterError):
-            rotation_from_discrete_euler(*bad)
-
-
-# ---------------------------------------------------------------------------
-# spherical translation
-# ---------------------------------------------------------------------------
-
-
-def test_spherical_polar_axis():
-    assert np.allclose(translation_from_spherical(0.0, 0.0, 1.0), [0.0, 1.0, 0.0])
-
-
-def test_spherical_zero_scale():
-    assert np.allclose(translation_from_spherical(123.0, 45.0, 0.0), np.zeros(3))
-
-
-def test_spherical_formula_oracle():
-    phi, theta, s = np.radians(45.0), np.radians(60.0), 2.0
-    expected = s * np.array([np.sin(theta) * np.sin(phi), np.cos(theta), np.sin(theta) * np.cos(phi)])
-    assert np.allclose(translation_from_spherical(45.0, 60.0, 2.0), expected, atol=1e-15)
-    assert abs(np.linalg.norm(expected) - 2.0) < 1e-12
-
-
-def test_spherical_negative_scale_rejected():
-    with pytest.raises(InvalidParameterError):
-        translation_from_spherical(0.0, 0.0, -0.1)
-
-
-# ---------------------------------------------------------------------------
 # pose algebra
 # ---------------------------------------------------------------------------
-
-
-def test_compose_with_inverse_is_identity(rng):
-    for _ in range(20):
-        p = random_pose(rng)
-        ident = compose(p, inverse(p))
-        assert np.allclose(ident.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(ident.translation, 0.0, atol=1e-12)
 
 
 def test_compose_is_associative(rng):
@@ -303,29 +186,6 @@ def test_compose_is_associative(rng):
         right = compose(a, compose(b, c))
         assert np.allclose(left.rotation, right.rotation, atol=1e-12)
         assert np.allclose(left.translation, right.translation, atol=1e-12)
-
-
-def test_relative_to_identity_reference(rng):
-    q = random_pose(rng)
-    rel = relative(Pose.identity(), q)
-    assert np.allclose(rel.rotation, q.rotation)
-    assert np.allclose(rel.translation, q.translation)
-
-
-def test_relative_round_trip(rng):
-    for _ in range(20):
-        p1, p2 = random_pose(rng), random_pose(rng)
-        rel = relative(p1, p2)
-        back = compose(rel, p1)
-        assert np.allclose(back.rotation, p2.rotation, atol=1e-12)
-        assert np.allclose(back.translation, p2.translation, atol=1e-12)
-
-
-def test_relative_of_pose_with_itself(rng):
-    p = random_pose(rng)
-    rel = relative(p, p)
-    assert np.allclose(rel.rotation, np.eye(3), atol=1e-12)
-    assert np.allclose(rel.translation, 0.0, atol=1e-12)
 
 
 def test_pose_rejects_non_rotation():
@@ -343,7 +203,7 @@ def test_pose_rejects_non_finite_or_huge_rotation_without_warning(bad):
     with pytest.raises(InvalidParameterError, match="not a proper rotation"):
         Pose(one_bad, np.zeros(3))
     with pytest.raises(InvalidParameterError, match="not a proper rotation"):
-        quaternion_from_rotation(one_bad)
+        canonical_quaternions(one_bad[None])
     if not np.isfinite(bad):
         with pytest.raises(InvalidParameterError, match="translation must be finite"):
             Pose(np.eye(3), [0.0, bad, 0.0])
@@ -400,7 +260,7 @@ def test_camera_center_zero_translation(rng):
 
 def test_camera_center_hand_applied_oracle():
     # -R^T t with R = Rz(90 deg) counterclockwise: R^T (1,0,0) = (0,-1,0)
-    c = camera_center(Pose(rot_z(90.0), [1.0, 0.0, 0.0]))
+    c = camera_center(Pose(axis_rotation("z", 90.0), [1.0, 0.0, 0.0]))
     assert np.allclose(c, [0.0, 1.0, 0.0], atol=1e-15)
 
 
@@ -467,11 +327,11 @@ def test_rotation_error_identity():
 
 
 def test_rotation_error_known_angle():
-    assert abs(rotation_error_deg(rot_z(30.0), np.eye(3)) - 30.0) < 1e-12
+    assert abs(rotation_error_deg(axis_rotation("z", 30.0), np.eye(3)) - 30.0) < 1e-12
 
 
 def test_rotation_error_compose_then_measure():
-    assert abs(rotation_error_deg(rot_x(10.0) @ rot_y(20.0), rot_y(20.0)) - 10.0) < 1e-9
+    assert abs(rotation_error_deg(axis_rotation("x", 10.0) @ axis_rotation("y", 20.0), axis_rotation("y", 20.0)) - 10.0) < 1e-9
 
 
 def test_rotation_error_symmetric_and_triangle(rng):

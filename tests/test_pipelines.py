@@ -29,7 +29,7 @@ from mfpose.pipelines import (
     pixel_index,
     run_estimator,
 )
-from mfpose.robust import RansacConfig, RobustResult
+from mfpose.robust import RobustResult
 
 from conftest import random_pose, small_angle_deg
 
@@ -196,8 +196,6 @@ def test_estimator_config_rejects_values_the_estimators_would():
     ):
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(**bad)
-    with pytest.raises(InvalidParameterError):
-        RansacConfig(min_iterations=2.5)
     EstimatorConfig(sampson_threshold=None)
     EstimatorConfig(max_iterations=np.int64(20), min_inliers=np.int32(5), rng_seed=np.uint64(2**64 - 1))
 
@@ -303,7 +301,7 @@ def test_collinear_support_is_no_estimate_after_one_window(monkeypatch):
                 estimate = run_estimator(name, c, depth, depth, K, K, cfg)
                 assert estimate.status is EstimateStatus.NO_ESTIMATE, (seed, name)
                 windows = [samples for called, samples in calls if called == solver_of[name]]
-                assert windows == [10], (seed, name)  # one window of min_iterations
+                assert windows == [10], (seed, name)  # one window of _MIN_ITERATIONS
         # one pixel off the row by half a pixel: the loop runs to its cap of 20 samples
         bent = row.copy()
         bent[5, 1] += 0.5

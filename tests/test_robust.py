@@ -63,7 +63,7 @@ def test_ransac_all_inliers_noiseless(rng):
     assert result.inlier_count == len(data)
     assert result.inlier_mask.all()
     # adaptive termination collapses to the configured floor at 100% inliers
-    assert result.iterations == config.min_iterations
+    assert result.iterations == robust._MIN_ITERATIONS
 
 
 def test_ransac_rejects_all_outlier_data(rng):
@@ -137,9 +137,9 @@ def _check_window_rules(data, solver, result, sample_size, config):
     rng = np.random.default_rng(config.rng_seed)
     expected = data[np.array([rng.choice(len(data), size=sample_size, replace=False) for _ in range(solver.solved)])]
     assert np.array_equal(np.concatenate(solver.windows), expected)
-    # the first window is min_iterations; each later one is what the cap leaves; none passes the limit
+    # the first window is _MIN_ITERATIONS; each later one is what the cap leaves; none passes the limit
     limit = _window_limit(len(data))
-    assert len(solver.windows[0]) == min(config.min_iterations, config.max_iterations, limit)
+    assert len(solver.windows[0]) == min(robust._MIN_ITERATIONS, config.max_iterations, limit)
     drawn = len(solver.windows[0])
     for window in solver.windows[1:]:
         assert 1 <= len(window) <= min(config.max_iterations - drawn, limit)
@@ -155,7 +155,7 @@ def test_ransac_windows_follow_the_draw_order(rng):
         solver = RecordingSolver(line_solver)
         result = ransac(data, solver, line_residual, 2, cfg)
         _check_window_rules(data, solver, result, 2, cfg)
-        assert result.iterations > cfg.min_iterations  # the windows grew past the first one
+        assert result.iterations > robust._MIN_ITERATIONS  # the windows grew past the first one
 
 
 def test_ransac_windows_on_essential_problem(rng):
@@ -197,7 +197,7 @@ def test_ransac_clean_problem_solves_min_iterations(rng):
     cfg = RansacConfig(rng_seed=5, inlier_threshold=0.01)
     solver = RecordingSolver(line_solver)
     result = ransac(data, solver, line_residual, 2, cfg)
-    assert result.iterations == solver.solved == cfg.min_iterations
+    assert result.iterations == solver.solved == robust._MIN_ITERATIONS
     assert len(solver.windows) == 1
 
 

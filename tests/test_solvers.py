@@ -11,8 +11,6 @@ from mfpose.geometry import (
     Pose,
     backproject,
     normalized_coords,
-    rot_y,
-    rot_z,
     rotation_error_deg,
     rotation_from_axis_angle,
     skew,
@@ -31,7 +29,7 @@ from mfpose.solvers import (
     triangulate_midpoints,
 )
 
-from conftest import random_pose, random_rotation, small_angle_deg
+from conftest import axis_rotation, random_pose, random_rotation, small_angle_deg
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -495,7 +493,7 @@ def test_decompose_matches_four_triangulations_bit_for_bit(rng):
 def test_decompose_all_behind_set_raises_cheirality_error():
     # well-conditioned matches that no candidate puts in front of both cameras
     grid = np.array(np.meshgrid(*[[-1.0, -0.5, 0.0, 0.5, 1.0]] * 4, indexing="ij")).reshape(4, -1).T
-    e = essential_from_pose(rot_y(20.0), np.array([1.0, 0.0, 0.3]) / np.hypot(1.0, 0.3))
+    e = essential_from_pose(axis_rotation("y", 20.0), np.array([1.0, 0.0, 0.3]) / np.hypot(1.0, 0.3))
     behind = [row for row in grid if _four_triangulation_decomposition(e, row) is None]
     assert len(behind) > 20
     assert not any(np.all(triangulate_midpoints(r, t, behind)[1] == 0) for r, t in essential_pose_candidates(e))
@@ -508,7 +506,7 @@ def test_decompose_all_behind_set_raises_cheirality_error():
 
 
 def test_triangulate_rays_crossing_at_point():
-    rotation = rot_y(10.0)
+    rotation = axis_rotation("y", 10.0)
     translation = np.array([1.0, 0.0, 0.0])
     target = np.array([0.0, 0.0, 5.0])
     in_query = rotation @ target + translation
@@ -520,7 +518,7 @@ def test_triangulate_rays_crossing_at_point():
 
 
 def test_triangulate_zero_baseline_flagged():
-    points, well = triangulate_midpoints(rot_y(5.0), np.zeros(3), [[0.1, 0.2, 0.1, 0.2]])
+    points, well = triangulate_midpoints(axis_rotation("y", 5.0), np.zeros(3), [[0.1, 0.2, 0.1, 0.2]])
     point, ok = points[0], well[0]
     assert not ok
     assert np.all(np.isfinite(point))
@@ -921,7 +919,7 @@ def test_refine_from_the_exact_pose_stops_within_two_trials(monkeypatch):
 def test_refine_recovers_from_perturbation(rng):
     for _ in range(10):
         pose, world, pixels = _pnp_scene(rng)
-        start = Pose(rot_z(1.0) @ pose.rotation, pose.translation + [0.05, 0.0, 0.0])
+        start = Pose(axis_rotation("z", 1.0) @ pose.rotation, pose.translation + [0.05, 0.0, 0.0])
         result = refine_pnp(start, world, pixels, K)
         assert result.final_cost <= result.initial_cost
         assert small_angle_deg(result.pose.rotation, pose.rotation) < 1e-6
@@ -931,7 +929,7 @@ def test_refine_recovers_from_perturbation(rng):
 def test_refine_never_increases_cost_on_noise(rng):
     pose, world, pixels = _pnp_scene(rng)
     noisy = pixels + rng.normal(0.0, 2.0, pixels.shape)
-    start = Pose(rot_y(0.5) @ pose.rotation, pose.translation + [0.02, -0.01, 0.03])
+    start = Pose(axis_rotation("y", 0.5) @ pose.rotation, pose.translation + [0.02, -0.01, 0.03])
     result = refine_pnp(start, world, noisy, K)
     assert result.final_cost <= result.initial_cost
 
