@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
 from .dataset import (
@@ -168,11 +169,47 @@ def _json_text(value) -> str:
 
     Setting `indent` makes the standard library take that encoder.
     Non-empty dicts and lists, strings, floats, ints, bools and None are
-    written here; any other value goes through `json.dumps` itself.
+    written here; any other value goes through `json.dumps` itself.  A list
+    of at least `_COLUMN_ROWS` dicts that share one non-empty set of string
+    keys (curve points, CDF entries, per-scene rows) is written column by
+    column.
     """
     parts: list[str] = []
     _json_parts(value, parts, "\n")
     return "".join(parts)
+
+
+_SCALARS = frozenset((float, int, bool, type(None)))  # json.dumps writes these without indent or separator
+# Below this many rows, setting up the columns costs more than writing each row does.
+_COLUMN_ROWS = 32
+
+
+def _json_column(column: list, newline: str) -> list[str]:
+    """The text of each value of a column: all scalars from one `json.dumps` call, else each on its own."""
+    if _SCALARS.issuperset(map(type, column)):
+        return json.dumps(column)[1:-1].split(", ")  # no scalar's text holds ", "
+    texts = []
+    for v in column:
+        parts: list[str] = []
+        _json_parts(v, parts, newline)
+        texts.append("".join(parts))
+    return texts
+
+
+def _json_rows(rows: list, newline: str) -> str | None:
+    """The text of a long list of dicts that share one non-empty set of string keys, or None for any other list."""
+    keys = rows[0].keys() if len(rows) >= _COLUMN_ROWS and type(rows[0]) is dict else ()
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    if set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    inner = newline + "  "
+    field = inner + "  "
+    names = sorted(keys)
+    entries = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in names)
+    template = "{{" + field + f",{field}".join(entries) + inner + "}}"
+    columns = [_json_column(list(map(itemgetter(k), rows)), field) for k in names]
+    return "[" + inner + f",{inner}".join(map(template.format, *columns)) + newline + "]"
 
 
 def _json_parts(value, parts: list[str], newline: str) -> None:
@@ -203,6 +240,10 @@ def _json_parts(value, parts: list[str], newline: str) -> None:
             return
         parts.append(newline + "}")
     elif (kind is list or kind is tuple) and value:
+        rows = _json_rows(value, newline)
+        if rows is not None:
+            parts.append(rows)
+            return
         inner = newline + "  "
         separator = "[" + inner
         for item in value:

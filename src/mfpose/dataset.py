@@ -27,6 +27,7 @@ because public pose formats disagree on it.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,24 +178,32 @@ def save_poses(path, poses: dict[str, Pose]) -> None:
 
 
 def load_intrinsics(path) -> dict[str, CameraIntrinsics]:
-    """Parse `frame fx fy cx cy width height` lines."""
+    """Parse `frame fx fy cx cy width height` lines.
+
+    Frames whose six value fields are the same text share one (frozen)
+    `CameraIntrinsics`; a row is parsed and checked at its first line.
+    """
     path = Path(path)
     intrinsics: dict[str, CameraIntrinsics] = {}
+    parsed: dict[tuple[str, ...], CameraIntrinsics] = {}
     for number, fields in read_fields(path):
         if len(fields) != 7:
             raise FormatError(path, f"expected 7 fields, got {len(fields)}", number)
-        name = fields[0]
+        name, *values = fields
         if name in intrinsics:
             raise FormatError(path, f"duplicate frame {name!r}", number)
-        try:
-            fx, fy, cx, cy = (float(v) for v in fields[1:5])
-            width, height = int(fields[5]), int(fields[6])
-        except ValueError as exc:
-            raise FormatError(path, f"non-numeric field: {exc}", number) from exc
-        try:
-            intrinsics[name] = CameraIntrinsics(fx, fy, cx, cy, width, height)
-        except InvalidParameterError as exc:
-            raise FormatError(path, str(exc), number) from exc
+        key = tuple(values)
+        if key not in parsed:
+            try:
+                fx, fy, cx, cy = (float(v) for v in values[:4])
+                width, height = int(values[4]), int(values[5])
+            except ValueError as exc:
+                raise FormatError(path, f"non-numeric field: {exc}", number) from exc
+            try:
+                parsed[key] = CameraIntrinsics(fx, fy, cx, cy, width, height)
+            except InvalidParameterError as exc:
+                raise FormatError(path, str(exc), number) from exc
+        intrinsics[name] = parsed[key]
     return intrinsics
 
 
@@ -396,7 +405,14 @@ def load_scene(root, scene_id: str) -> SceneManifest:
     intrinsics = load_intrinsics(intrinsics_path)
 
     matches_dir = scene_root / "matches"
-    queries = sorted(p.stem for p in matches_dir.glob("*.txt")) if matches_dir.is_dir() else []
+    queries = []
+    if matches_dir.is_dir():  # the entries `glob("*.txt")` lists, by their `stem`
+        try:
+            with os.scandir(matches_dir) as entries:
+                names = [entry.name for entry in entries if entry.name.endswith(".txt")]
+        except OSError as exc:
+            raise FormatError(matches_dir, f"cannot list matches files: {exc}") from exc
+        queries = sorted(name[:-4] if len(name) > 4 else name for name in names)  # ".txt" is its own stem
     if not queries:
         raise FormatError(matches_dir, "scene has no matches files")
     unknown = [q for q in queries if q not in intrinsics]
@@ -457,10 +473,12 @@ class SyntheticSceneConfig:
     def __post_init__(self):
         if self.num_points < 8 or self.num_queries < 1:
             raise InvalidParameterError("need at least 8 points and 1 query")
-        if not (0 < self.depth_range_m[0] <= self.depth_range_m[1]):
-            raise InvalidParameterError("depth range must be positive and ordered")
-        if not (0 < self.baseline_range_m[0] <= self.baseline_range_m[1]):
-            raise InvalidParameterError("baseline range must be positive and ordered")
+        if not (0 < self.depth_range_m[0] <= self.depth_range_m[1] < np.inf):  # NaN fails too
+            raise InvalidParameterError("depth range must be finite, positive and ordered")
+        if not (0 < self.baseline_range_m[0] <= self.baseline_range_m[1] < np.inf):
+            raise InvalidParameterError("baseline range must be finite, positive and ordered")
+        if not 0 < self.focal_px < np.inf:
+            raise InvalidParameterError("focal_px must be finite and > 0")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise InvalidParameterError("outlier fraction must be in [0, 1)")
         if not (0 <= self.pixel_noise_px < np.inf and 0 <= self.depth_noise_sigma < np.inf):  # NaN fails too

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -244,25 +244,31 @@ def precision_curve(
     the estimate ratio is non-increasing along the returned list.  Records that
     are not ok are never retained, ok records without a confidence only at -inf,
     so estimators with no confidences produce a single-point (flat) curve.
+    `acceptable` is called once per ok record.  The ok records are ranked by
+    one stable argsort, lowest confidence first; a threshold retains the
+    records from the start of its run of equal confidences onward, and its
+    hits are the total less the running hit count before that start.
     """
     if not records:
         raise InvalidParameterError("precision curve needs at least one record")
     total = len(records)
-    ranked = sorted(  # acceptable is called once per ok record
-        ((-np.inf if r.confidence is None else r.confidence, bool(acceptable(r)))
-         for r in records if r.status is EstimateStatus.OK),
-        key=itemgetter(0), reverse=True,
+    ok = [r for r in records if r.status is EstimateStatus.OK]
+    if not ok:
+        return [CurvePoint(-np.inf, 0.0, None)]
+    confidences = np.array([-np.inf if r.confidence is None else r.confidence for r in ok], dtype=float)
+    hits = np.array([bool(acceptable(r)) for r in ok])
+    order = confidences.argsort(kind="stable")  # a run's first record is its earliest, as in the old sort
+    ranked, ranked_hits = confidences[order], hits[order]
+    starts = np.concatenate(([0], (ranked[1:] != ranked[:-1]).nonzero()[0] + 1))
+    starts = starts[np.isfinite(ranked[starts])]  # -inf is emitted first even when no record has it
+    hit_total = int(np.count_nonzero(hits))
+    retained = len(ok) - starts
+    retained_hits = hit_total - ranked_hits.cumsum()[starts] + ranked_hits[starts]
+    points = [CurvePoint(-np.inf, len(ok) / total, hit_total / len(ok))]
+    points += map(
+        CurvePoint, ranked[starts].tolist(), (retained / total).tolist(), (retained_hits / retained).tolist()
     )
-    points = []
-    retained = hits = 0
-    for confidence, group in groupby(ranked, key=itemgetter(0)):
-        for _, hit in group:
-            retained += 1
-            hits += hit
-        if np.isfinite(confidence):  # -inf is emitted below even when no record has it
-            points.append(CurvePoint(float(confidence), retained / total, hits / retained))
-    points.append(CurvePoint(-np.inf, retained / total, hits / retained if retained else None))
-    return points[::-1]
+    return points
 
 
 def curve_auc(points: Sequence[CurvePoint]) -> float:
@@ -271,7 +277,7 @@ def curve_auc(points: Sequence[CurvePoint]) -> float:
     The segment from ratio 0 to the smallest defined ratio uses that point's
     precision (a step), so a flat single-point curve has AUC = precision * ratio.
     """
-    defined = sorted((p for p in points if p.precision is not None), key=lambda p: p.estimate_ratio)
+    defined = sorted((p for p in points if p.precision is not None), key=attrgetter("estimate_ratio"))
     if not defined:
         return 0.0
     area = defined[0].estimate_ratio * defined[0].precision
@@ -296,7 +302,8 @@ def aggregate_report(
 
     Acceptance rates are fractions of all records, failed estimates included
     (they count as not acceptable), which matches the precision-at-full-ratio
-    reading.
+    reading: each is the hit count of its curve's -inf point, so a selector
+    judges each ok record once.
     The returned dict is JSON-ready with stable field names.
     """
     records = sorted(records, key=lambda r: (r.scene_id, r.query_id))
@@ -311,10 +318,7 @@ def aggregate_report(
         lambda r: pose_acceptable(r, thresholds)
     )
 
-    acceptance = {
-        name: (sum(1 for r in records if fn(r)) / total if total else 0.0)
-        for name, fn in selectors.items()
-    }
+    acceptance = dict.fromkeys(selectors, 0.0)
     curves = []
     auc = {}
     if records:
@@ -322,6 +326,8 @@ def aggregate_report(
             points = precision_curve(records, fn)
             auc[name] = curve_auc(points)
             curves.append({"acceptance": name, "points": [vars(p) for p in points]})
+            if ok_records:  # the -inf point retains every ok record, so this rounds back to the hit count
+                acceptance[name] = round(points[0].precision * len(ok_records)) / total
 
     per_scene = []
     for scene_id, group in groupby(records, key=attrgetter("scene_id")):
@@ -337,10 +343,9 @@ def aggregate_report(
 
     # CDF over all queries: failed estimates never contribute, so the curve
     # saturates at ok/total rather than 1 when rejections exist.
-    cdf = [
-        {"vcre_px": value, "fraction": (i + 1) / total}
-        for i, value in enumerate(sorted(r.vcre_px for r in ok_records))
-    ]
+    vcre_sorted = np.sort(np.array([r.vcre_px for r in ok_records], dtype=float), kind="stable")
+    fractions = np.arange(1, len(ok_records) + 1) / total
+    cdf = [{"vcre_px": v, "fraction": f} for v, f in zip(vcre_sorted.tolist(), fractions.tolist())]
 
     return {
         "meta": {

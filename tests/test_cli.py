@@ -8,6 +8,8 @@ from mfpose.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    _COLUMN_ROWS,
+    _json_rows,
     _json_text,
     derive_seed,
     format_estimate_line,
@@ -16,6 +18,7 @@ from mfpose.cli import (
 )
 from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
 from mfpose.errors import FormatError
+from mfpose.evaluation import EvaluationRecord, aggregate_report
 from mfpose.geometry import _quaternion_of_rotation
 from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, PoseEstimate
 
@@ -203,6 +206,40 @@ def test_report_writer_matches_json_dumps():
             json.dumps(value, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+NAN, INF = float("nan"), float("inf")
+OK_RECORD = EvaluationRecord("s, 1", "q", EstimateStatus.OK, 2.0, rotation_error_deg=1.5,
+                             translation_error_m=0.1, vcre_px=3.0, image_diagonal_px=800.0)
+WRITER_CASES = {
+    "empty": [[], {}, [[]], [{}], [{}, {}], {"a": [], "b": {}}, ()],
+    "non-finite": [[NAN, INF, -INF], [{"x": NAN}, {"x": INF}, {"x": -INF}], [{"x": -0.0}, {"x": 0.0}]],
+    "none precision": [[{"confidence_threshold": -INF, "estimate_ratio": 0.0, "precision": None}],
+                       [{"p": None}, {"p": 0.5}, {"p": None}]],
+    "ints beside floats": [[{"v": 1}, {"v": 1.0}, {"v": True}, {"v": 10**30}], [{"a": 2, "b": 2.5}] * 3],
+    "different key sets": [[{"a": 1}, {"b": 1}], [{"a": 1, "b": 2}, {"a": 1}], [{"a": 1}, {"a": 1}, 3],
+                           [{"b": 1, "a": 2}, {"a": 3, "b": 4}], [{1: "a"}, {1: "b"}]],
+    "strings and nesting": [[{"id": "s, 1", "{k}": "}{", "n": [1, {"x": 2}]}, {"id": "é", "{k}": "", "n": []}],
+                            ({"t": (1.5, "a")}, {"t": ()})],
+    "one-record report": [aggregate_report([OK_RECORD], meta={"estimates": "e.txt"})],
+    "many-record report": [aggregate_report([
+        EvaluationRecord(f"s{i % 3}", f"q{i}", EstimateStatus.OK, [None, float(i % 7), INF][i % 3],
+                         rotation_error_deg=i / 9, translation_error_m=i / 99, vcre_px=i / 3, image_diagonal_px=800.0)
+        if i % 10 else EvaluationRecord(f"s{i % 3}", f"q{i}", EstimateStatus.NO_ESTIMATE)
+        for i in range(150)])],
+    "all-failed report": [aggregate_report([EvaluationRecord("s", f"q{i}", EstimateStatus.NO_ESTIMATE)
+                                            for i in range(3)])],
+}
+
+
+@pytest.mark.parametrize("kind", WRITER_CASES)
+def test_report_writer_matches_json_dumps_on_rows(kind):
+    for value in WRITER_CASES[kind]:
+        # a long list of rows is written column by column, a short one row by row
+        long = value * _COLUMN_ROWS if type(value) in (list, tuple) else value
+        for value in (value, long, {"rows": long}):
+            assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+    assert _json_rows([{"a": 1.5}] * _COLUMN_ROWS, "\n") is not None
 
 
 def test_seed_derivation_is_stable():
@@ -503,9 +540,13 @@ def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path, capsys):
 
 def test_synth_rejects_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys):
     out_root = tmp_path / "gen"
-    for options in ({"depth_bias": float("nan")}, {"depth_bias": -1.0}, {"depth_bias": float("inf")},
-                    {"pixel_noise_px": float("nan")}, {"depth_noise_sigma": float("inf")},
-                    {"rotation_perturb_deg": float("nan")}, {"rotation_perturb_deg": -1.0}):
+    nan, inf = float("nan"), float("inf")
+    for options in ({"depth_bias": nan}, {"depth_bias": -1.0}, {"depth_bias": inf},
+                    {"pixel_noise_px": nan}, {"depth_noise_sigma": inf},
+                    {"rotation_perturb_deg": nan}, {"rotation_perturb_deg": -1.0},
+                    {"focal_px": nan}, {"focal_px": inf}, {"focal_px": 0.0}, {"focal_px": -500.0},
+                    {"num_scenes": 0, "focal_px": nan}, {"depth_range_m": [3.0, inf]},
+                    {"baseline_range_m": [0.3, inf]}, {"num_scenes": 0, "depth_range_m": [3.0, inf]}):
         config = synth_config_file(tmp_path, **options)
         assert main(["synth", "--config", str(config), "--out", str(out_root)]) == EXIT_IO, options
         assert str(config) in capsys.readouterr().err, options

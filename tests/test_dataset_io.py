@@ -224,6 +224,21 @@ def test_intrinsics_invalid_values_are_located(tmp_path):
         load_intrinsics(path)
 
 
+def test_intrinsics_rows_of_the_same_text_share_one_object(tmp_path):
+    path = tmp_path / "intrinsics.txt"
+    path.write_text("a 500 500 320 240 640 480\nb 500 500 320 240 640 480\nc 500.0 500 320 240 640 480\n")
+    loaded = load_intrinsics(path)
+    assert loaded["a"] is loaded["b"] and loaded["c"] is not loaded["a"]
+    assert loaded == dict.fromkeys("abc", CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480))
+    # a repeated bad row fails at its first line, a duplicate frame before its values are read
+    path.write_text("a 500 500 320 240 640 480\nb -1 500 320 240 640 480\nc -1 500 320 240 640 480\n")
+    with pytest.raises(FormatError, match=":2: focal"):
+        load_intrinsics(path)
+    path.write_text("a 500 500 320 240 640 480\na -1 500 320 240 640 480\n")
+    with pytest.raises(FormatError, match=":2: duplicate frame"):
+        load_intrinsics(path)
+
+
 # ---------------------------------------------------------------------------
 # correspondence text format
 # ---------------------------------------------------------------------------
@@ -367,6 +382,22 @@ def test_load_scene_missing_intrinsics_for_query(tmp_path):
     save_intrinsics(tmp_path / "scene0" / "intrinsics.txt", intrinsics)
     with pytest.raises(FormatError):
         load_scene(tmp_path, "scene0")
+
+
+def test_load_scene_lists_queries_as_glob_and_stem_do(tmp_path):
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=1, num_points=60))
+    synth_write(scene, tmp_path, "scene0")
+    matches = tmp_path / "scene0" / "matches"
+    for name in (".txt", "a.b.txt", "..txt", "notes.md", "upper.TXT", "txt"):
+        (matches / name).write_text("")
+    (matches / "x.txt").mkdir()
+    intrinsics = load_intrinsics(tmp_path / "scene0" / "intrinsics.txt")
+    intrinsics.update(dict.fromkeys([".txt", "a.b", ".", "x"], K))
+    save_intrinsics(tmp_path / "scene0" / "intrinsics.txt", intrinsics)
+    (tmp_path / "scene0" / "poses.txt").unlink()
+    queries = load_scene(tmp_path, "scene0").queries
+    assert queries == sorted(p.stem for p in matches.glob("*.txt"))
+    assert queries == [".", ".txt", "a.b", "query0000", "x"]
 
 
 def test_depth_dimension_mismatch_vs_intrinsics(tmp_path):

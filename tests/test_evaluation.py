@@ -1,3 +1,6 @@
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
@@ -405,6 +408,51 @@ def test_curve_equals_brute_force_on_mixed_records():
         assert [(p.confidence_threshold, p.estimate_ratio, p.precision) for p in points] == expected
 
 
+def groupby_curve(records, acceptable):
+    """The sort-and-groupby sweep that `precision_curve` replaced, kept as its oracle."""
+    total = len(records)
+    ranked = sorted(
+        ((-np.inf if r.confidence is None else r.confidence, bool(acceptable(r)))
+         for r in records if r.status is EstimateStatus.OK),
+        key=itemgetter(0), reverse=True,
+    )
+    points = []
+    retained = hits = 0
+    for confidence, group in groupby(ranked, key=itemgetter(0)):
+        for _, hit in group:
+            retained += 1
+            hits += hit
+        if np.isfinite(confidence):
+            points.append(CurvePoint(float(confidence), retained / total, hits / retained))
+    points.append(CurvePoint(-np.inf, retained / total, hits / retained if retained else None))
+    return points[::-1]
+
+
+def one_record(status, confidence=None, vcre_px=10.0):
+    if status is not EstimateStatus.OK:
+        return [EvaluationRecord("s", "q", status)]
+    return [ok_record(confidence, vcre_px)]
+
+
+@pytest.mark.parametrize("records", [
+    mixed_records(seed=3),
+    mixed_records(seed=5, scenes=2, per_scene=7),
+    [ok_record(c, v, query=f"q{i}") for i, (c, v) in enumerate([(2.0, 10.0), (2.0, 300.0), (1.0, 10.0), (2.0, 5.0)])],
+    [ok_record(c, 10.0 * i, query=f"q{i}") for i, c in enumerate([None, 3.0, None, 3.0, 0.0, -0.0, 0.0])],
+    [ok_record(c, 10.0, query=f"q{i}") for i, c in enumerate([-0.0, 0.0, np.inf, np.inf])],
+    one_record(EstimateStatus.OK, 4.0),
+    one_record(EstimateStatus.OK, None),
+    one_record(EstimateStatus.OK, np.inf, 500.0),
+    one_record(EstimateStatus.NO_ESTIMATE),
+    one_record(EstimateStatus.DEGENERATE_SCALE),
+], ids=["mixed", "mixed-small", "ties", "none-and-signed-zero", "zero-then-inf",
+        "one-ok", "one-none", "one-inf-miss", "one-failed", "one-degenerate"])
+def test_curve_equals_the_groupby_sweep_bit_for_bit(records):
+    acceptable = lambda r: vcre_acceptable(r, 0.05)
+    points, expected = precision_curve(records, acceptable), groupby_curve(records, acceptable)
+    assert [repr(vars(p)) for p in points] == [repr(vars(p)) for p in expected]
+
+
 def test_report_per_scene_equals_brute_force_grouping():
     records = mixed_records(seed=11)
     expected = []
@@ -499,6 +547,23 @@ def test_report_acceptance_rates_recount():
     assert acceptance["vcre_0.1"] == pytest.approx(2 / 4)
     # looser threshold admits at least as much as the stricter one
     assert acceptance["vcre_0.1"] >= acceptance["vcre_0.05"]
+
+
+def test_report_acceptance_equals_the_recount_bit_for_bit():
+    records = mixed_records(seed=13)
+    thresholds = Thresholds(vcre_fractions=(0.03, 0.1), pose_translation_m=0.2, pose_rotation_deg=4.0)
+    acceptance = aggregate_report(records, thresholds)["summary"]["acceptance"]
+    recount = {
+        "vcre_0.03": sum(vcre_acceptable(r, 0.03) for r in records) / len(records),
+        "vcre_0.1": sum(vcre_acceptable(r, 0.1) for r in records) / len(records),
+        "pose_0.2m_4deg": sum(pose_acceptable(r, thresholds) for r in records) / len(records),
+    }
+    assert list(acceptance.items()) == list(recount.items())
+    # 1/49 * 49 is 0.9999999999999999 in floating point: the hit count is rounded, not truncated
+    one_of_49 = [ok_record(1.0, 10.0 if i == 0 else 500.0, query=f"q{i}") for i in range(49)]
+    assert aggregate_report(one_of_49)["summary"]["acceptance"]["vcre_0.05"] == 1 / 49
+    assert aggregate_report([EvaluationRecord("s", "q", EstimateStatus.NO_ESTIMATE)])["summary"]["acceptance"] == (
+        dict.fromkeys(["vcre_0.05", "vcre_0.1", "pose_0.25m_5deg"], 0.0))
 
 
 def test_report_pose_acceptance_uses_both_limits():

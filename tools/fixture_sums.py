@@ -1,11 +1,15 @@
-"""Check that `mfpose estimate`, `evaluate` and `curves` still write the recorded bytes on the two fixtures.
+"""Check that `mfpose estimate`, `evaluate` and `curves` still write the recorded bytes on the fixtures.
 
 Run from anywhere: `python3 tools/fixture_sums.py`.  It imports the package
-from this checkout's `src/`, generates both fixture datasets with
-`mfpose synth` in a temporary directory, runs `mfpose estimate --seed 3`
-with each estimator, then `mfpose evaluate` (JSON report and per-scene CSV)
-and `mfpose curves` over each estimates file.  It prints each output's
-sha256 next to the recorded one.  Exit status 1 when any sum differs.
+from this checkout's `src/` and generates the fixture datasets with
+`mfpose synth` in a temporary directory.  On the two estimation fixtures it
+runs `mfpose estimate --seed 3` with each estimator, then `mfpose evaluate`
+(JSON report and per-scene CSV) and `mfpose curves` over each estimates
+file.  The records fixture checks `evaluate` and `curves` alone on about
+2000 queries: it writes an estimates file from the synth ground truth with
+seeded perturbations (tied and missing confidences, failed lines).  The tool
+prints each output's sha256 next to the recorded one.  Exit status 1 when
+any sum differs.
 
 The commands run inside the temporary directory with relative paths, so the
 report's `meta.estimates` is the same on every run.  The sums depend on the
@@ -26,6 +30,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from mfpose import cli  # noqa: E402
 
 CLEAN = {"num_scenes": 6, "num_queries": 3, "outlier_fraction": 0.4, "rng_seed": 3}
@@ -34,6 +40,9 @@ FIXTURES = {
     "1px-noise": {**CLEAN, "pixel_noise_px": 1.0},
 }
 ESTIMATORS = ("essmat-dscale", "pnp", "procrustes")
+# 20 scenes of 100 queries; a 64x48 camera keeps the depth maps, which evaluate never reads, small
+RECORDS = {"num_scenes": 20, "num_queries": 100, "num_points": 24, "focal_px": 50.0, "width": 64, "height": 48,
+           "rng_seed": 11}
 RECORDED = {
     ("clean", "essmat-dscale", "estimate"):
         "1d34a52e9a2dd2ed7f6b13b56d7b55a2d1c69e7ac5ac93abff35fca705b582fa",
@@ -83,6 +92,12 @@ RECORDED = {
         "4b91dc477def432573ee4193e3b50ff98be607f63d37c0cc94060701d1f132c8",
     ("1px-noise", "procrustes", "curves.csv"):
         "f28641b5bb75cd3eadff66b648c2f968d284e4b9bd100d4c7f982b8f638adbe8",
+    ("records", "perturbed", "evaluate.json"):
+        "69ab47d583e1ae44c9f8b5e7ae504364cf21443732312e3db8298904ef682c31",
+    ("records", "perturbed", "evaluate.csv"):
+        "f28ffd4e71dda26a9d9328f9faa6a81e32c8579afba1d8e240b2814df5165d9c",
+    ("records", "perturbed", "curves.csv"):
+        "fa1c89893e9f15b52e86a7d09ba5a7cd774b4a4453a6ea0ae3492fc59deb1d5a",
 }
 
 
@@ -94,17 +109,72 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"mfpose {' '.join(argv)} exited {code}:\n{log.getvalue()}")
 
 
+def _evaluated(stem: str, estimates: Path, dataset: str, estimator: str) -> dict[str, Path]:
+    """The `evaluate` JSON and CSV and the `curves` CSV of one estimates file."""
+    paths = {"evaluate.json": Path(f"{stem}.json"), "evaluate.csv": Path(f"{stem}.csv"),
+             "curves.csv": Path(f"{stem}-curves.csv")}
+    _run(["evaluate", "--estimates", str(estimates), "--dataset", dataset, "--estimator-name", estimator,
+          "--seed", "3", "--out-json", str(paths["evaluate.json"]), "--out-csv", str(paths["evaluate.csv"])])
+    _run(["curves", "--estimates", str(estimates), "--dataset", dataset, "--out", str(paths["curves.csv"])])
+    return paths
+
+
 def _outputs(fixture: str, estimator: str) -> dict[str, Path]:
     """Each output file of one fixture and estimator, written by the commands that make it."""
-    stem = f"{fixture}-{estimator}"
-    paths = {"estimate": Path(f"{stem}.txt"), "evaluate.json": Path(f"{stem}.json"),
-             "evaluate.csv": Path(f"{stem}.csv"), "curves.csv": Path(f"{stem}-curves.csv")}
-    estimates = str(paths["estimate"])
-    _run(["estimate", "--dataset", fixture, "--estimator", estimator, "--seed", "3", "--out", estimates])
-    _run(["evaluate", "--estimates", estimates, "--dataset", fixture, "--estimator-name", estimator,
-          "--seed", "3", "--out-json", str(paths["evaluate.json"]), "--out-csv", str(paths["evaluate.csv"])])
-    _run(["curves", "--estimates", estimates, "--dataset", fixture, "--out", str(paths["curves.csv"])])
-    return paths
+    estimates = Path(f"{fixture}-{estimator}.txt")
+    _run(["estimate", "--dataset", fixture, "--estimator", estimator, "--seed", "3", "--out", str(estimates)])
+    return {"estimate": estimates, **_evaluated(f"{fixture}-{estimator}", estimates, fixture, estimator)}
+
+
+def _perturbed_estimates(dataset: Path, out: Path) -> None:
+    """One estimates line per query of a synth dataset: its true pose, perturbed, with seeded confidences.
+
+    About 5% of the lines are failures and 15% of the ok lines have no
+    confidence; the others draw an integer confidence below 50, half of them
+    plus a fraction, so many queries tie.  Rotation errors reach 15 degrees
+    and camera shifts 0.8 m, so every acceptance threshold splits the set.
+    """
+    rng = np.random.default_rng(29)
+    lines = []
+    for scene in sorted(p.name for p in dataset.iterdir()):
+        for row in (dataset / scene / "poses.txt").read_text().split("\n"):
+            if not row or row.startswith("reference "):
+                continue
+            query, *values = row.split()
+            if rng.random() < 0.05:
+                lines.append(f"{scene} {query} {'no_estimate' if rng.random() < 0.5 else 'degenerate_scale'}")
+                continue
+            w, x, y, z, *t = map(float, values)
+            axis = rng.standard_normal(3)
+            half = np.radians(rng.uniform(0.0, 1.0) * rng.choice([1.0, 4.0, 15.0])) / 2
+            dw, (dx, dy, dz) = np.cos(half), np.sin(half) * axis / np.linalg.norm(axis)
+            q = (dw * w - dx * x - dy * y - dz * z, dw * x + dx * w + dy * z - dz * y,
+                 dw * y - dx * z + dy * w + dz * x, dw * z + dx * y - dy * x + dz * w)  # delta * true
+            direction = rng.standard_normal(3)
+            shift = rng.uniform(0.005, 0.1) * rng.choice([1.0, 3.0, 8.0]) * direction / np.linalg.norm(direction)
+            draw = rng.random()
+            confidence = "-" if draw < 0.15 else repr(int(rng.integers(0, 50)) + (rng.random() if draw < 0.6 else 0.0))
+            numbers = [float(v) for v in (*q, *(np.array(t) + shift))]
+            lines.append(" ".join([scene, query, "ok", *map(repr, numbers), confidence]))
+    out.write_text("\n".join(lines) + "\n")
+
+
+def _check(fixture: str, estimator: str, paths: dict[str, Path]) -> int:
+    """Print each output's sum next to the recorded one; return how many differ."""
+    mismatches = 0
+    for output, path in paths.items():
+        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        recorded = RECORDED[fixture, estimator, output]
+        verdict = "ok" if actual == recorded else "MISMATCH"
+        mismatches += actual != recorded
+        print(f"{fixture:10} {estimator:14} {output:14} {actual} recorded {recorded} {verdict}")
+    return mismatches
+
+
+def _synth(fixture: str, config: dict) -> None:
+    config_path = Path(f"{fixture}.json")
+    config_path.write_text(json.dumps(config))
+    _run(["synth", "--config", str(config_path), "--out", fixture])
 
 
 def main() -> int:
@@ -114,16 +184,13 @@ def main() -> int:
         os.chdir(tmp)
         try:
             for fixture, config in FIXTURES.items():
-                config_path = Path(f"{fixture}.json")
-                config_path.write_text(json.dumps(config))
-                _run(["synth", "--config", str(config_path), "--out", fixture])
+                _synth(fixture, config)
                 for estimator in ESTIMATORS:
-                    for output, path in _outputs(fixture, estimator).items():
-                        actual = hashlib.sha256(path.read_bytes()).hexdigest()
-                        recorded = RECORDED[fixture, estimator, output]
-                        verdict = "ok" if actual == recorded else "MISMATCH"
-                        mismatches += actual != recorded
-                        print(f"{fixture:10} {estimator:14} {output:14} {actual} recorded {recorded} {verdict}")
+                    mismatches += _check(fixture, estimator, _outputs(fixture, estimator))
+            _synth("records", RECORDS)
+            estimates = Path("records.txt")
+            _perturbed_estimates(Path("records"), estimates)
+            mismatches += _check("records", "perturbed", _evaluated("records", estimates, "records", "perturbed"))
         finally:
             os.chdir(start)
     return 1 if mismatches else 0
