@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -369,7 +370,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> tuple[_Parser, _Parser]:
@@ -400,7 +401,7 @@ def build_parser() -> tuple[_Parser, _Parser]:
     ev.set_defaults(handler=cmd_evaluate)
     ev.add_argument("--estimates", required=True)
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--threshold-vcre", type=float, nargs="+", default=[0.05, 0.10],
+    ev.add_argument("--threshold-vcre", type=float, nargs="+", default=(0.05, 0.10),
                     help="fractions of the image diagonal")
     ev.add_argument("--threshold-pose-m", type=float, default=0.25)
     ev.add_argument("--threshold-pose-deg", type=float, default=5.0)
@@ -422,6 +423,10 @@ def build_parser() -> tuple[_Parser, _Parser]:
     sy.add_argument("--config", required=True, help="JSON generator configuration")
     sy.add_argument("--out", required=True, help="dataset root to create")
     return parser, est
+
+
+# Built on the first `main` call and shared by every later one, so nothing may change it after it is built.
+_shared_parser = functools.cache(build_parser)
 
 
 def _config_defaults(estimate: _Parser, path) -> dict:
@@ -446,11 +451,13 @@ def _config_defaults(estimate: _Parser, path) -> dict:
 
 
 def main(argv=None) -> int:
-    parser, estimate = build_parser()
+    parser, estimate = _shared_parser()
     args = parser.parse_args(argv)
     try:
         if args.handler is cmd_estimate and args.config is not None:
-            # explicit flags, abbreviated or not, win over the file's defaults
+            # the file's defaults go on a fresh pair, so they stay with this call;
+            # explicit flags, abbreviated or not, win over them
+            parser, estimate = build_parser()
             estimate.set_defaults(**_config_defaults(estimate, args.config))
             args = parser.parse_args(argv)
         return args.handler(args)

@@ -227,7 +227,7 @@ def pose_acceptable(record: EvaluationRecord, thresholds: Thresholds) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class CurvePoint:
     confidence_threshold: float
     estimate_ratio: float

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfpose
 from mfpose.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -484,10 +489,49 @@ def test_missing_dataset_exit_2(tmp_path):
     assert main(["estimate", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "o.txt")]) == EXIT_IO
 
 
-def test_usage_error_exit_1():
+def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["estimate"])  # missing required flags
+        main(["estimate", "--out", "o.txt"])  # missing --dataset
     assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err  # the usage, then the reason
+    assert err.startswith("usage: mfpose estimate")
+    assert err.endswith("mfpose estimate: error: the following arguments are required: --dataset\n")
+
+
+def test_console_entry_point(tmp_path):
+    src = Path(mfpose.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*flags):
+        command = [sys.executable, "-m", "mfpose.cli", *flags]
+        return subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    bare = run()
+    assert bare.returncode == EXIT_USAGE and bare.stdout == ""
+    assert "mfpose: error: the following arguments are required: command" in bare.stderr
+    helped = run("--help")
+    assert helped.returncode == EXIT_OK and helped.stdout.startswith("usage: mfpose") and helped.stderr == ""
+
+
+def test_estimate_config_stays_with_its_call(dataset, tmp_path):
+    # main shares one parser between calls: a --config call's defaults must not reach the next call
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "est.txt"
+    plain = ["estimate", "--dataset", str(dataset), "--out", str(out)]
+    assert main(plain) == EXIT_OK
+    expected = out.read_bytes()
+    for payload, argv, code in [
+        ({"estimator": "procrustes", "seed": 11}, plain, EXIT_OK),
+        ({"estimator": "procrustes", "seed": 11, "bogus": 1}, plain, EXIT_IO),
+        ({"estimator": "procrustes", "seed": 11}, plain[:3], EXIT_USAGE),  # no --out
+    ]:
+        config.write_text(json.dumps(payload))
+        try:
+            assert main(argv + ["--config", str(config)]) == code, payload
+        except SystemExit as exc:
+            assert exc.code == code, payload
+        assert main(plain) == EXIT_OK
+        assert out.read_bytes() == expected, payload
 
 
 def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
