@@ -90,27 +90,30 @@ def score_poses(
     No intermediate transform is checked for being a proper rotation, so two
     valid poses always score.
     """
-    rotation_deg = rotation_error_deg(r_est, r_gt)
-    center_est = -(np.swapaxes(r_est, -1, -2) @ t_est[..., None])
-    center_gt = -(np.swapaxes(r_gt, -1, -2) @ t_gt[..., None])  # also T_gt^-1's translation
-    shift = center_est - center_gt
-    center_m = np.sqrt(np.swapaxes(shift, -1, -2) @ shift)[:, 0, 0]  # a BLAS dot per row, as np.linalg.norm
+    # an estimate some 1e154 m or more off overflows: an inf centre distance, and a VCRE whose
+    # overflowing displacements are capped at the diagonal like any other past it
+    with np.errstate(over="ignore"):
+        rotation_deg = rotation_error_deg(r_est, r_gt)
+        center_est = -(np.swapaxes(r_est, -1, -2) @ t_est[..., None])
+        center_gt = -(np.swapaxes(r_gt, -1, -2) @ t_gt[..., None])  # also T_gt^-1's translation
+        shift = center_est - center_gt
+        center_m = np.sqrt(np.swapaxes(shift, -1, -2) @ shift)[:, 0, 0]  # a BLAS dot per row, as np.linalg.norm
 
-    points = build_virtual_grid(grid)
-    delta_r = r_est @ np.swapaxes(r_gt, -1, -2)
-    delta_t = (r_est @ center_gt)[..., 0] + t_est
-    moved = points @ np.swapaxes(delta_r, -1, -2) + delta_t[:, None, :]
-    fx, fy, cx, cy, cap = (column[:, None] for column in intrinsics.T)
-    u_ref = fx * points[:, 0] / points[:, 2] + cx
-    v_ref = fy * points[:, 1] / points[:, 2] + cy
-    front = moved[..., 2] > 0
-    z = np.where(front, moved[..., 2], 1.0)
-    du = fx * moved[..., 0] / z + cx - u_ref
-    dv = fy * moved[..., 1] / z + cy - v_ref
-    errors = np.where(front, np.minimum(np.hypot(du, dv), cap), cap)
-    # identical transforms score exactly 0, without the rounding residue of T_est @ T_gt^-1
-    same = (r_est == r_gt).all(axis=(-2, -1)) & (t_est == t_gt).all(axis=-1)
-    vcre_px = np.where(same, 0.0, errors.mean(axis=-1))
+        points = build_virtual_grid(grid)
+        delta_r = r_est @ np.swapaxes(r_gt, -1, -2)
+        delta_t = (r_est @ center_gt)[..., 0] + t_est
+        moved = points @ np.swapaxes(delta_r, -1, -2) + delta_t[:, None, :]
+        fx, fy, cx, cy, cap = (column[:, None] for column in intrinsics.T)
+        u_ref = fx * points[:, 0] / points[:, 2] + cx
+        v_ref = fy * points[:, 1] / points[:, 2] + cy
+        front = moved[..., 2] > 0
+        z = np.where(front, moved[..., 2], 1.0)
+        du = fx * moved[..., 0] / z + cx - u_ref
+        dv = fy * moved[..., 1] / z + cy - v_ref
+        errors = np.where(front, np.minimum(np.hypot(du, dv), cap), cap)
+        # identical transforms score exactly 0, without the rounding residue of T_est @ T_gt^-1
+        same = (r_est == r_gt).all(axis=(-2, -1)) & (t_est == t_gt).all(axis=-1)
+        vcre_px = np.where(same, 0.0, errors.mean(axis=-1))
     return rotation_deg, center_m, vcre_px
 
 
@@ -199,6 +202,9 @@ class Thresholds:
         cutoffs = (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg)
         if not all(0 < c < np.inf for c in cutoffs):  # NaN fails too
             raise InvalidParameterError("thresholds must be finite and positive")
+        names = [f"vcre_{f:g}" for f in self.vcre_fractions]  # aggregate_report keys each rate, AUC and curve by name
+        if len(set(names)) < len(names):
+            raise InvalidParameterError(f"VCRE fractions must have distinct report names, got {' '.join(names)}")
 
     def vcre_cutoff_px(self, k_or_diagonal) -> tuple[float, ...]:
         diagonal = k_or_diagonal.diagonal if isinstance(k_or_diagonal, CameraIntrinsics) else float(k_or_diagonal)

@@ -38,8 +38,8 @@ from .robust import RansacConfig, ScaleConsensusConfig, ransac, sampson_error, s
 class CorrespondenceSet:
     """2D-2D pixel matches between the reference and query image."""
 
-    ref_px: np.ndarray  # (n, 2), finite
-    query_px: np.ndarray  # (n, 2), finite
+    ref_px: np.ndarray  # (n, 2), finite, below 2^32 in magnitude
+    query_px: np.ndarray  # (n, 2), finite, below 2^32 in magnitude
     scores: np.ndarray  # (n,), finite, nominally in [0, 1]
 
     def __post_init__(self):
@@ -50,8 +50,9 @@ class CorrespondenceSet:
             raise InvalidParameterError("correspondence arrays must have equal length")
         if len(scores) and not np.all(np.isfinite(scores)):
             raise InvalidParameterError("match scores must be finite")
-        if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(query))):
-            raise InvalidParameterError("match pixels must be finite")
+        # NaN fails the comparison too; larger pixels overflow pixel_index's integer cast
+        if not (np.all(np.abs(ref) < 2.0**32) and np.all(np.abs(query) < 2.0**32)):
+            raise InvalidParameterError("match pixels must be finite and below 2^32 in magnitude")
         for arr in (ref, query, scores):
             arr.setflags(write=False)
         object.__setattr__(self, "ref_px", ref)
@@ -60,23 +61,6 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def distinct(self) -> "CorrespondenceSet":
-        """The set with one match per (reference, query) pair of nearest-pixel cells, first kept, in order.
-
-        Repeats, and near-copies in the same cells that depth is sampled at,
-        would count as independent support in the robust loop.  A set without
-        repeats is returned as is.
-        """
-        pairs = np.column_stack([*pixel_index(self.ref_px), *pixel_index(self.query_px)])
-        order = np.lexsort(pairs.T[::-1])  # stable: equal rows stay in index order
-        ordered = pairs[order]
-        repeats = order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]
-        if len(repeats) == 0:
-            return self
-        keep = np.ones(len(self), dtype=bool)
-        keep[repeats] = False
-        return CorrespondenceSet(self.ref_px[keep], self.query_px[keep], self.scores[keep])
 
     @staticmethod
     def empty() -> "CorrespondenceSet":
@@ -212,24 +196,27 @@ def _lift(k: CameraIntrinsics, pixels: np.ndarray, depth: DepthMap) -> tuple[np.
         return points, valid & np.isfinite(np.sum(points * points, axis=1))
 
 
-def _cell_count(pixels: np.ndarray) -> int:
-    """How many distinct nearest-pixel cells the (n, 2) pixels fall in."""
+def _cell_ids(pixels: np.ndarray) -> np.ndarray:
+    """A label 0, 1, ... per distinct nearest-pixel cell of the (n, 2) pixels, for each pixel."""
     u, v = pixel_index(pixels)
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
-    return int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1]))) + min(len(u), 1)
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(np.concatenate([[True], (u[1:] != u[:-1]) | (v[1:] != v[:-1])])) - 1
+    return ids
 
 
-def _fabricated(c: CorrespondenceSet, support, sample_size: int) -> bool:
-    """Whether the matches c[support] cover fewer nearest-pixel cells, on either side, than a minimal sample.
+def _fabricated(cells: tuple[np.ndarray, np.ndarray], support, sample_size: int) -> bool:
+    """Whether the matches at `support` cover fewer nearest-pixel cells, on either side, than a minimal sample.
 
+    cells holds the _cell_ids labels of the reference and the query pixels.
     Every model through a shared pixel explains all the matches that share
     it (an essential matrix with its epipole there, a pose that puts the 3D
     points on its ray), so such support is fabricated.  Any consensus is a
     subset of the matches, so a match set that is fabricated as a whole is
     turned down before the robust loop.
     """
-    return min(_cell_count(c.ref_px[support]), _cell_count(c.query_px[support])) < sample_size
+    return min(np.count_nonzero(np.bincount(ids[support])) for ids in cells) < sample_size
 
 
 def _rank_below(rows: np.ndarray, rank: int) -> bool:
@@ -264,22 +251,31 @@ def _robust_estimate(
 ) -> PoseEstimate:
     """Lift, sample, solve, score, refit and finish: the recipe the three estimators share.
 
-    lift(c) gives an (n, d) data row for each distinct match and the mask of
-    the rows to keep.  Fewer than min_rows rows, or rows through too few
-    pixels (_fabricated), are turned down before the robust loop, and so is
-    a consensus through too few.  When a window of `solve` gives no model
-    and degenerate(data) holds, every minimal sample fails, so the loop
-    stops there (a solvable query never asks).  finish(model, inlier rows,
-    their reference pixels, their query pixels) makes the pose.
+    Each side's pixels are labelled by cell once (_cell_ids), and only the
+    first match of each (reference cell, query cell) pair is kept, in order:
+    repeats, and near-copies in the same cells that depth is sampled at,
+    would count as independent support.  lift(c) gives an (n, d) data row
+    for each kept match and the mask of the rows to keep.  Fewer than
+    min_rows rows, or rows through too few pixels (_fabricated), are turned
+    down before the robust loop, and so is a consensus through too few.
+    When a window of `solve` gives no model and degenerate(data) holds,
+    every minimal sample fails, so the loop stops there (a solvable query
+    never asks).  finish(model, inlier rows, their reference pixels, their
+    query pixels) makes the pose.
 
     The one place that maps failures to statuses: NoConsensusError and
     CheiralityError become no_estimate, ScaleConsensusError degenerate_scale.
     """
-    c = c.distinct()
+    cells = (_cell_ids(c.ref_px), _cell_ids(c.query_px))
+    _, first = np.unique(cells[0] * len(c) + cells[1], return_index=True)
+    if len(first) < len(c):
+        first.sort()
+        c = CorrespondenceSet(c.ref_px[first], c.query_px[first], c.scores[first])
+        cells = (cells[0][first], cells[1][first])
     try:
         rows, kept = lift(c)
         data, index = rows[kept], np.flatnonzero(kept)
-        if len(data) < min_rows or _fabricated(c, index, sample_size):
+        if len(data) < min_rows or _fabricated(cells, index, sample_size):
             raise NoConsensusError(f"fewer than {min_rows} lifted matches or {sample_size} pixels on a side")
 
         def checked(samples: np.ndarray):
@@ -291,7 +287,7 @@ def _robust_estimate(
         result = ransac(data, checked, residuals, sample_size, cfg.ransac_config(threshold), refit=refit)
         support = index[result.inlier_mask]
         # a consensus of every lifted row is the set the check above passed
-        if len(support) < len(index) and _fabricated(c, support, sample_size):
+        if len(support) < len(index) and _fabricated(cells, support, sample_size):
             raise NoConsensusError("the consensus covers fewer distinct pixels than a minimal sample")
         pose = finish(result.model, data[result.inlier_mask], c.ref_px[support], c.query_px[support])
     except (NoConsensusError, CheiralityError):

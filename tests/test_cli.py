@@ -308,6 +308,18 @@ def test_evaluate_rejects_non_finite_thresholds_exit_2(dataset, tmp_path, capsys
         assert not report.exists(), flags
 
 
+def test_evaluate_rejects_thresholds_with_one_report_name_exit_2(dataset, tmp_path, capsys):
+    # both would print and store as vcre_0.1; the thresholds are checked before the estimates are read
+    report = tmp_path / "report.json"
+    missing = tmp_path / "missing.txt"
+    base = ["evaluate", "--estimates", str(missing), "--dataset", str(dataset), "--out-json", str(report)]
+    for fractions in (["0.1", "0.1"], ["0.1", "0.1000001"]):
+        assert main(base + ["--threshold-vcre", *fractions]) == EXIT_IO, fractions
+        captured = capsys.readouterr()
+        assert "distinct report names" in captured.err and captured.out == "", fractions
+        assert not report.exists(), fractions
+
+
 def test_estimate_determinism_across_threads(dataset, tmp_path, monkeypatch):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"

@@ -145,6 +145,17 @@ def test_vcre_large_errors_capped_at_diagonal():
 # ---------------------------------------------------------------------------
 
 
+def test_thresholds_with_one_report_name_rejected():
+    # vcre_0.1 would name both, and the second rate, AUC and curve would replace the first
+    for fractions in ((0.1, 0.1), (0.1, 0.1000001), (0.05, 0.1, 0.05000001)):
+        with pytest.raises(InvalidParameterError, match="distinct report names"):
+            Thresholds(vcre_fractions=fractions)
+    record = EvaluationRecord("s", "q", EstimateStatus.OK, 1.0, 0.0, 0.0, 80.0000005, 800.0)
+    assert not vcre_acceptable(record, 0.1) and vcre_acceptable(record, 0.100001)
+    report = aggregate_report([record], Thresholds(vcre_fractions=(0.1, 0.100001)))
+    assert report["summary"]["acceptance"] == {"vcre_0.1": 0.0, "vcre_0.100001": 1.0, "pose_0.25m_5deg": 1.0}
+
+
 def test_threshold_pixel_cutoffs():
     thresholds = Thresholds()
     assert thresholds.vcre_cutoff_px(K) == pytest.approx((40.0, 80.0))
@@ -185,6 +196,19 @@ def test_score_query_synthetic_perturbation():
         est.rotation.T @ est.translation - gt.rotation.T @ gt.translation
     )
     assert record.translation_error_m == pytest.approx(expected_t, abs=1e-12)
+
+
+def test_score_query_far_off_estimate_is_inf_meters_off_without_a_warning(rng):
+    # the squared centre distance overflows from about 1e154 m; tier 1 turns a numpy warning into a failure
+    gt = random_pose(rng)
+    for magnitude in (1e200, 1.7e308, -1.7e308):
+        for t in ([magnitude, 0.0, 0.0], [0.0, 0.0, magnitude], [magnitude, 0.0, -magnitude]):
+            for rotation in (np.eye(3), gt.rotation, random_rotation(rng)):
+                est = Pose(rotation, np.array(t))
+                record = score_query("s", "q", PoseEstimate(EstimateStatus.OK, est, 1.0), gt, K)
+                assert record.translation_error_m == np.inf, (magnitude, t)
+                assert 0.0 <= record.vcre_px <= K.diagonal, (magnitude, t)
+                assert record.vcre_px == vcre(est, gt, K)
 
 
 def test_score_query_scores_valid_poses_whose_product_is_off_tolerance():

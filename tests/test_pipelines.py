@@ -51,12 +51,22 @@ def test_correspondence_set_validation():
         CorrespondenceSet(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(InvalidParameterError):
         CorrespondenceSet(np.zeros((1, 2)), np.zeros((1, 2)), np.array([np.nan]))
-    for bad in (np.nan, np.inf, -np.inf):
+    # a pixel of 2^32 or more would overflow the integer cast of its nearest-pixel index
+    for bad in (np.nan, np.inf, -np.inf, 2.0**32, -(2.0**32), 1e19, -1e19, 1e300, -1e300):
         with pytest.raises(InvalidParameterError):
             CorrespondenceSet(np.array([[bad, 0.0]]), np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(InvalidParameterError):
             CorrespondenceSet(np.zeros((1, 2)), np.array([[0.0, bad]]), np.zeros(1))
     assert len(CorrespondenceSet.empty()) == 0
+    # the largest accepted pixels run through every estimator without a warning
+    _, (c, *inputs) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0, outlier_fraction=0.4)))
+    for big in (4.2e9, -4.2e9, np.nextafter(2.0**32, 0.0), -np.nextafter(2.0**32, 0.0)):
+        ref_px, query_px = c.ref_px.copy(), c.query_px.copy()
+        ref_px[0], query_px[1], ref_px[2, 1], query_px[3, 0] = big, big, big, big
+        all_big = CorrespondenceSet(*np.full((2, 8, 2), big), np.ones(8))
+        for matches in (CorrespondenceSet(ref_px, query_px, c.scores), all_big):
+            for name in ESTIMATOR_NAMES:
+                run_estimator(name, matches, *inputs)
 
 
 def test_depth_map_nearest_sampling():
@@ -214,15 +224,111 @@ def test_pnp_consensus_below_four_is_no_estimate():
         assert estimate.status is EstimateStatus.NO_ESTIMATE, seed
 
 
+def _distinct_oracle(c: CorrespondenceSet) -> CorrespondenceSet:
+    """The matches the robust driver keeps (first of each cell pair, in order), by one sort on four cell indices."""
+    pairs = np.column_stack([*pixel_index(c.ref_px), *pixel_index(c.query_px)])
+    order = np.lexsort(pairs.T[::-1])  # stable: equal rows stay in index order
+    ordered = pairs[order]
+    keep = np.ones(len(c), dtype=bool)
+    keep[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = False
+    return CorrespondenceSet(c.ref_px[keep], c.query_px[keep], c.scores[keep])
+
+
+def _cell_count_oracle(pixels: np.ndarray) -> int:
+    """How many distinct nearest-pixel cells the (n, 2) pixels fall in, by a sort of their indices."""
+    u, v = pixel_index(pixels)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    return int(np.count_nonzero((u[1:] != u[:-1]) | (v[1:] != v[:-1]))) + min(len(u), 1)
+
+
+def _drive(c: CorrespondenceSet, seed: int):
+    """The matches the robust driver keeps of c, and the (cells, support) of each pixel check it makes.
+
+    A stand-in lift keeps a seeded random subset of the kept matches and a
+    stand-in ransac returns a seeded random consensus of those.  Every pixel
+    check passes, so the consensus check runs whenever that consensus
+    leaves a row out.
+    """
+    rng = np.random.default_rng(seed)
+    lifted, checks = [], []
+
+    def lift(kept: CorrespondenceSet):
+        lifted.append(kept)
+        return np.column_stack([kept.ref_px, kept.query_px]), rng.random(len(kept)) < 0.8
+
+    def consensus(data, *args, **kwargs):
+        mask = rng.random(len(data)) < 0.7
+        return RobustResult(None, mask, int(mask.sum()), 0.0, 1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipelines, "_fabricated", lambda cells, support, size: checks.append((cells, support)) or False)
+        patch.setattr(pipelines, "ransac", consensus)
+        finish = lambda *_: Pose.identity()
+        estimate = pipelines._robust_estimate(c, EstimatorConfig(), 1.0, 3, 0, lift, None, None, None, finish)
+    assert estimate.status is EstimateStatus.OK and len(lifted) == 1
+    return lifted[0], checks
+
+
+def _cell_cases(rng: np.random.Generator):
+    """(name, matches) pairs whose pixels share nearest-pixel cells in each of the ways the driver must tell apart."""
+    n = 40
+    base = rng.uniform([0.0, 0.0], [640.0, 480.0], (2, n, 2))
+    picks = rng.integers(0, n, 25)  # some picked twice or more
+
+    def matches(ref_px, query_px):
+        order = rng.permutation(len(ref_px))  # copies land before and after their originals
+        return CorrespondenceSet(ref_px[order], query_px[order], rng.random(len(ref_px)))
+
+    def in_cell(pixels):  # a point in each pixel's cell [k - 0.5, k + 0.5)
+        return np.floor(pixels + 0.5) + rng.uniform(-0.5, 0.5, pixels.shape)
+
+    yield "exact repeats", matches(*np.concatenate([base, base[:, picks]], axis=1))
+    yield "in-cell near-copies", matches(*np.concatenate([base, in_cell(base[:, picks])], axis=1))
+    # a near-copy on one side only is a new (reference cell, query cell) pair and stays
+    moved = base[:, np.unique(picks)] + [[[0.0, 0.0]], [[3.0, 0.0]]]
+    yield "one side near-copied", matches(*np.concatenate([base, in_cell(moved)], axis=1))
+    shared = np.tile(base[0, :1], (n, 1))
+    yield "one reference pixel", matches(in_cell(shared), base[1])
+    yield "one query pixel", matches(base[0], in_cell(shared))
+    # k + 0.5 falls in cell k + 1 and the float below it in cell k; negative pixels round half up too
+    cells = rng.integers(-1, 3, (2, 60, 2)).astype(float)
+    edges = np.where(rng.random(cells.shape) < 0.5, cells + 0.5, np.nextafter(cells + 0.5, -np.inf))
+    yield "cell edges", matches(*edges)
+    yield "one match", matches(*base[:, :1])
+    yield "no match", CorrespondenceSet.empty()
+
+
+def test_driver_keeps_and_counts_cells_as_the_sort_oracles_do():
+    for seed in range(6):
+        for name, c in _cell_cases(np.random.default_rng(seed)):
+            kept, checks = _drive(c, seed)
+            oracle = _distinct_oracle(c)
+            for field in ("ref_px", "query_px", "scores"):
+                assert getattr(kept, field).tobytes() == getattr(oracle, field).tobytes(), (seed, name)
+            assert 1 <= len(checks) <= 2, (seed, name)
+            for cells, support in checks:
+                counts = [_cell_count_oracle(pixels[support]) for pixels in (kept.ref_px, kept.query_px)]
+                for ids, count in zip(cells, counts):
+                    assert not pipelines._fabricated((ids, ids), support, count), (seed, name)
+                    assert pipelines._fabricated((ids, ids), support, count + 1), (seed, name)
+                assert pipelines._fabricated(cells, support, min(counts) + 1), (seed, name)
+                assert not pipelines._fabricated(cells, support, min(counts)), (seed, name)
+            if name in ("exact repeats", "in-cell near-copies", "cell edges"):
+                assert len(kept) < len(c), (seed, name)  # the case reaches the repeat branch
+            if name == "one side near-copied":
+                assert len(kept) == len(c), seed
+
+
 def test_duplicated_matches_count_once():
     c = CorrespondenceSet(
         np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]),
         np.array([[5.0, 6.0], [7.0, 8.0], [5.0, 6.0], [5.0, 9.0], [7.0, 8.0]]),
         np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
     )
-    distinct = c.distinct()
+    distinct, _ = _drive(c, 0)
     assert distinct.scores.tolist() == [0.1, 0.2, 0.4]
-    assert distinct.distinct() is distinct
+    assert _drive(distinct, 0)[0] is distinct  # a set without repeats goes on as it is
     for seed in range(3):
         scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=0.4))
         q, (c, *inputs) = scene_inputs(scene)
@@ -233,7 +339,7 @@ def test_duplicated_matches_count_once():
             *(np.repeat(a[:1], 50, axis=0) + jitter.uniform(-1e-3, 1e-3, (50, 2)) for a in (c.ref_px, c.query_px)),
             np.repeat(c.scores[:1], 50),
         )
-        assert len(near.distinct()) == 1
+        assert len(_drive(near, seed)[0]) == 1
         padded = CorrespondenceSet(*(np.concatenate([a, a[:150]]) for a in (c.ref_px, c.query_px, c.scores)))
         cfg = EstimatorConfig(rng_seed=seed)
         for name in ESTIMATOR_NAMES:
@@ -351,19 +457,23 @@ def test_consensus_through_one_pixel_among_scattered_matches_is_no_estimate(monk
 
 def test_whole_set_consensus_skips_the_second_pixel_check(monkeypatch):
     # _fabricated passed on every lifted row before the loop, so it runs again
-    # only on a consensus that leaves some out
-    checks, results = [], []
-    fabricated, ransac = pipelines._fabricated, pipelines.ransac
+    # only on a consensus that leaves some out; both checks count the labels
+    # of one labelling of each side's cells
+    checks, labellings, results = [], [], []
+    fabricated, cell_ids, ransac = pipelines._fabricated, pipelines._cell_ids, pipelines.ransac
     monkeypatch.setattr(pipelines, "_fabricated", lambda *args: checks.append(1) or fabricated(*args))
+    monkeypatch.setattr(pipelines, "_cell_ids", lambda pixels: labellings.append(1) or cell_ids(pixels))
     monkeypatch.setattr(pipelines, "ransac", lambda *args, **kwargs: results.append(ransac(*args, **kwargs)) or results[-1])
     whole = 0
     for outliers in (0.0, 0.4):
         _, inputs = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=1, outlier_fraction=outliers)))
         for name in ESTIMATOR_NAMES:
             checks.clear()
+            labellings.clear()
             assert run_estimator(name, *inputs).status is EstimateStatus.OK
             everything = bool(results[-1].inlier_mask.all())
             assert len(checks) == (1 if everything else 2), (outliers, name)
+            assert len(labellings) == 2, (outliers, name)
             whole += everything
     assert 0 < whole < 2 * len(ESTIMATOR_NAMES)
 
@@ -626,7 +736,7 @@ def test_unknown_estimator_rejected(monkeypatch):
     with pytest.raises(InvalidParameterError):
         run_estimator("magic", CorrespondenceSet.empty(), DepthMap(np.zeros((2, 2))), DepthMap(np.zeros((2, 2))), K, K)
     # an estimator that reads query depth turns down a missing map before any work
-    monkeypatch.setattr(CorrespondenceSet, "distinct", lambda self: pytest.fail("an estimator ran"))
+    monkeypatch.setattr(pipelines, "_cell_ids", lambda pixels: pytest.fail("an estimator ran"))
     _, (c, depth_ref, _, *intrinsics) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0)))
     for name in ("essmat-dscale", "procrustes"):
         with pytest.raises(InvalidParameterError):

@@ -2,14 +2,16 @@
 
 Run from anywhere: `python3 tools/fixture_sums.py`.  It imports the package
 from this checkout's `src/` and generates the fixture datasets with
-`mfpose synth` in a temporary directory.  On the two estimation fixtures it
-runs `mfpose estimate --seed 3` with each estimator, then `mfpose evaluate`
+`mfpose synth` in a temporary directory.  On the three estimation fixtures
+it runs `mfpose estimate --seed 3` with each estimator, then `mfpose evaluate`
 (JSON report and per-scene CSV) and `mfpose curves` over each estimates
-file.  The records fixture checks `evaluate` and `curves` alone on about
-2000 queries: it writes an estimates file from the synth ground truth with
-seeded perturbations (tied and missing confidences, failed lines).  The tool
-prints each output's sha256 next to the recorded one.  Exit status 1 when
-any sum differs.
+file.  The duplicates fixture is the 1px-noise dataset with exact repeats
+and in-cell near-copies of some matches appended to each matches file, so
+it reaches the estimators' de-duplication.  The records fixture checks
+`evaluate` and `curves` alone on about 2000 queries: it writes an estimates
+file from the synth ground truth with seeded perturbations (tied and
+missing confidences, failed lines).  The tool prints each output's sha256
+next to the recorded one.  Exit status 1 when any sum differs.
 
 The commands run inside the temporary directory with relative paths, so the
 report's `meta.estimates` is the same on every run.  The sums depend on the
@@ -33,11 +35,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from mfpose import cli  # noqa: E402
+from mfpose.dataset import list_scenes, load_scene, save_correspondences  # noqa: E402
+from mfpose.pipelines import CorrespondenceSet, pixel_index  # noqa: E402
 
 CLEAN = {"num_scenes": 6, "num_queries": 3, "outlier_fraction": 0.4, "rng_seed": 3}
 FIXTURES = {
     "clean": CLEAN,
     "1px-noise": {**CLEAN, "pixel_noise_px": 1.0},
+    "duplicates": {**CLEAN, "pixel_noise_px": 1.0},  # then _append_duplicates
 }
 ESTIMATORS = ("essmat-dscale", "pnp", "procrustes")
 # 20 scenes of 100 queries; a 64x48 camera keeps the depth maps, which evaluate never reads, small
@@ -91,6 +96,31 @@ RECORDED = {
     ("1px-noise", "procrustes", "evaluate.csv"):
         "4b91dc477def432573ee4193e3b50ff98be607f63d37c0cc94060701d1f132c8",
     ("1px-noise", "procrustes", "curves.csv"):
+        "f28641b5bb75cd3eadff66b648c2f968d284e4b9bd100d4c7f982b8f638adbe8",
+    # the duplicates estimates and CSVs are the 1px-noise bytes: every appended line counts once
+    ("duplicates", "essmat-dscale", "estimate"):
+        "0323009a4b0f3f2e5e6a10d61855307db9562a87b554d0c34d8136a27fb28a53",
+    ("duplicates", "essmat-dscale", "evaluate.json"):
+        "3d2d5b4ee14f9f21418bdaf821c4c670792d886eb9177f289a983aac32c02b0f",
+    ("duplicates", "essmat-dscale", "evaluate.csv"):
+        "30d8efee8d1dda37f711a43ded7127eb32489d70fe04c4ba29951f611f067a92",
+    ("duplicates", "essmat-dscale", "curves.csv"):
+        "629b581ba54a0080faca7614bb7e467947d10387842d1054b6706370967e00c8",
+    ("duplicates", "pnp", "estimate"):
+        "86f8fa763b6d8f56064517b9509197ff5bd7d1d3932b90952f05193b95604b7f",
+    ("duplicates", "pnp", "evaluate.json"):
+        "eede9f4617b97674e02f7380c3e26b464060e97ae4e2404c103f9d9e60650876",
+    ("duplicates", "pnp", "evaluate.csv"):
+        "1917af9ade7ecc0990a318a532069375b020bd70a4a47cc311b7d54a730de2d1",
+    ("duplicates", "pnp", "curves.csv"):
+        "a9941ed31afa27eba3605f29b1ade4129425cfc6bf6cd36ae3f9fa155fd36269",
+    ("duplicates", "procrustes", "estimate"):
+        "f2e1b8bc3ea74f708abbc4ff8c178cacb8789be6986d7c8384c249dae477be92",
+    ("duplicates", "procrustes", "evaluate.json"):
+        "84034ffea143bba469ad90c2ee6aac3d839df2fcb37300e2eef168e6059bc497",
+    ("duplicates", "procrustes", "evaluate.csv"):
+        "4b91dc477def432573ee4193e3b50ff98be607f63d37c0cc94060701d1f132c8",
+    ("duplicates", "procrustes", "curves.csv"):
         "f28641b5bb75cd3eadff66b648c2f968d284e4b9bd100d4c7f982b8f638adbe8",
     ("records", "perturbed", "evaluate.json"):
         "69ab47d583e1ae44c9f8b5e7ae504364cf21443732312e3db8298904ef682c31",
@@ -159,6 +189,32 @@ def _perturbed_estimates(dataset: Path, out: Path) -> None:
     out.write_text("\n".join(lines) + "\n")
 
 
+def _append_duplicates(dataset: Path) -> None:
+    """Append exact repeats of about an eighth of each matches file's lines and near-copies of another eighth, shuffled.
+
+    A near-copy moves each pixel by up to 0.3 px per coordinate where that
+    keeps its nearest-pixel cell, floor(x + 0.5), and its image; elsewhere
+    the pixel is copied exactly.
+    """
+    rng = np.random.default_rng(31)
+    for scene_id in list_scenes(dataset):
+        scene = load_scene(dataset, scene_id)
+        for query in scene.queries:
+            c = scene.load_matches(query)
+            picked = rng.choice(len(c), len(c) // 4, replace=False)  # the first half repeats, the rest moves
+            order = rng.permutation(len(picked))
+            extra = []
+            for pixels, k in ((c.ref_px, scene.intrinsics[scene.reference]), (c.query_px, scene.intrinsics[query])):
+                copies = pixels[picked]
+                moved = copies + rng.uniform(-0.3, 0.3, copies.shape)
+                same = np.all(np.stack(pixel_index(moved)) == np.stack(pixel_index(copies)), axis=0) & k.contains(moved)
+                same[: len(picked) // 2] = False
+                extra.append(np.where(same[:, None], moved, copies)[order])
+            extra.append(c.scores[picked][order])
+            save_correspondences(scene.matches_path(query), CorrespondenceSet(
+                *(np.concatenate(pair) for pair in zip((c.ref_px, c.query_px, c.scores), extra))))
+
+
 def _check(fixture: str, estimator: str, paths: dict[str, Path]) -> int:
     """Print each output's sum next to the recorded one; return how many differ."""
     mismatches = 0
@@ -185,6 +241,8 @@ def main() -> int:
         try:
             for fixture, config in FIXTURES.items():
                 _synth(fixture, config)
+                if fixture == "duplicates":
+                    _append_duplicates(Path(fixture))
                 for estimator in ESTIMATORS:
                     mismatches += _check(fixture, estimator, _outputs(fixture, estimator))
             _synth("records", RECORDS)
