@@ -10,8 +10,10 @@ and in-cell near-copies of some matches appended to each matches file, so
 it reaches the estimators' de-duplication.  The records fixture checks
 `evaluate` and `curves` alone on about 2000 queries: it writes an estimates
 file from the synth ground truth with seeded perturbations (tied and
-missing confidences, failed lines).  The tool prints each output's sha256
-next to the recorded one.  Exit status 1 when any sum differs.
+missing confidences, failed lines), and there `curves` also runs with its
+other two `--acceptance` choices, `vcre-0.05` and `pose`.  The tool prints
+each output's sha256 next to the recorded one.  Exit status 1 when any sum
+differs.
 
 The commands run inside the temporary directory with relative paths, so the
 report's `meta.estimates` is the same on every run.  The sums depend on the
@@ -128,6 +130,10 @@ RECORDED = {
         "f28ffd4e71dda26a9d9328f9faa6a81e32c8579afba1d8e240b2814df5165d9c",
     ("records", "perturbed", "curves.csv"):
         "fa1c89893e9f15b52e86a7d09ba5a7cd774b4a4453a6ea0ae3492fc59deb1d5a",
+    ("records", "perturbed", "curves-vcre-0.05.csv"):
+        "23c56ae07dd6d9a6eedf4cd9a7ad742cd45da11a14ad7ee5512e472493e7e1a1",
+    ("records", "perturbed", "curves-pose.csv"):
+        "bf6d4083e8cd6fd10de325265b7f6ce4a1e641b6ff6a8ea34574be0bdfd571bc",
 }
 
 
@@ -139,13 +145,21 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"mfpose {' '.join(argv)} exited {code}:\n{log.getvalue()}")
 
 
-def _evaluated(stem: str, estimates: Path, dataset: str, estimator: str) -> dict[str, Path]:
-    """The `evaluate` JSON and CSV and the `curves` CSV of one estimates file."""
+def _evaluated(stem: str, estimates: Path, dataset: str, estimator: str, acceptances=()) -> dict[str, Path]:
+    """The `evaluate` JSON and CSV and the `curves` CSV of one estimates file.
+
+    `curves` runs once with its default acceptance, then once more per name in
+    `acceptances`, whose output is keyed `curves-<name>.csv`.
+    """
     paths = {"evaluate.json": Path(f"{stem}.json"), "evaluate.csv": Path(f"{stem}.csv"),
              "curves.csv": Path(f"{stem}-curves.csv")}
     _run(["evaluate", "--estimates", str(estimates), "--dataset", dataset, "--estimator-name", estimator,
           "--seed", "3", "--out-json", str(paths["evaluate.json"]), "--out-csv", str(paths["evaluate.csv"])])
     _run(["curves", "--estimates", str(estimates), "--dataset", dataset, "--out", str(paths["curves.csv"])])
+    for acceptance in acceptances:
+        path = paths[f"curves-{acceptance}.csv"] = Path(f"{stem}-curves-{acceptance}.csv")
+        _run(["curves", "--estimates", str(estimates), "--dataset", dataset, "--acceptance", acceptance,
+              "--out", str(path)])
     return paths
 
 
@@ -223,7 +237,7 @@ def _check(fixture: str, estimator: str, paths: dict[str, Path]) -> int:
         recorded = RECORDED[fixture, estimator, output]
         verdict = "ok" if actual == recorded else "MISMATCH"
         mismatches += actual != recorded
-        print(f"{fixture:10} {estimator:14} {output:14} {actual} recorded {recorded} {verdict}")
+        print(f"{fixture:10} {estimator:14} {output:22} {actual} recorded {recorded} {verdict}")
     return mismatches
 
 
@@ -248,7 +262,8 @@ def main() -> int:
             _synth("records", RECORDS)
             estimates = Path("records.txt")
             _perturbed_estimates(Path("records"), estimates)
-            mismatches += _check("records", "perturbed", _evaluated("records", estimates, "records", "perturbed"))
+            outputs = _evaluated("records", estimates, "records", "perturbed", ("vcre-0.05", "pose"))
+            mismatches += _check("records", "perturbed", outputs)
         finally:
             os.chdir(start)
     return 1 if mismatches else 0
