@@ -397,14 +397,13 @@ def test_evaluate_mixed_fixture_matches_recount(dataset, tmp_path, capsys):
     # brute-force recount from the per-record scoring path
     from mfpose.cli import parse_estimates as reparse
     from mfpose.dataset import load_scene
-    from mfpose.evaluation import VirtualGrid, score_query, vcre_acceptable
+    from mfpose.evaluation import score_query, vcre_acceptable
 
     records = []
     for scene_id, query_id, estimate in reparse(estimates):
         manifest = load_scene(dataset, scene_id)
         records.append(
-            score_query(scene_id, query_id, estimate, manifest.poses[query_id],
-                        manifest.intrinsics[query_id], VirtualGrid())
+            score_query(scene_id, query_id, estimate, manifest.poses[query_id], manifest.intrinsics[query_id])
         )
     for fraction, key in ((0.05, "vcre_0.05"), (0.10, "vcre_0.1")):
         expected = sum(vcre_acceptable(r, fraction) for r in records) / len(records)
@@ -651,3 +650,47 @@ def test_curves_confidence_free_single_row(dataset, tmp_path):
     assert main(["curves", "--estimates", str(estimates), "--dataset", str(dataset), "--out", str(curve)]) == EXIT_OK
     rows = curve.read_text().strip().splitlines()
     assert len(rows) == 2  # header + the single flat-curve point
+
+
+@pytest.mark.parametrize(
+    "acceptance, name", [("vcre-0.05", "vcre_0.05"), ("vcre-0.10", "vcre_0.1"), ("pose", "pose_0.25m_5deg")]
+)
+def test_curves_rows_are_the_report_curve(tmp_path, acceptance, name):
+    # perturbed ground truth with tied and missing confidences and failed lines, then nothing ok at all
+    from mfpose.dataset import load_scene
+    from mfpose.geometry import Pose, rotation_from_axis_angle
+
+    dataset = tmp_path / "data"
+    for index in range(2):
+        config = SyntheticSceneConfig(rng_seed=20 + index, num_points=24, num_queries=15,
+                                      focal_px=50.0, width=64, height=48)
+        synth_write(synth_scene(config), dataset, f"scene{index:04d}")
+    rng = np.random.default_rng(7)
+    lines, failed = [], []
+    for scene_id in ("scene0000", "scene0001"):
+        manifest = load_scene(dataset, scene_id)
+        for index, query in enumerate(manifest.queries):
+            failed.append(f"{scene_id} {query} no_estimate")
+            if index % 7 == 3:
+                lines.append(failed[-1])
+                continue
+            gt = manifest.poses[query]
+            axis = rng.standard_normal(3)
+            turn = rotation_from_axis_angle(axis / np.linalg.norm(axis) * np.radians(rng.uniform(0.0, 12.0)))
+            pose = Pose(turn @ gt.rotation, gt.translation + rng.normal(0.0, 0.15, 3))
+            confidence = None if index % 5 == 1 else float(rng.integers(0, 5))
+            lines.append(format_estimate_line(scene_id, query, PoseEstimate(EstimateStatus.OK, pose, confidence)))
+
+    for stem, text in (("est", lines), ("failed", failed)):
+        estimates = tmp_path / f"{stem}.txt"
+        estimates.write_text("\n".join(text) + "\n")
+        report_json, curve_csv = tmp_path / f"{stem}.json", tmp_path / f"{stem}.csv"
+        args = ["--estimates", str(estimates), "--dataset", str(dataset)]
+        assert main(["evaluate", *args, "--out-json", str(report_json)]) == EXIT_OK
+        assert main(["curves", *args, "--acceptance", acceptance, "--out", str(curve_csv)]) == EXIT_OK
+        (curve,) = [c["points"] for c in json.loads(report_json.read_text())["curves"] if c["acceptance"] == name]
+        expected = [[str(p["confidence_threshold"]), str(p["estimate_ratio"]),
+                     "" if p["precision"] is None else str(p["precision"])] for p in curve]
+        rows = [row.split(",") for row in curve_csv.read_text().splitlines()]
+        assert rows == [["confidence_threshold", "estimate_ratio", "precision"], *expected]
+    assert len(expected) == 1 and expected[0][2] == ""
