@@ -62,7 +62,6 @@ from .solvers import (
     procrustes_align,
     refine_essential,
     refine_pnp,
-    triangulate_midpoints,
 )
 
 __version__ = "0.1.0"

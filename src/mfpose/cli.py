@@ -39,12 +39,9 @@ from .evaluation import (
     PER_SCENE_FIELDS,
     EvaluationRecord,
     Thresholds,
-    VirtualGrid,
     aggregate_report,
-    pose_acceptable,
     precision_curve,
     score_queries,
-    vcre_acceptable,
 )
 from .pipelines import ESTIMATOR_NAMES, EstimatorConfig, run_estimator
 
@@ -53,6 +50,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_MISMATCH = 3
+# Each `curves --acceptance` choice, with the name of the report curve it writes.
+_CURVE_ACCEPTANCE = {"vcre-0.05": "vcre_0.05", "vcre-0.10": "vcre_0.1", "pose": "pose_0.25m_5deg"}
 
 
 def _log(message: str) -> None:
@@ -134,9 +133,7 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _records_from_estimates(
-    estimates_path: Path, dataset: Path, grid: VirtualGrid
-) -> list[EvaluationRecord]:
+def _records_from_estimates(estimates_path: Path, dataset: Path) -> list[EvaluationRecord]:
     manifests: dict[str, SceneManifest] = {}
     unmatched = []
     causes: dict[str, str] = {}  # why a scene's ground truth could not be loaded
@@ -162,7 +159,7 @@ def _records_from_estimates(
         raise MissingGroundTruthError(
             estimates_path, "queries without ground truth: " + ", ".join(sorted(unmatched)) + because
         )
-    return score_queries(rows, grid)
+    return score_queries(rows)
 
 
 def _json_text(value) -> str:
@@ -257,17 +254,15 @@ def _json_parts(value, parts: list[str], newline: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    grid = VirtualGrid()
     thresholds = Thresholds(
         vcre_fractions=tuple(args.threshold_vcre),
         pose_translation_m=args.threshold_pose_m,
         pose_rotation_deg=args.threshold_pose_deg,
     )
-    records = _records_from_estimates(Path(args.estimates), Path(args.dataset), grid)
+    records = _records_from_estimates(Path(args.estimates), Path(args.dataset))
     report = aggregate_report(
         records,
         thresholds,
-        grid,
         meta={"estimator": args.estimator_name, "seed": args.seed, "estimates": str(args.estimates)},
     )
     for name, rate in report["summary"]["acceptance"].items():
@@ -288,14 +283,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    grid = VirtualGrid()
-    thresholds = Thresholds()
-    records = _records_from_estimates(Path(args.estimates), Path(args.dataset), grid)
-    if args.acceptance == "pose":
-        acceptable = lambda r: pose_acceptable(r, thresholds)
-    else:
-        fraction = float(args.acceptance.split("-", 1)[1])
-        acceptable = lambda r: vcre_acceptable(r, fraction)
+    acceptable = Thresholds().selectors()[_CURVE_ACCEPTANCE[args.acceptance]]
+    records = _records_from_estimates(Path(args.estimates), Path(args.dataset))
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
@@ -414,8 +403,7 @@ def build_parser() -> tuple[_Parser, _Parser]:
     cv.set_defaults(handler=cmd_curves)
     cv.add_argument("--estimates", required=True)
     cv.add_argument("--dataset", required=True)
-    cv.add_argument("--acceptance", default="vcre-0.10",
-                    choices=["vcre-0.05", "vcre-0.10", "pose"])
+    cv.add_argument("--acceptance", default="vcre-0.10", choices=list(_CURVE_ACCEPTANCE))
     cv.add_argument("--out", required=True)
 
     sy = sub.add_parser("synth", help="generate synthetic scenes with ground truth")

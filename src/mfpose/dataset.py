@@ -511,7 +511,6 @@ class SyntheticScene:
 
     config: SyntheticSceneConfig
     intrinsics: CameraIntrinsics
-    points_world: np.ndarray
     depth_ref: DepthMap
     queries: list[SyntheticQuery] = field(default_factory=list)
 
@@ -653,7 +652,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
         )
 
     # reference depth entries accumulate across queries, so the frozen map is built last
-    return SyntheticScene(config, k, points, DepthMap(ref_depth_values), queries)
+    return SyntheticScene(config, k, DepthMap(ref_depth_values), queries)
 
 
 def synth_write(scene: SyntheticScene, root, scene_id: str) -> None:

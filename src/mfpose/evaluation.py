@@ -6,11 +6,15 @@ the mean pixel displacement of a virtual 3D point grid reprojected under
 the estimated vs. true pose (VCRE).  Confidence sweeps turn scored records
 into precision/ratio trade-off curves, and reports aggregate per-scene
 medians, acceptance rates, and the VCRE distribution.
+
+The protocol is fixed and defined once here: every score uses the one
+virtual grid `GRID`, and `Thresholds.selectors` names and judges every
+acceptance criterion that reports and curves use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -37,7 +41,8 @@ class VirtualGrid:
 
     Centered laterally and vertically on the optical axis; the nearest depth
     plane sits axial_offset meters in front of the camera.  These constants
-    change absolute VCRE values, so reports embed them.
+    change absolute VCRE values, so reports embed them.  Scoring uses the
+    default grid, `GRID`.
     """
 
     height_count: int = 4
@@ -47,22 +52,18 @@ class VirtualGrid:
     axial_offset_m: float = 1.8
 
     def __post_init__(self):
-        if min(self.height_count, self.width_count, self.depth_count) < 1:
-            raise InvalidParameterError("grid counts must be >= 1")
-        if self.spacing_m <= 0:
-            raise InvalidParameterError("grid spacing must be positive")
-
-    def meta(self) -> dict:
-        return {
-            "height_count": self.height_count,
-            "width_count": self.width_count,
-            "depth_count": self.depth_count,
-            "spacing_m": self.spacing_m,
-            "axial_offset_m": self.axial_offset_m,
-        }
+        counts = (self.height_count, self.width_count, self.depth_count)
+        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+            raise InvalidParameterError("grid counts must be integers >= 1")
+        limit = np.finfo(float).max / (2 * max(counts))  # finite, and no grid coordinate overflows
+        if not (0 < self.spacing_m < limit and 0 < self.axial_offset_m < limit):  # NaN fails too
+            raise InvalidParameterError("grid spacing and axial offset must be finite and positive")
 
 
-def build_virtual_grid(grid: VirtualGrid = VirtualGrid()) -> np.ndarray:
+GRID = VirtualGrid()
+
+
+def build_virtual_grid(grid: VirtualGrid = GRID) -> np.ndarray:
     """Grid points as an (h*w*d, 3) array in the query camera frame."""
     xs = (np.arange(grid.width_count) - (grid.width_count - 1) / 2.0) * grid.spacing_m
     ys = (np.arange(grid.height_count) - (grid.height_count - 1) / 2.0) * grid.spacing_m
@@ -71,19 +72,22 @@ def build_virtual_grid(grid: VirtualGrid = VirtualGrid()) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
+_GRID_POINTS = build_virtual_grid(GRID)
+_GRID_POINTS.flags.writeable = False
+
+
 def score_poses(
     r_est: np.ndarray,
     t_est: np.ndarray,
     r_gt: np.ndarray,
     t_gt: np.ndarray,
     intrinsics: np.ndarray,
-    grid: VirtualGrid = VirtualGrid(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotation error (deg), camera-center distance (m) and VCRE (px) for each row of a stack.
 
     r_est, r_gt are (N, 3, 3) rotations, t_est, t_gt (N, 3) translations and
     intrinsics an (N, 5) array of fx, fy, cx, cy and image diagonal.  VCRE
-    compares each grid point v (in the true query camera frame) with its
+    compares each `GRID` point v (in the true query camera frame) with its
     image under T_est @ T_gt^-1; the per-point error is capped at one image
     diagonal so points pushed to or behind the camera plane cannot make the
     average unbounded.  Rows are independent: each rounds as a stack of one.
@@ -99,7 +103,7 @@ def score_poses(
         shift = center_est - center_gt
         center_m = np.sqrt(np.swapaxes(shift, -1, -2) @ shift)[:, 0, 0]  # a BLAS dot per row, as np.linalg.norm
 
-        points = build_virtual_grid(grid)
+        points = _GRID_POINTS
         delta_r = r_est @ np.swapaxes(r_gt, -1, -2)
         delta_t = (r_est @ center_gt)[..., 0] + t_est
         moved = points @ np.swapaxes(delta_r, -1, -2) + delta_t[:, None, :]
@@ -117,14 +121,9 @@ def score_poses(
     return rotation_deg, center_m, vcre_px
 
 
-def vcre(
-    pose_est: Pose,
-    pose_gt: Pose,
-    k_query: CameraIntrinsics,
-    grid: VirtualGrid = VirtualGrid(),
-) -> float:
+def vcre(pose_est: Pose, pose_gt: Pose, k_query: CameraIntrinsics) -> float:
     """Mean reprojection displacement of the virtual grid, in pixels (see `score_poses`)."""
-    return score_queries([("", "", PoseEstimate(EstimateStatus.OK, pose_est), pose_gt, k_query)], grid)[0].vcre_px
+    return score_queries([("", "", PoseEstimate(EstimateStatus.OK, pose_est), pose_gt, k_query)])[0].vcre_px
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,7 @@ class EvaluationRecord:
             raise InvalidParameterError("confidence must be a number >= 0")
 
 
-def score_queries(
-    rows: Sequence[tuple[str, str, PoseEstimate, Pose, CameraIntrinsics]],
-    grid: VirtualGrid = VirtualGrid(),
-) -> list[EvaluationRecord]:
+def score_queries(rows: Sequence[tuple[str, str, PoseEstimate, Pose, CameraIntrinsics]]) -> list[EvaluationRecord]:
     """One record per (scene_id, query_id, estimate, gt, k_query) row, in row order.
 
     The ok rows are scored SCORE_BLOCK at a time by `score_poses`.
@@ -168,7 +164,6 @@ def score_queries(
                 np.array([gt.rotation for _, gt, _ in ok]),
                 np.array([gt.translation for _, gt, _ in ok]),
                 intrinsics,
-                grid,
             )
             # rotation_error_deg, translation_error_m, vcre_px, image_diagonal_px per ok row
             errors = zip(*(column.tolist() for column in (*scored, intrinsics[:, 4])))
@@ -184,10 +179,9 @@ def score_query(
     estimate: PoseEstimate,
     gt: Pose,
     k_query: CameraIntrinsics,
-    grid: VirtualGrid = VirtualGrid(),
 ) -> EvaluationRecord:
     """Populate all three error measures for an estimate, given ground truth."""
-    return score_queries([(scene_id, query_id, estimate, gt, k_query)], grid)[0]
+    return score_queries([(scene_id, query_id, estimate, gt, k_query)])[0]
 
 
 @dataclass(frozen=True)
@@ -199,23 +193,27 @@ class Thresholds:
     pose_rotation_deg: float = 5.0
 
     def __post_init__(self):
-        cutoffs = (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg)
-        if not all(0 < c < np.inf for c in cutoffs):  # NaN fails too
-            raise InvalidParameterError("thresholds must be finite and positive")
-        names = [f"vcre_{f:g}" for f in self.vcre_fractions]  # aggregate_report keys each rate, AUC and curve by name
-        if len(set(names)) < len(names):
-            raise InvalidParameterError(f"VCRE fractions must have distinct report names, got {' '.join(names)}")
+        try:  # NaN fails too
+            valid = all(0 < c < np.inf for c in (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg))
+        except TypeError:  # fractions that are not a sequence, or a cutoff that is not a number
+            valid = False
+        if not valid:
+            raise InvalidParameterError("thresholds must be finite and positive, with the VCRE fractions a sequence")
+        if len(self.selectors()) <= len(self.vcre_fractions):  # reports key each rate, AUC and curve by name
+            names = " ".join(f"{f:g}" for f in self.vcre_fractions)
+            raise InvalidParameterError(f"VCRE fractions must have distinct report names, got {names}")
+
+    def selectors(self) -> dict[str, Callable[[EvaluationRecord], bool]]:
+        """Each acceptance criterion's report name and predicate: the VCRE fractions in order, then the pose cutoffs."""
+        selectors = {f"vcre_{f:g}": (lambda r, f=f: vcre_acceptable(r, f)) for f in self.vcre_fractions}
+        selectors[f"pose_{self.pose_translation_m:g}m_{self.pose_rotation_deg:g}deg"] = (
+            lambda r: pose_acceptable(r, self)
+        )
+        return selectors
 
     def vcre_cutoff_px(self, k_or_diagonal) -> tuple[float, ...]:
         diagonal = k_or_diagonal.diagonal if isinstance(k_or_diagonal, CameraIntrinsics) else float(k_or_diagonal)
         return tuple(f * diagonal for f in self.vcre_fractions)
-
-    def meta(self) -> dict:
-        return {
-            "vcre_fractions": list(self.vcre_fractions),
-            "pose_translation_m": self.pose_translation_m,
-            "pose_rotation_deg": self.pose_rotation_deg,
-        }
 
 
 def vcre_acceptable(record: EvaluationRecord, fraction: float) -> bool:
@@ -301,7 +299,6 @@ def _median_low(values: Iterable[float]) -> float:
 def aggregate_report(
     records: Sequence[EvaluationRecord],
     thresholds: Thresholds = Thresholds(),
-    grid: VirtualGrid = VirtualGrid(),
     meta: dict | None = None,
 ) -> dict:
     """Dataset-level report: per-scene medians, acceptance rates, curves, CDF.
@@ -316,14 +313,7 @@ def aggregate_report(
     total = len(records)
     ok_records = [r for r in records if r.status is EstimateStatus.OK]
 
-    selectors: dict[str, Callable[[EvaluationRecord], bool]] = {
-        f"vcre_{fraction:g}": (lambda r, f=fraction: vcre_acceptable(r, f))
-        for fraction in thresholds.vcre_fractions
-    }
-    selectors[f"pose_{thresholds.pose_translation_m:g}m_{thresholds.pose_rotation_deg:g}deg"] = (
-        lambda r: pose_acceptable(r, thresholds)
-    )
-
+    selectors = thresholds.selectors()
     acceptance = dict.fromkeys(selectors, 0.0)
     curves = []
     auc = {}
@@ -356,8 +346,8 @@ def aggregate_report(
     return {
         "meta": {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "grid": grid.meta(),
-            "thresholds": thresholds.meta(),
+            "grid": asdict(GRID),
+            "thresholds": asdict(thresholds),
             **(meta or {}),
         },
         "summary": {

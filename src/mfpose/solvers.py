@@ -312,24 +312,16 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     return [list(e[start:stop]) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-def triangulate_midpoints(rotation: np.ndarray, translation: np.ndarray, matches: np.ndarray):
-    """Midpoint triangulation of (n, 4) normalized matches, reference frame.
+def _midpoints(d_ref, a11, d_query, rotation, translation):
+    """Midpoint triangulation in the reference frame, from (n, 3) rays.
 
+    d_ref are the reference rays and a11 their squared norms; d_query are
+    the query rays rotated into the reference frame (rows: R.T @ ray_query).
     Returns (points, well_conditioned).  Ill-conditioned rows (near-parallel
     rays or near-zero baseline) fall back to a point along the reference ray
     and are flagged False; such a point is only meant for cheirality sign
     checks.
     """
-    rotation = np.asarray(rotation, dtype=float)
-    translation = np.asarray(translation, dtype=float)
-    matches = np.asarray(matches, dtype=float).reshape(-1, 4)
-    d_ref = _hom(matches[:, :2])
-    d_query = _hom(matches[:, 2:]) @ rotation  # rows: R.T @ ray_query
-    return _midpoints(d_ref, np.sum(d_ref * d_ref, axis=1), d_query, rotation, translation)
-
-
-def _midpoints(d_ref, a11, d_query, rotation, translation):
-    """triangulate_midpoints from the (n, 3) reference rays, their squared norms and the rotated query rays."""
     center = -(rotation.T @ translation)
     a12 = np.sum(d_ref * d_query, axis=1)
     a22 = np.sum(d_query * d_query, axis=1)

@@ -89,6 +89,24 @@ def test_grid_validation():
         VirtualGrid(spacing_m=0.0)
     with pytest.raises(InvalidParameterError):
         VirtualGrid(height_count=0)
+    # NaN points, every point behind the camera, an overflowing or NaN lattice, a fractional row count
+    for bad in (
+        {"spacing_m": np.nan},
+        {"axial_offset_m": np.nan},
+        {"axial_offset_m": -3.0},
+        {"axial_offset_m": 0.0},
+        {"spacing_m": np.inf},
+        {"axial_offset_m": np.inf},
+        {"spacing_m": 1e308},
+        {"height_count": 2.5},
+        {"width_count": 7.0},
+    ):
+        with pytest.raises(InvalidParameterError):
+            VirtualGrid(**bad)
+    assert build_virtual_grid(VirtualGrid(2, 1, np.int64(3), spacing_m=1e306, axial_offset_m=1e306)).shape == (6, 3)
+    for fractions in (0.1, None, ("0.1",)):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            Thresholds(vcre_fractions=fractions)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,20 @@ from mfpose.solvers import (
     procrustes_align,
     refine_essential,
     refine_pnp,
-    triangulate_midpoints,
 )
 
 from conftest import axis_rotation, random_pose, random_rotation, small_angle_deg
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+
+
+def triangulate_midpoints(rotation, translation, matches):
+    """The solver's midpoint triangulation of (n, 4) normalized matches: (points, well_conditioned)."""
+    rotation, translation = np.asarray(rotation, dtype=float), np.asarray(translation, dtype=float)
+    matches = np.asarray(matches, dtype=float).reshape(-1, 4)
+    d_ref = solvers._hom(matches[:, :2])
+    d_query = solvers._hom(matches[:, 2:]) @ rotation
+    return solvers._midpoints(d_ref, np.sum(d_ref * d_ref, axis=1), d_query, rotation, translation)
 
 
 def make_two_view(rng, n=20, max_angle=30.0, translation=None, depth=(3.0, 8.0)):
