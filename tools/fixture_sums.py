@@ -5,7 +5,10 @@ from this checkout's `src/` and generates the fixture datasets with
 `mfpose synth` in a temporary directory.  On the three estimation fixtures
 it runs `mfpose estimate --seed 3` with each estimator, then `mfpose evaluate`
 (JSON report and per-scene CSV) and `mfpose curves` over each estimates
-file.  The duplicates fixture is the 1px-noise dataset with exact repeats
+file.  On the 1px-noise fixture `estimate` also runs once per estimator
+with a `--config` file that sets every estimator option away from its
+default (OPTIONS), so a change in how an option reaches the robust loop or
+the scale vote shows in a sum.  The duplicates fixture is the 1px-noise dataset with exact repeats
 and in-cell near-copies of some matches appended to each matches file, so
 it reaches the estimators' de-duplication.  The records fixture checks
 `evaluate` and `curves` alone on about 2000 queries: it writes an estimates
@@ -48,6 +51,9 @@ FIXTURES = {
 }
 ESTIMATORS = ("essmat-dscale", "pnp", "procrustes")
 # 20 scenes of 100 queries; a 64x48 camera keeps the depth maps, which evaluate never reads, small
+# every `estimate` option of EstimatorConfig, each away from its default
+OPTIONS = {"max_iterations": 500, "ransac_confidence": 0.999, "min_inliers": 6, "sampson_threshold": 0.006,
+           "pnp_threshold_px": 2.0, "procrustes_threshold_m": 0.05, "scale_tolerance": 0.05}
 RECORDS = {"num_scenes": 20, "num_queries": 100, "num_points": 24, "focal_px": 50.0, "width": 64, "height": 48,
            "rng_seed": 11}
 RECORDED = {
@@ -124,6 +130,12 @@ RECORDED = {
         "4b91dc477def432573ee4193e3b50ff98be607f63d37c0cc94060701d1f132c8",
     ("duplicates", "procrustes", "curves.csv"):
         "f28641b5bb75cd3eadff66b648c2f968d284e4b9bd100d4c7f982b8f638adbe8",
+    ("options", "essmat-dscale", "estimate"):
+        "83e4b95372f500a9b88bdbca04224071122a1edfd0f882adbf5143aa3e6b3943",
+    ("options", "pnp", "estimate"):
+        "e66433f42d2c3f78aa69ad0a281eb244750d669e26453c352c04f6abfb2105dc",
+    ("options", "procrustes", "estimate"):
+        "b8224d401441047c2a391a798576e2635e9a5d03f6652777d4a1f5a71e1c5158",
     ("records", "perturbed", "evaluate.json"):
         "69ab47d583e1ae44c9f8b5e7ae504364cf21443732312e3db8298904ef682c31",
     ("records", "perturbed", "evaluate.csv"):
@@ -168,6 +180,15 @@ def _outputs(fixture: str, estimator: str) -> dict[str, Path]:
     estimates = Path(f"{fixture}-{estimator}.txt")
     _run(["estimate", "--dataset", fixture, "--estimator", estimator, "--seed", "3", "--out", str(estimates)])
     return {"estimate": estimates, **_evaluated(f"{fixture}-{estimator}", estimates, fixture, estimator)}
+
+
+def _options_estimates(estimator: str) -> dict[str, Path]:
+    """The estimates file of one estimator on the 1px-noise fixture, with OPTIONS from a `--config` file."""
+    config, estimates = Path("options.json"), Path(f"options-{estimator}.txt")
+    config.write_text(json.dumps(OPTIONS))
+    _run(["estimate", "--dataset", "1px-noise", "--estimator", estimator, "--seed", "3", "--config", str(config),
+          "--out", str(estimates)])
+    return {"estimate": estimates}
 
 
 def _perturbed_estimates(dataset: Path, out: Path) -> None:
@@ -259,6 +280,8 @@ def main() -> int:
                     _append_duplicates(Path(fixture))
                 for estimator in ESTIMATORS:
                     mismatches += _check(fixture, estimator, _outputs(fixture, estimator))
+            for estimator in ESTIMATORS:
+                mismatches += _check("options", estimator, _options_estimates(estimator))
             _synth("records", RECORDS)
             estimates = Path("records.txt")
             _perturbed_estimates(Path("records"), estimates)
