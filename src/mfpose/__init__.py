@@ -51,7 +51,7 @@ from .pipelines import (
     estimate_procrustes,
     run_estimator,
 )
-from .robust import RansacConfig, RobustResult, ScaleConsensusConfig, ransac, sampson_error, scale_consensus
+from .robust import RobustResult, ScaleConsensusConfig, ransac, sampson_error, scale_consensus
 from .solvers import (
     RefineResult,
     decompose_essential,

@@ -424,6 +424,8 @@ def _config_defaults(estimate: _Parser, path) -> dict:
         action = estimate.options.get(key.replace("-", "_"))
         if action is None or action.default is argparse.SUPPRESS:  # --help holds no value
             raise FormatError(path, f"unknown option {key!r}")
+        if action.required or action.dest == "config":  # a default never reaches these
+            raise FormatError(path, f"option {key!r} can only be given on the command line")
         if value is None:
             continue
         if isinstance(value, (bool, list, dict)):

@@ -31,7 +31,7 @@ from .errors import (
     ScaleConsensusError,
 )
 from .geometry import CameraIntrinsics, Pose, backproject, normalized_coords
-from .robust import RansacConfig, ScaleConsensusConfig, ransac, sampson_error, scale_consensus
+from .robust import EstimatorConfig, ransac, sampson_error, scale_consensus
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,40 +137,6 @@ class PoseEstimate:
 
 
 _MIN_SCALE_SUPPORT = 5  # valid-depth inliers required before voting
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Robust-loop and scale-vote parameters shared by the three estimators."""
-
-    max_iterations: int = 10000
-    confidence: float = 0.9999
-    min_inliers: int = 5
-    rng_seed: int = 0
-    # None -> 4 / (geometric mean of the four focal lengths), in normalized units
-    sampson_threshold: float | None = None
-    pnp_threshold_px: float = 3.0
-    procrustes_threshold_m: float = 0.15
-    scale_relative_tolerance: float = 0.1
-
-    def __post_init__(self):
-        """Build every config the estimators build, so a bad value fails before any query runs."""
-        for threshold in (self.sampson_threshold, self.pnp_threshold_px, self.procrustes_threshold_m):
-            if threshold is not None:  # a None Sampson threshold is derived from the intrinsics
-                self.ransac_config(threshold)
-        self.scale_config()
-
-    def ransac_config(self, threshold: float) -> RansacConfig:
-        return RansacConfig(
-            max_iterations=self.max_iterations,
-            inlier_threshold=threshold,
-            confidence=self.confidence,
-            min_inliers=self.min_inliers,
-            rng_seed=self.rng_seed,
-        )
-
-    def scale_config(self) -> ScaleConsensusConfig:
-        return ScaleConsensusConfig(self.scale_relative_tolerance)
 
 
 def _transform(poses, points: np.ndarray) -> np.ndarray:
@@ -284,7 +250,7 @@ def _robust_estimate(
                 raise NoConsensusError("every minimal sample of the match set is degenerate")
             return model_lists
 
-        result = ransac(data, checked, residuals, sample_size, cfg.ransac_config(threshold), refit=refit)
+        result = ransac(data, checked, residuals, sample_size, threshold, cfg, refit=refit)
         support = index[result.inlier_mask]
         # a consensus of every lifted row is the set the check above passed
         if len(support) < len(index) and _fabricated(cells, support, sample_size):

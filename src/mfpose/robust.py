@@ -10,14 +10,14 @@ first window of _MIN_ITERATIONS samples, each window draws what the adaptive
 stop still asks for, up to a bound that keeps the (models, n) score arrays
 small.  Samples and models are consumed in draw order, so the result does
 not depend on the window size, and everything is deterministic given the
-seed.
+seed.  EstimatorConfig is the one parameter object of the loop and the vote.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -39,15 +39,30 @@ _SCORE_ENTRIES = 10 * _WINDOW_ROWS
 _MIN_ITERATIONS = 10
 
 
+def _check_threshold(name: str, value: float) -> None:
+    """Reject an inlier threshold that is not above 0 (NaN too) or whose square, which MSAC scoring uses, is not finite."""
+    if not value > 0:
+        raise InvalidParameterError(f"{name} must be positive")
+    if not math.isfinite(float(value) * float(value)):
+        raise InvalidParameterError(f"{name} must be finite, and so must its square")
+
+
 @dataclass(frozen=True)
-class RansacConfig:
+class EstimatorConfig:
+    """Robust-loop and scale-vote parameters shared by the three estimators: `ransac` reads it directly."""
+
     max_iterations: int = 10000
-    inlier_threshold: float = 0.01
     confidence: float = 0.9999
     min_inliers: int = 5
     rng_seed: int = 0
+    # None -> 4 / (geometric mean of the four focal lengths), in normalized units
+    sampson_threshold: float | None = None
+    pnp_threshold_px: float = 3.0
+    procrustes_threshold_m: float = 0.15
+    scale_relative_tolerance: float = 0.1
 
     def __post_init__(self):
+        """Check every value once, so a bad one fails before any query runs."""
         counts = (self.max_iterations, self.min_inliers, self.rng_seed)
         if not all(isinstance(count, (int, np.integer)) for count in counts) or self.rng_seed < 0:
             raise InvalidParameterError("iteration counts, min_inliers and rng_seed must be integers, rng_seed >= 0")
@@ -55,8 +70,14 @@ class RansacConfig:
             raise InvalidParameterError("iteration counts must be >= 1")
         if not (0.0 < self.confidence < 1.0):
             raise InvalidParameterError("confidence must be in (0, 1)")
-        if not self.inlier_threshold > 0:  # NaN fails too
-            raise InvalidParameterError("inlier_threshold must be positive")
+        if self.sampson_threshold is not None:  # a None Sampson threshold is derived from the intrinsics
+            _check_threshold("sampson_threshold", self.sampson_threshold)
+        _check_threshold("pnp_threshold_px", self.pnp_threshold_px)
+        _check_threshold("procrustes_threshold_m", self.procrustes_threshold_m)
+        self.scale_config()
+
+    def scale_config(self) -> ScaleConsensusConfig:
+        return ScaleConsensusConfig(self.scale_relative_tolerance)
 
 
 @dataclass
@@ -83,10 +104,14 @@ def ransac(
     solve: Callable[[np.ndarray], Sequence[Sequence[Any]]],
     residuals: Callable[[Sequence[Any], np.ndarray], np.ndarray],
     sample_size: int,
-    config: RansacConfig,
+    threshold: float,
+    config: EstimatorConfig,
     refit: Callable[[Any, np.ndarray], Any] | None = None,
 ) -> RobustResult:
     """Best model by MSAC score; raises NoConsensusError when support is too thin.
+
+    A residual at most `threshold` marks an inlier; the iteration cap,
+    confidence, min_inliers and rng_seed come from `config`.
 
     The first window draws _MIN_ITERATIONS (10) samples, all that a clean
     problem needs and the floor of the adaptive stop; each later one draws
@@ -105,13 +130,14 @@ def ransac(
     `solve`, `refit` handles its own failures (returning the model it was
     given, say); no exception is caught here.
     """
+    _check_threshold("threshold", threshold)
     data = np.asarray(data)
     n = len(data)
     if n < sample_size:
         raise NoConsensusError(f"need at least {sample_size} items, got {n}")
 
     rng = np.random.default_rng(config.rng_seed)
-    threshold_sq = config.inlier_threshold**2
+    threshold_sq = threshold**2
 
     block = max(1, _SCORE_ENTRIES // n)
 
@@ -121,7 +147,7 @@ def ransac(
         for start in range(0, len(models), block):
             rows = np.asarray(residuals(models[start : start + block], data), dtype=float)
             losses.append(np.minimum(rows**2, threshold_sq).sum(axis=1))
-            masks.append(rows <= config.inlier_threshold)
+            masks.append(rows <= threshold)
         return np.concatenate(losses), np.concatenate(masks)
 
     best_loss = np.inf
@@ -213,11 +239,11 @@ def sampson_error(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ScaleConsensusConfig:
     relative_tolerance: float = 0.1
-    min_component: float = 1e-4  # meters; guards tiny projections onto t_hat
+    min_component: ClassVar[float] = 1e-4  # meters; guards tiny projections onto t_hat
 
     def __post_init__(self):
-        if not self.relative_tolerance > 0:  # NaN fails too
-            raise InvalidParameterError("relative_tolerance must be positive")
+        if not (self.relative_tolerance > 0 and math.isfinite(self.relative_tolerance)):  # NaN fails too
+            raise InvalidParameterError("relative_tolerance must be positive and finite")
 
 
 def scale_consensus(

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mfpose
+from mfpose import cli
 from mfpose.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -25,7 +27,7 @@ from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
 from mfpose.errors import FormatError
 from mfpose.evaluation import EvaluationRecord, aggregate_report
 from mfpose.geometry import _quaternion_of_rotation
-from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, PoseEstimate
+from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, EstimatorConfig, PoseEstimate
 
 
 @pytest.fixture
@@ -356,6 +358,36 @@ def test_estimate_scene_filter_and_config_file(dataset, tmp_path):
     assert out.read_bytes() == abbreviated
 
 
+def test_each_estimator_flag_reaches_its_config_field(dataset, tmp_path, monkeypatch):
+    seen = []
+
+    def recording(name, c, depth_ref, depth_query, k_ref, k_query, cfg):
+        seen.append(cfg)
+        return PoseEstimate(EstimateStatus.NO_ESTIMATE)
+
+    monkeypatch.setattr(cli, "run_estimator", recording)
+    base = ["estimate", "--dataset", str(dataset), "--scenes", "scene0000", "--out", str(tmp_path / "est.txt")]
+
+    def configs(flags):
+        """The configs of the scene's two queries, rng_seed aside."""
+        seen.clear()
+        assert main(base + flags) == EXIT_OK, flags
+        assert len(seen) == 2, flags
+        return [replace(cfg, rng_seed=0) for cfg in seen]
+
+    assert configs([]) == [EstimatorConfig()] * 2
+    for flag, value, field, expected in (
+        ("--max-iterations", "500", "max_iterations", 500),
+        ("--ransac-confidence", "0.999", "confidence", 0.999),
+        ("--min-inliers", "6", "min_inliers", 6),
+        ("--sampson-threshold", "0.006", "sampson_threshold", 0.006),
+        ("--pnp-threshold-px", "2", "pnp_threshold_px", 2.0),
+        ("--procrustes-threshold-m", "0.05", "procrustes_threshold_m", 0.05),
+        ("--scale-tolerance", "0.05", "scale_relative_tolerance", 0.05),
+    ):
+        assert configs([flag, value]) == [replace(EstimatorConfig(), **{field: expected})] * 2, flag
+
+
 def test_estimate_scene_named_twice_is_estimated_once(dataset, tmp_path, capsys):
     once, twice = tmp_path / "once.txt", tmp_path / "twice.txt"
     base = ["estimate", "--dataset", str(dataset), "--estimator", "procrustes", "--scenes"]
@@ -554,6 +586,9 @@ def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
         (estimate, {"max_iterations": "abc"}),
         (estimate, {"min_inliers": 2.5}),
         (estimate, [1, 2]),
+        (estimate, {"dataset": "nowhere"}),
+        (estimate, {"config": "other.json"}),
+        (estimate, {"dataset": "data", "out": "e.txt"}),
         (synth, {"bogus": 1}),
         (synth, {"num_points": "many"}),
     ]:
@@ -572,6 +607,9 @@ def test_invalid_estimator_options_exit_2_before_any_query(dataset, tmp_path, ca
         ["--pnp-threshold-px", "-1", "--estimator", "pnp"],
         ["--sampson-threshold", "0"],
         ["--procrustes-threshold-m", "nan", "--estimator", "procrustes"],
+        ["--procrustes-threshold-m", "1e300", "--estimator", "procrustes"],
+        ["--pnp-threshold-px", "inf", "--estimator", "pnp"],
+        ["--scale-tolerance", "inf"],
     ):
         assert main(base + flags) == EXIT_IO, flags
         err = capsys.readouterr().err

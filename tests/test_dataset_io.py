@@ -22,7 +22,7 @@ from mfpose.dataset import (
 from mfpose.errors import FormatError, InvalidParameterError
 from mfpose.geometry import CameraIntrinsics, Pose
 from mfpose.pipelines import CorrespondenceSet, DepthMap
-from mfpose.robust import RansacConfig, ransac
+from mfpose.robust import EstimatorConfig, ransac
 from mfpose.geometry import backproject
 
 from conftest import axis_rotation
@@ -489,7 +489,7 @@ def test_synth_outlier_masks_recovered_by_robust_engine():
         def residuals(poses, rows):
             return np.stack([residual(pose, rows) for pose in poses])
 
-        result = ransac(data, solve, residuals, 3, RansacConfig(rng_seed=seed, inlier_threshold=3.0))
+        result = ransac(data, solve, residuals, 3, 3.0, EstimatorConfig(rng_seed=seed))
         total_wrong += int((result.inlier_mask & ~q.inlier_mask).sum())
         total += int((~q.inlier_mask).sum())
     # exclusion accuracy: injected outliers kept as inliers must stay rare

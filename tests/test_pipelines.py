@@ -198,6 +198,11 @@ def test_estimator_config_rejects_values_the_estimators_would():
         {"sampson_threshold": 0.0},
         {"pnp_threshold_px": np.nan},
         {"scale_relative_tolerance": np.nan},
+        {"scale_relative_tolerance": np.inf},
+        {"pnp_threshold_px": np.inf},
+        {"procrustes_threshold_m": 1e300},
+        {"procrustes_threshold_m": 1.35e154},
+        {"sampson_threshold": np.inf},
         {"rng_seed": -1},
         {"rng_seed": 1.5},
         {"rng_seed": 2.0},
@@ -206,7 +211,7 @@ def test_estimator_config_rejects_values_the_estimators_would():
     ):
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(**bad)
-    EstimatorConfig(sampson_threshold=None)
+    EstimatorConfig(sampson_threshold=None, procrustes_threshold_m=1e154)
     EstimatorConfig(max_iterations=np.int64(20), min_inliers=np.int32(5), rng_seed=np.uint64(2**64 - 1))
 
 

@@ -12,7 +12,7 @@ from mfpose.errors import (
 )
 from mfpose.geometry import rotation_error_deg
 from mfpose.robust import (
-    RansacConfig,
+    EstimatorConfig,
     ScaleConsensusConfig,
     ransac,
     sampson_error,
@@ -58,8 +58,7 @@ def make_line_data(rng, n=200, outliers=0.0, noise=0.0, slope=0.7, intercept=-0.
 
 def test_ransac_all_inliers_noiseless(rng):
     data = make_line_data(rng)
-    config = RansacConfig(rng_seed=5, inlier_threshold=0.01)
-    result = ransac(data, line_solver, line_residual, 2, config)
+    result = ransac(data, line_solver, line_residual, 2, 0.01, EstimatorConfig(rng_seed=5))
     assert result.inlier_count == len(data)
     assert result.inlier_mask.all()
     # adaptive termination collapses to the configured floor at 100% inliers
@@ -74,20 +73,28 @@ def test_ransac_rejects_all_outlier_data(rng):
             line_solver,
             line_residual,
             2,
-            RansacConfig(rng_seed=5, inlier_threshold=1e-4, max_iterations=300, min_inliers=10),
+            1e-4,
+            EstimatorConfig(rng_seed=5, max_iterations=300, min_inliers=10),
         )
 
 
 def test_ransac_too_little_data():
     with pytest.raises(NoConsensusError):
-        ransac(np.zeros((1, 2)), line_solver, line_residual, 2, RansacConfig())
+        ransac(np.zeros((1, 2)), line_solver, line_residual, 2, 0.01, EstimatorConfig())
+
+
+def test_ransac_rejects_a_threshold_that_is_not_positive_or_whose_square_overflows(rng):
+    data = make_line_data(rng)
+    for threshold in (0.0, -1.0, np.nan, np.inf, 1e200):
+        with pytest.raises(InvalidParameterError):
+            ransac(data, line_solver, line_residual, 2, threshold, EstimatorConfig())
 
 
 def test_ransac_determinism(rng):
     data = make_line_data(rng, outliers=0.3, noise=0.05)
-    cfg = RansacConfig(rng_seed=42, inlier_threshold=0.2)
-    a = ransac(data, line_solver, line_residual, 2, cfg)
-    b = ransac(data, line_solver, line_residual, 2, cfg)
+    cfg = EstimatorConfig(rng_seed=42)
+    a = ransac(data, line_solver, line_residual, 2, 0.2, cfg)
+    b = ransac(data, line_solver, line_residual, 2, 0.2, cfg)
     assert a.model == b.model
     assert a.score == b.score
     assert np.array_equal(a.inlier_mask, b.inlier_mask)
@@ -99,15 +106,15 @@ def test_msac_score_monotone_in_threshold(rng):
     data = make_line_data(rng, outliers=0.3, noise=0.05)
     scores = []
     for threshold in (0.05, 0.1, 0.2, 0.5, 1.0):
-        cfg = RansacConfig(rng_seed=7, inlier_threshold=threshold, max_iterations=50)
-        scores.append(ransac(data, line_solver, line_residual, 2, cfg).score)
+        cfg = EstimatorConfig(rng_seed=7, max_iterations=50)
+        scores.append(ransac(data, line_solver, line_residual, 2, threshold, cfg).score)
     assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
 
 
 def test_ransac_degenerate_samples_are_skipped(rng):
     data = make_line_data(rng, n=40)
     data[::2, 0] = 3.0  # half the points share x: vertical samples are frequent
-    result = ransac(data, line_solver, line_residual, 2, RansacConfig(rng_seed=0, inlier_threshold=0.05))
+    result = ransac(data, line_solver, line_residual, 2, 0.05, EstimatorConfig(rng_seed=0))
     assert result.inlier_count >= 20
 
 
@@ -151,18 +158,18 @@ def _check_window_rules(data, solver, result, sample_size, config):
 def test_ransac_windows_follow_the_draw_order(rng):
     for seed in range(6):
         data = make_line_data(rng, outliers=0.5, noise=0.05)
-        cfg = RansacConfig(rng_seed=seed, inlier_threshold=0.2)
+        cfg = EstimatorConfig(rng_seed=seed)
         solver = RecordingSolver(line_solver)
-        result = ransac(data, solver, line_residual, 2, cfg)
+        result = ransac(data, solver, line_residual, 2, 0.2, cfg)
         _check_window_rules(data, solver, result, 2, cfg)
         assert result.iterations > robust._MIN_ITERATIONS  # the windows grew past the first one
 
 
 def test_ransac_windows_on_essential_problem(rng):
     matches, _, _, _ = _essential_scene_with_outliers(rng)
-    cfg = RansacConfig(rng_seed=4, inlier_threshold=4.0 / 500.0, max_iterations=300)
+    cfg = EstimatorConfig(rng_seed=4, max_iterations=300)
     solver = RecordingSolver(essential_five_point)
-    result = ransac(matches, solver, sampson_error, 5, cfg)
+    result = ransac(matches, solver, sampson_error, 5, 4.0 / 500.0, cfg)
     _check_window_rules(matches, solver, result, 5, cfg)
 
 
@@ -172,9 +179,9 @@ def test_ransac_solves_a_40_percent_outlier_essential_problem_in_few_windows(rng
     for seed in range(4):
         matches, _, _, _ = _essential_scene_with_outliers(rng, n=300)
         matches = matches[:280]
-        cfg = RansacConfig(rng_seed=seed, inlier_threshold=4.0 / 500.0)
+        cfg = EstimatorConfig(rng_seed=seed)
         solver = RecordingSolver(essential_five_point)
-        result = ransac(matches, solver, sampson_error, 5, cfg)
+        result = ransac(matches, solver, sampson_error, 5, 4.0 / 500.0, cfg)
         _check_window_rules(matches, solver, result, 5, cfg)
         assert result.iterations > 10 + 10 + 16 + 16  # more than 4 windows of the old 16-sample schedule
         assert len(solver.windows) <= 4, [len(w) for w in solver.windows]
@@ -184,9 +191,9 @@ def test_ransac_windows_of_a_large_problem_stay_at_16(rng):
     # the samples x rows bound: score arrays of a 4096-row problem stay at the
     # size of a 16-sample window
     data = make_line_data(rng, n=4096, outliers=0.7, noise=0.05)
-    cfg = RansacConfig(rng_seed=1, inlier_threshold=0.2)
+    cfg = EstimatorConfig(rng_seed=1)
     solver = RecordingSolver(line_solver)
-    result = ransac(data, solver, line_residual, 2, cfg)
+    result = ransac(data, solver, line_residual, 2, 0.2, cfg)
     _check_window_rules(data, solver, result, 2, cfg)
     assert len(solver.windows) > 2
     assert max(len(w) for w in solver.windows) == 16
@@ -194,9 +201,8 @@ def test_ransac_windows_of_a_large_problem_stay_at_16(rng):
 
 def test_ransac_clean_problem_solves_min_iterations(rng):
     data = make_line_data(rng)
-    cfg = RansacConfig(rng_seed=5, inlier_threshold=0.01)
     solver = RecordingSolver(line_solver)
-    result = ransac(data, solver, line_residual, 2, cfg)
+    result = ransac(data, solver, line_residual, 2, 0.01, EstimatorConfig(rng_seed=5))
     assert result.iterations == solver.solved == robust._MIN_ITERATIONS
     assert len(solver.windows) == 1
 
@@ -207,14 +213,14 @@ def test_ransac_result_does_not_depend_on_window_size(rng, monkeypatch):
     for seed in range(20):
         data = make_line_data(rng, outliers=0.6, noise=0.05)
         data[::5, 0] = 3.0  # frequent unusable (vertical) samples
-        cfg = RansacConfig(rng_seed=seed, inlier_threshold=0.1)
+        cfg = EstimatorConfig(rng_seed=seed)
         results = []
         # 64 samples, or 20 under a row bound of 20 x 200 rows
         for window, rows in ((1, 2**14), (3, 2**14), (16, 2**14), (64, 20 * len(data)), (64, 2**14)):
             monkeypatch.setattr(robust, "_WINDOW", window)
             monkeypatch.setattr(robust, "_WINDOW_ROWS", rows)
             solver = RecordingSolver(line_solver)
-            results.append(ransac(data, solver, line_residual, 2, cfg))
+            results.append(ransac(data, solver, line_residual, 2, 0.1, cfg))
             _check_window_rules(data, solver, results[-1], 2, cfg)
         overrun += solver.solved - results[-1].iterations
         for other in results[1:]:
@@ -259,7 +265,7 @@ def essential_refit(model, inliers):
 
 def test_ransac_scores_a_window_in_bounded_blocks_with_the_same_result(rng, monkeypatch):
     matches, _, _, _ = _essential_scene_with_outliers(rng, n=150, outlier_fraction=0.6)
-    cfg = RansacConfig(rng_seed=3, inlier_threshold=4.0 / 500.0, max_iterations=300)
+    cfg = EstimatorConfig(rng_seed=3, max_iterations=300)
     results = []
     for models_per_call in (None, 7, 1):  # None: the module's bound, one call per window here
         if models_per_call is not None:
@@ -270,7 +276,7 @@ def test_ransac_scores_a_window_in_bounded_blocks_with_the_same_result(rng, monk
             calls.append(len(models))
             return sampson_error(np.array(models), data)
 
-        results.append(ransac(matches, essential_five_point, residuals, 5, cfg, refit=essential_refit))
+        results.append(ransac(matches, essential_five_point, residuals, 5, 4.0 / 500.0, cfg, refit=essential_refit))
         assert max(calls) <= (models_per_call or 10 * 64)
         assert models_per_call is None or max(calls) == models_per_call
     for other in results[1:]:
@@ -287,8 +293,8 @@ def test_ransac_essential_with_outliers(rng):
     trials = 100
     for trial in range(trials):
         matches, truth, rotation, _ = _essential_scene_with_outliers(rng, n=400)
-        cfg = RansacConfig(rng_seed=trial, inlier_threshold=4.0 / 500.0, max_iterations=2000)
-        result = ransac(matches, essential_five_point, sampson_error, 5, cfg, refit=essential_refit)
+        cfg = EstimatorConfig(rng_seed=trial, max_iterations=2000)
+        result = ransac(matches, essential_five_point, sampson_error, 5, 4.0 / 500.0, cfg, refit=essential_refit)
         r, _ = decompose_essential(result.model, matches[result.inlier_mask])
         recovered = result.inlier_mask[truth].mean()
         if rotation_error_deg(r, rotation) < 0.5 and recovered >= 0.9:
@@ -298,9 +304,9 @@ def test_ransac_essential_with_outliers(rng):
 
 def test_ransac_refit_never_regresses_score(rng):
     matches, _, _, _ = _essential_scene_with_outliers(rng)
-    cfg = RansacConfig(rng_seed=3, inlier_threshold=4.0 / 500.0, max_iterations=500)
-    plain = ransac(matches, essential_five_point, sampson_error, 5, cfg)
-    refitted = ransac(matches, essential_five_point, sampson_error, 5, cfg, refit=essential_refit)
+    cfg = EstimatorConfig(rng_seed=3, max_iterations=500)
+    plain = ransac(matches, essential_five_point, sampson_error, 5, 4.0 / 500.0, cfg)
+    refitted = ransac(matches, essential_five_point, sampson_error, 5, 4.0 / 500.0, cfg, refit=essential_refit)
     assert refitted.score <= plain.score
 
 
