@@ -18,7 +18,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter
@@ -51,7 +51,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_MISMATCH = 3
 # Each `curves --acceptance` choice, with the name of the report curve it writes.
-_CURVE_ACCEPTANCE = {"vcre-0.05": "vcre_0.05", "vcre-0.10": "vcre_0.1", "pose": "pose_0.25m_5deg"}
+_CURVE_ACCEPTANCE = dict(zip(("vcre-0.05", "vcre-0.10", "pose"), Thresholds().selectors()))
 
 
 def _log(message: str) -> None:
@@ -98,15 +98,9 @@ def _select_scenes(dataset: Path, scene_filter: str) -> list[str]:
 def cmd_estimate(args) -> int:
     """Estimate every query serially, in canonical (scene, query) order."""
     dataset = Path(args.dataset)
-    estimator_config = EstimatorConfig(
-        max_iterations=args.max_iterations,
-        confidence=args.ransac_confidence,
-        min_inliers=args.min_inliers,
-        sampson_threshold=args.sampson_threshold,
-        pnp_threshold_px=args.pnp_threshold_px,
-        procrustes_threshold_m=args.procrustes_threshold_m,
-        scale_relative_tolerance=args.scale_tolerance,
-    )
+    # each estimator flag's dest is the field it sets; each query's rng_seed is derived below
+    options = {f.name: getattr(args, f.name) for f in fields(EstimatorConfig) if f.name != "rng_seed"}
+    estimator_config = EstimatorConfig(**options)
     scenes = [load_scene(dataset, scene_id) for scene_id in _select_scenes(dataset, args.scenes)]
     _log(f"estimating {sum(len(m.queries) for m in scenes)} queries from {len(scenes)} scenes")
     lines = []
@@ -254,11 +248,7 @@ def _json_parts(value, parts: list[str], newline: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    thresholds = Thresholds(
-        vcre_fractions=tuple(args.threshold_vcre),
-        pose_translation_m=args.threshold_pose_m,
-        pose_rotation_deg=args.threshold_pose_deg,
-    )
+    thresholds = Thresholds(**{f.name: getattr(args, f.name) for f in fields(Thresholds)})
     records = _records_from_estimates(Path(args.estimates), Path(args.dataset))
     report = aggregate_report(
         records,
@@ -346,16 +336,7 @@ def cmd_synth(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits 1 on usage errors, not argparse's default 2, and keeps its options by dest."""
-
-    def __init__(self, *args, **kwargs):
-        self.options: dict[str, argparse.Action] = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
-        return action
+    """Exits 1 on usage errors, not argparse's default 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -375,14 +356,14 @@ def build_parser() -> tuple[_Parser, _Parser]:
     est.add_argument("--seed", type=int, default=DEFAULT_SEED)
     est.add_argument("--out", required=True)
     est.add_argument("--max-iterations", type=int, default=EstimatorConfig.max_iterations)
-    est.add_argument("--ransac-confidence", type=float, default=EstimatorConfig.confidence)
+    est.add_argument("--ransac-confidence", dest="confidence", type=float, default=EstimatorConfig.confidence)
     est.add_argument("--min-inliers", type=int, default=EstimatorConfig.min_inliers)
-    est.add_argument("--sampson-threshold", type=float, default=None,
+    est.add_argument("--sampson-threshold", type=float, default=EstimatorConfig.sampson_threshold,
                      help="normalized units; default 4/geometric-mean focal")
     est.add_argument("--pnp-threshold-px", type=float, default=EstimatorConfig.pnp_threshold_px)
     est.add_argument("--procrustes-threshold-m", type=float,
                      default=EstimatorConfig.procrustes_threshold_m)
-    est.add_argument("--scale-tolerance", type=float,
+    est.add_argument("--scale-tolerance", dest="scale_relative_tolerance", type=float,
                      default=EstimatorConfig.scale_relative_tolerance)
     est.add_argument("--config", default=None, help="JSON file of defaults for these options")
 
@@ -390,10 +371,10 @@ def build_parser() -> tuple[_Parser, _Parser]:
     ev.set_defaults(handler=cmd_evaluate)
     ev.add_argument("--estimates", required=True)
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--threshold-vcre", type=float, nargs="+", default=(0.05, 0.10),
-                    help="fractions of the image diagonal")
-    ev.add_argument("--threshold-pose-m", type=float, default=0.25)
-    ev.add_argument("--threshold-pose-deg", type=float, default=5.0)
+    ev.add_argument("--threshold-vcre", dest="vcre_fractions", type=float, nargs="+",
+                    default=Thresholds.vcre_fractions, help="fractions of the image diagonal")
+    ev.add_argument("--threshold-pose-m", dest="pose_translation_m", type=float, default=Thresholds.pose_translation_m)
+    ev.add_argument("--threshold-pose-deg", dest="pose_rotation_deg", type=float, default=Thresholds.pose_rotation_deg)
     ev.add_argument("--estimator-name", default="unknown", help="recorded in report meta")
     ev.add_argument("--seed", type=int, default=DEFAULT_SEED, help="recorded in report meta")
     ev.add_argument("--out-json", default=None)
@@ -418,10 +399,11 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _config_defaults(estimate: _Parser, path) -> dict:
-    """`estimate --config` values keyed by flag dest, converted and checked like the flag's own."""
+    """`estimate --config` values as defaults keyed by dest, converted and checked like the flag's own."""
     defaults = {}
     for key, value in _read_json(path).items():
-        action = estimate.options.get(key.replace("-", "_"))
+        # a key is a flag's name, not its dest: `max-iterations` or `max_iterations` for `--max-iterations`
+        action = estimate._option_string_actions.get("--" + key.replace("_", "-"))
         if action is None or action.default is argparse.SUPPRESS:  # --help holds no value
             raise FormatError(path, f"unknown option {key!r}")
         if action.required or action.dest == "config":  # a default never reaches these

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, GenerationError, InvalidParameterError
+from .errors import FormatError, GenerationError, InvalidParameterError, parameter_check
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -470,6 +470,7 @@ class SyntheticSceneConfig:
     width: int = 640
     height: int = 480
 
+    @parameter_check
     def __post_init__(self):
         if self.num_points < 8 or self.num_queries < 1:
             raise InvalidParameterError("need at least 8 points and 1 query")

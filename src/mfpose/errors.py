@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check that turns a parameter's TypeError into one."""
 
 
 class MfposeError(Exception):
@@ -7,6 +7,18 @@ class MfposeError(Exception):
 
 class InvalidParameterError(MfposeError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def parameter_check(post_init):
+    """Decorates a dataclass's `__post_init__`: a TypeError in it, from a value of the wrong type, raises InvalidParameterError."""
+
+    def check(self):
+        try:
+            post_init(self)
+        except TypeError as exc:
+            raise InvalidParameterError(f"{type(self).__name__}: a parameter has the wrong type ({exc})") from exc
+
+    return check
 
 
 class BehindCameraError(MfposeError):

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, parameter_check
 from .geometry import CameraIntrinsics, Pose, rotation_error_deg
 from .pipelines import EstimateStatus, PoseEstimate
 
@@ -51,6 +51,7 @@ class VirtualGrid:
     spacing_m: float = 0.30
     axial_offset_m: float = 1.8
 
+    @parameter_check
     def __post_init__(self):
         counts = (self.height_count, self.width_count, self.depth_count)
         if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
@@ -192,13 +193,11 @@ class Thresholds:
     pose_translation_m: float = 0.25
     pose_rotation_deg: float = 5.0
 
+    @parameter_check
     def __post_init__(self):
-        try:  # NaN fails too
-            valid = all(0 < c < np.inf for c in (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg))
-        except TypeError:  # fractions that are not a sequence, or a cutoff that is not a number
-            valid = False
-        if not valid:
-            raise InvalidParameterError("thresholds must be finite and positive, with the VCRE fractions a sequence")
+        object.__setattr__(self, "vcre_fractions", tuple(self.vcre_fractions))  # `evaluate` passes a list
+        if not all(0 < c < np.inf for c in (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg)):
+            raise InvalidParameterError("thresholds must be finite and positive")  # NaN fails too
         if len(self.selectors()) <= len(self.vcre_fractions):  # reports key each rate, AUC and curve by name
             names = " ".join(f"{f:g}" for f in self.vcre_fractions)
             raise InvalidParameterError(f"VCRE fractions must have distinct report names, got {names}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidDepthError, InvalidParameterError
+from .errors import BehindCameraError, InvalidDepthError, InvalidParameterError, parameter_check
 
 # Constructors must produce rotations orthonormal and proper to this tolerance.
 ROTATION_TOL = 1e-9
@@ -309,6 +309,7 @@ class CameraIntrinsics:
     width: int
     height: int
 
+    @parameter_check
     def __post_init__(self):
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):  # NaN fails too
             raise InvalidParameterError("focal lengths must be finite and positive")

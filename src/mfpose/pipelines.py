@@ -31,7 +31,7 @@ from .errors import (
     ScaleConsensusError,
 )
 from .geometry import CameraIntrinsics, Pose, backproject, normalized_coords
-from .robust import EstimatorConfig, ransac, sampson_error, scale_consensus
+from .robust import EstimatorConfig, ScaleConsensusConfig, ransac, sampson_error, scale_consensus
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +306,8 @@ def estimate_essmat_dscale(
         both = valid_ref & valid_query
         if np.count_nonzero(both) < _MIN_SCALE_SUPPORT:
             raise ScaleConsensusError(f"fewer than {_MIN_SCALE_SUPPORT} inliers have depth on both sides")
-        scale, _ = scale_consensus(x_ref[both], x_query[both], rotation, t_hat, cfg.scale_config())
+        vote = ScaleConsensusConfig(cfg.scale_relative_tolerance)
+        scale, _ = scale_consensus(x_ref[both], x_query[both], rotation, t_hat, vote)
         return Pose(rotation, scale * t_hat)
 
     # sampson_error scores a window's list of matrices as one (M, 3, 3) stack

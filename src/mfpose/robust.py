@@ -21,7 +21,7 @@ from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoConsensusError, ScaleConsensusError
+from .errors import InvalidParameterError, NoConsensusError, ScaleConsensusError, parameter_check
 
 # Most samples drawn and solved at once.  Each solve and score call has a
 # fixed cost that a wide window pays once; the samples it solves past the
@@ -61,6 +61,7 @@ class EstimatorConfig:
     procrustes_threshold_m: float = 0.15
     scale_relative_tolerance: float = 0.1
 
+    @parameter_check
     def __post_init__(self):
         """Check every value once, so a bad one fails before any query runs."""
         counts = (self.max_iterations, self.min_inliers, self.rng_seed)
@@ -74,10 +75,7 @@ class EstimatorConfig:
             _check_threshold("sampson_threshold", self.sampson_threshold)
         _check_threshold("pnp_threshold_px", self.pnp_threshold_px)
         _check_threshold("procrustes_threshold_m", self.procrustes_threshold_m)
-        self.scale_config()
-
-    def scale_config(self) -> ScaleConsensusConfig:
-        return ScaleConsensusConfig(self.scale_relative_tolerance)
+        ScaleConsensusConfig(self.scale_relative_tolerance)  # the scale vote checks its tolerance
 
 
 @dataclass
@@ -241,6 +239,7 @@ class ScaleConsensusConfig:
     relative_tolerance: float = 0.1
     min_component: ClassVar[float] = 1e-4  # meters; guards tiny projections onto t_hat
 
+    @parameter_check
     def __post_init__(self):
         if not (self.relative_tolerance > 0 and math.isfinite(self.relative_tolerance)):  # NaN fails too
             raise InvalidParameterError("relative_tolerance must be positive and finite")

@@ -189,13 +189,13 @@ def _least_squares_xy(parts: np.ndarray) -> np.ndarray:
 
     Cramer's rule on the normal equations, with each 2x2 determinant the
     dot product of two cross products (Binet-Cauchy), which spares the
-    cancellation of |X|^2 |Y|^2 - (X.Y)^2.  A rank-deficient [X | Y] gives
-    inf or NaN.
+    cancellation of |X|^2 |Y|^2 - (X.Y)^2.  A rank-deficient [X | Y], or one
+    whose products overflow, gives inf or NaN without a warning.
     """
-    x, y, z = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
-    normal = _cross(x, y)
-    numerators = np.stack([_cross(z, y), _cross(x, z)], axis=1) @ normal[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x, y, z = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
+        normal = _cross(x, y)
+        numerators = np.stack([_cross(z, y), _cross(x, z)], axis=1) @ normal[:, :, None]
         return -numerators[:, :, 0] / np.sum(normal * normal, axis=1)[:, None]
 
 

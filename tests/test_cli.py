@@ -25,7 +25,7 @@ from mfpose.cli import (
 )
 from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
 from mfpose.errors import FormatError
-from mfpose.evaluation import EvaluationRecord, aggregate_report
+from mfpose.evaluation import EvaluationRecord, Thresholds, aggregate_report
 from mfpose.geometry import _quaternion_of_rotation
 from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, EstimatorConfig, PoseEstimate
 
@@ -322,6 +322,33 @@ def test_evaluate_rejects_thresholds_with_one_report_name_exit_2(dataset, tmp_pa
         assert not report.exists(), fractions
 
 
+def test_each_threshold_flag_reaches_its_thresholds_field(dataset, tmp_path, monkeypatch):
+    seen = []
+
+    def recording(records, thresholds, **kwargs):
+        seen.append(thresholds)
+        return aggregate_report(records, thresholds, **kwargs)
+
+    monkeypatch.setattr(cli, "aggregate_report", recording)
+    estimates = tmp_path / "est.txt"
+    estimates.write_text("")
+    base = ["evaluate", "--estimates", str(estimates), "--dataset", str(dataset)]
+
+    def thresholds(flags):
+        seen.clear()
+        assert main(base + flags) == EXIT_OK, flags
+        assert len(seen) == 1, flags
+        return seen[0]
+
+    assert thresholds([]) == Thresholds()
+    for flags, field, expected in (
+        (["--threshold-vcre", "0.03", "0.2"], "vcre_fractions", (0.03, 0.2)),
+        (["--threshold-pose-m", "0.5"], "pose_translation_m", 0.5),
+        (["--threshold-pose-deg", "10"], "pose_rotation_deg", 10.0),
+    ):
+        assert thresholds(flags) == replace(Thresholds(), **{field: expected}), flags
+
+
 def test_estimate_determinism_across_threads(dataset, tmp_path, monkeypatch):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
@@ -589,6 +616,8 @@ def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
         (estimate, {"dataset": "nowhere"}),
         (estimate, {"config": "other.json"}),
         (estimate, {"dataset": "data", "out": "e.txt"}),
+        (estimate, {"confidence": 0.5}),  # keys are flag names, not dests
+        (estimate, {"scale_relative_tolerance": 0.2}),
         (synth, {"bogus": 1}),
         (synth, {"num_points": "many"}),
     ]:

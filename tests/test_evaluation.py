@@ -105,7 +105,7 @@ def test_grid_validation():
             VirtualGrid(**bad)
     assert build_virtual_grid(VirtualGrid(2, 1, np.int64(3), spacing_m=1e306, axial_offset_m=1e306)).shape == (6, 3)
     for fractions in (0.1, None, ("0.1",)):
-        with pytest.raises(InvalidParameterError, match="finite and positive"):
+        with pytest.raises(InvalidParameterError, match="Thresholds: a parameter has the wrong type"):
             Thresholds(vcre_fractions=fractions)
 
 

@@ -29,7 +29,8 @@ from mfpose.pipelines import (
     pixel_index,
     run_estimator,
 )
-from mfpose.robust import RobustResult
+from mfpose.evaluation import Thresholds, VirtualGrid
+from mfpose.robust import RobustResult, ScaleConsensusConfig
 
 from conftest import random_pose, small_angle_deg
 
@@ -213,6 +214,30 @@ def test_estimator_config_rejects_values_the_estimators_would():
             EstimatorConfig(**bad)
     EstimatorConfig(sampson_threshold=None, procrustes_threshold_m=1e154)
     EstimatorConfig(max_iterations=np.int64(20), min_inliers=np.int32(5), rng_seed=np.uint64(2**64 - 1))
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (EstimatorConfig, "pnp_threshold_px", None),
+        (EstimatorConfig, "confidence", None),
+        (EstimatorConfig, "scale_relative_tolerance", "0.1"),
+        (EstimatorConfig, "sampson_threshold", "x"),
+        (ScaleConsensusConfig, "relative_tolerance", None),
+        (CameraIntrinsics, "fx", None),
+        (CameraIntrinsics, "cx", None),
+        (SyntheticSceneConfig, "focal_px", None),
+        (SyntheticSceneConfig, "num_points", None),
+        (SyntheticSceneConfig, "depth_range_m", None),
+        (VirtualGrid, "spacing_m", None),
+        (Thresholds, "pose_rotation_deg", "5"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_a_parameter_of_the_wrong_type_is_an_invalid_parameter(make, name, value):
+    valid = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 10, "height": 10} if make is CameraIntrinsics else {}
+    with pytest.raises(InvalidParameterError, match="a parameter has the wrong type"):
+        make(**{**valid, name: value})
 
 
 def test_pnp_consensus_below_four_is_no_estimate():
@@ -458,6 +483,22 @@ def test_consensus_through_one_pixel_among_scattered_matches_is_no_estimate(monk
     for seed, c in cases(6):
         for name in ESTIMATOR_NAMES:
             assert run_estimator(name, c, depth, depth, K, K, cfg).status is EstimateStatus.NO_ESTIMATE, (seed, name)
+
+
+@pytest.mark.parametrize("extras", (4, 6))
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_principal_point_matches_raise_no_overflow_warning(seed, extras):
+    # 12 matches from the principal point plus a few scattered ones: some
+    # five-point samples give a root system whose least-squares (x, y)
+    # overflows, which the solver sets aside without a warning
+    rng = np.random.default_rng(seed)
+    ref_px = np.concatenate([np.tile([K.cx, K.cy], (12, 1)), rng.uniform([20, 20], [620, 460], (extras, 2))])
+    query_px = rng.uniform([20, 20], [620, 460], (12 + extras, 2))
+    c = CorrespondenceSet(ref_px, query_px, np.ones(12 + extras))
+    depth = DepthMap(np.full((480, 640), 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate_essmat_dscale(c, depth, depth, K, K, EstimatorConfig(max_iterations=1000, rng_seed=seed))
 
 
 def test_whole_set_consensus_skips_the_second_pixel_check(monkeypatch):
