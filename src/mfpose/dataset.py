@@ -238,8 +238,6 @@ def load_correspondences(path, k_ref: CameraIntrinsics, k_query: CameraIntrinsic
         *outside("reference", k_ref, table[:, 0:2]),
         *outside("query", k_query, table[:, 2:4]),
     ])
-    if not len(table):
-        return CorrespondenceSet.empty()
     return CorrespondenceSet(table[:, 0:2], table[:, 2:4], table[:, 4])
 
 
@@ -581,8 +579,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
             cam = candidate.transform(points)
             in_front = cam[:, 2] > 0.2
             px = np.full((config.num_points, 2), -1.0)
-            if np.any(in_front):
-                px[in_front] = project(k, cam[in_front])
+            px[in_front] = project(k, cam[in_front])
             in_frame = (
                 in_front
                 & (px[:, 0] >= margin)
@@ -618,7 +615,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
 
         in_bounds = k.contains(noisy_ref) & k.contains(noisy_query)
         query_depth_values = np.zeros((config.height, config.width))
-        query_claims: dict[tuple[int, int], int] = {}
+        query_claims: set[tuple[int, int]] = set()  # each point appears once per query
         keep_rows = []
         (ref_u, query_u), (ref_v, query_v) = pixel_index(np.stack([noisy_ref, noisy_query]))
         for row in np.flatnonzero(in_bounds):
@@ -630,11 +627,10 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
             if not outliers[row]:
                 qu, qv = query_u[row], query_v[row]
                 query_key = (int(qu), int(qv))
-                if query_claims.get(query_key, point_id) != point_id:
-                    continue
-                query_claims[query_key] = point_id
-                if query_depth_values[qv, qu] == 0.0:
-                    query_depth_values[qv, qu] = depth_value(float(cam_points[point_id, 2]))
+                if query_key in query_claims:
+                    continue  # another point owns this query depth pixel
+                query_claims.add(query_key)
+                query_depth_values[qv, qu] = depth_value(float(cam_points[point_id, 2]))
             ref_claims[ref_key] = point_id
             if ref_depth_values[rv, ru] == 0.0:
                 ref_depth_values[rv, ru] = depth_value(float(points[point_id, 2]))

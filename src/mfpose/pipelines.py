@@ -62,10 +62,6 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.scores)
 
-    @staticmethod
-    def empty() -> "CorrespondenceSet":
-        return CorrespondenceSet(np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
-
 
 def pixel_index(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-pixel (column, row) indices for (..., 2) pixel coordinates."""
@@ -207,7 +203,6 @@ def _robust_estimate(
     cfg: EstimatorConfig,
     threshold: float,
     sample_size: int,
-    min_rows: int,
     lift,
     solve,
     residuals,
@@ -221,9 +216,10 @@ def _robust_estimate(
     first match of each (reference cell, query cell) pair is kept, in order:
     repeats, and near-copies in the same cells that depth is sampled at,
     would count as independent support.  lift(c) gives an (n, d) data row
-    for each kept match and the mask of the rows to keep.  Fewer than
-    min_rows rows, or rows through too few pixels (_fabricated), are turned
-    down before the robust loop, and so is a consensus through too few.
+    for each kept match and the mask of the rows to keep.  Rows through
+    too few pixels (_fabricated), fewer than a minimal sample among them,
+    are turned down before the robust loop, and so is a consensus through
+    too few.
     When a window of `solve` gives no model and degenerate(data) holds,
     every minimal sample fails, so the loop stops there (a solvable query
     never asks).  finish(model, inlier rows, their reference pixels, their
@@ -241,8 +237,8 @@ def _robust_estimate(
     try:
         rows, kept = lift(c)
         data, index = rows[kept], np.flatnonzero(kept)
-        if len(data) < min_rows or _fabricated(cells, index, sample_size):
-            raise NoConsensusError(f"fewer than {min_rows} lifted matches or {sample_size} pixels on a side")
+        if _fabricated(cells, index, sample_size):
+            raise NoConsensusError(f"the lifted matches cover fewer than {sample_size} pixels on a side")
 
         def checked(samples: np.ndarray):
             model_lists = solve(samples)
@@ -312,7 +308,7 @@ def estimate_essmat_dscale(
 
     # sampson_error scores a window's list of matrices as one (M, 3, 3) stack
     return _robust_estimate(
-        c, cfg, threshold, 5, 5, lift, solvers.essential_five_point, sampson_error, degenerate, finish, refit
+        c, cfg, threshold, 5, lift, solvers.essential_five_point, sampson_error, degenerate, finish, refit
     )
 
 
@@ -346,7 +342,7 @@ def estimate_pnp(
         return solvers.refine_pnp(Pose(*model), inliers[:, 2:], inliers[:, :2], k_query).pose
 
     return _robust_estimate(
-        c, cfg, cfg.pnp_threshold_px, 3, 4, lift, p3p, residuals, lambda data: _collinear(data[:, 2:]), finish
+        c, cfg, cfg.pnp_threshold_px, 3, lift, p3p, residuals, lambda data: _collinear(data[:, 2:]), finish
     )
 
 
@@ -379,7 +375,7 @@ def estimate_procrustes(
             return Pose(*model)  # keep the minimal-sample model when the inlier re-fit degenerates
 
     return _robust_estimate(
-        c, cfg, cfg.procrustes_threshold_m, 3, 3, lift, kabsch, residuals,
+        c, cfg, cfg.procrustes_threshold_m, 3, lift, kabsch, residuals,
         lambda data: _collinear(data[:, :3]) or _collinear(data[:, 3:]), finish,
     )
 

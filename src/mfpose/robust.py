@@ -66,16 +66,17 @@ class EstimatorConfig:
         """Check every value once, so a bad one fails before any query runs."""
         counts = (self.max_iterations, self.min_inliers, self.rng_seed)
         if not all(isinstance(count, (int, np.integer)) for count in counts) or self.rng_seed < 0:
-            raise InvalidParameterError("iteration counts, min_inliers and rng_seed must be integers, rng_seed >= 0")
+            raise InvalidParameterError("max_iterations, min_inliers and rng_seed must be integers, rng_seed >= 0")
         if self.max_iterations < 1:
-            raise InvalidParameterError("iteration counts must be >= 1")
+            raise InvalidParameterError("max_iterations must be >= 1")
         if not (0.0 < self.confidence < 1.0):
             raise InvalidParameterError("confidence must be in (0, 1)")
         if self.sampson_threshold is not None:  # a None Sampson threshold is derived from the intrinsics
             _check_threshold("sampson_threshold", self.sampson_threshold)
         _check_threshold("pnp_threshold_px", self.pnp_threshold_px)
         _check_threshold("procrustes_threshold_m", self.procrustes_threshold_m)
-        ScaleConsensusConfig(self.scale_relative_tolerance)  # the scale vote checks its tolerance
+        if not (self.scale_relative_tolerance > 0 and math.isfinite(self.scale_relative_tolerance)):  # NaN fails too
+            raise InvalidParameterError("scale_relative_tolerance must be positive and finite")
 
 
 @dataclass
@@ -87,14 +88,14 @@ class RobustResult:
     iterations: int
 
 
-def _adaptive_iterations(inlier_ratio: float, sample_size: int, confidence: float, cap: int) -> int:
-    p_good = inlier_ratio**sample_size
-    if p_good >= 1.0:
+def _samples_needed(inlier_ratio: float, sample_size: int, confidence: float) -> float:
+    """Samples that draw one all-inlier sample with probability `confidence`; inf when that is too rare for a float."""
+    miss = 1.0 - inlier_ratio**sample_size
+    if miss <= 0.0:
         return 1
-    if p_good <= 0.0:
-        return cap
-    needed = math.log(1.0 - confidence) / math.log(1.0 - p_good)
-    return int(min(cap, max(1.0, math.ceil(needed))))
+    if miss >= 1.0:
+        return math.inf
+    return math.ceil(math.log(1.0 - confidence) / math.log(miss))
 
 
 def ransac(
@@ -168,16 +169,8 @@ def ransac(
                 loss = float(losses[row])
                 if loss < best_loss:
                     best_loss, best_model, best_mask = loss, model, masks[row]
-                    iteration_cap = min(
-                        config.max_iterations,
-                        max(
-                            iteration,
-                            _MIN_ITERATIONS,
-                            _adaptive_iterations(
-                                best_mask.mean(), sample_size, config.confidence, config.max_iterations
-                            ),
-                        ),
-                    )
+                    needed = _samples_needed(best_mask.mean(), sample_size, config.confidence)
+                    iteration_cap = min(config.max_iterations, max(iteration, _MIN_ITERATIONS, needed))
                 row += 1
             if iteration >= iteration_cap:
                 break
@@ -285,7 +278,7 @@ def scale_consensus(
     band = config.relative_tolerance * candidates
     lo = _run_end(ordered, candidates, band, upper=False)
     hi = _run_end(ordered, candidates, band, upper=True)
-    counts = np.maximum(hi - lo, 0)
+    counts = hi - lo  # each candidate supports itself
     best_count = counts.max()
     best = None
     # tied candidates with one count and one start share one supporter run

@@ -23,11 +23,18 @@ from mfpose.cli import (
     main,
     parse_estimates,
 )
-from mfpose.dataset import SyntheticSceneConfig, synth_scene, synth_write
+from mfpose.dataset import (
+    SyntheticSceneConfig,
+    save_correspondences,
+    save_depth_map,
+    save_intrinsics,
+    synth_scene,
+    synth_write,
+)
 from mfpose.errors import FormatError
 from mfpose.evaluation import EvaluationRecord, Thresholds, aggregate_report
-from mfpose.geometry import _quaternion_of_rotation
-from mfpose.pipelines import ESTIMATOR_NAMES, EstimateStatus, EstimatorConfig, PoseEstimate
+from mfpose.geometry import CameraIntrinsics, _quaternion_of_rotation
+from mfpose.pipelines import ESTIMATOR_NAMES, CorrespondenceSet, DepthMap, EstimateStatus, EstimatorConfig, PoseEstimate
 
 
 @pytest.fixture
@@ -644,6 +651,29 @@ def test_invalid_estimator_options_exit_2_before_any_query(dataset, tmp_path, ca
         err = capsys.readouterr().err
         assert "estimating" not in err and "Traceback" not in err, flags
         assert not out.exists(), flags
+    # the message names the EstimatorConfig field the flag fills
+    assert main(base + ["--scale-tolerance", "-1"]) == EXIT_IO
+    assert "scale_relative_tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_estimate_with_a_consensus_too_small_for_the_adaptive_stop(tmp_path):
+    # 10,000 random matches under a tight Sampson threshold: the best consensus
+    # is one minimal sample, and 1 - (5 / 10000)**5 rounds to 1.0
+    scene = tmp_path / "data" / "s0"
+    (scene / "depth").mkdir(parents=True)
+    (scene / "matches").mkdir()
+    k = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+    save_intrinsics(scene / "intrinsics.txt", {"reference": k, "q0": k})
+    for frame in ("reference", "q0"):
+        save_depth_map(scene / "depth" / f"{frame}.mfdm", DepthMap(np.full((480, 640), 4.0)))
+    rng = np.random.default_rng(0)
+    ref_px, query_px = (rng.uniform([0, 0], [639, 479], (10_000, 2)) for _ in range(2))
+    save_correspondences(scene / "matches" / "q0.txt", CorrespondenceSet(ref_px, query_px, rng.random(10_000)))
+    out = tmp_path / "est.txt"
+    argv = ["estimate", "--dataset", str(scene.parent), "--out", str(out), "--estimator", "essmat-dscale"]
+    argv += ["--sampson-threshold", "1e-9", "--max-iterations", "50", "--min-inliers", "6"]
+    assert main(argv) == EXIT_OK
+    assert out.read_text() == "s0 q0 no_estimate\n"
 
 
 def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path, capsys):

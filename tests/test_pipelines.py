@@ -35,6 +35,7 @@ from mfpose.robust import RobustResult, ScaleConsensusConfig
 from conftest import random_pose, small_angle_deg
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+NO_MATCHES = CorrespondenceSet(np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
 
 
 def scene_inputs(scene, query_index=0):
@@ -58,7 +59,7 @@ def test_correspondence_set_validation():
             CorrespondenceSet(np.array([[bad, 0.0]]), np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(InvalidParameterError):
             CorrespondenceSet(np.zeros((1, 2)), np.array([[0.0, bad]]), np.zeros(1))
-    assert len(CorrespondenceSet.empty()) == 0
+    assert len(NO_MATCHES) == 0
     # the largest accepted pixels run through every estimator without a warning
     _, (c, *inputs) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0, outlier_fraction=0.4)))
     for big in (4.2e9, -4.2e9, np.nextafter(2.0**32, 0.0), -np.nextafter(2.0**32, 0.0)):
@@ -186,7 +187,7 @@ def test_too_few_correspondences():
     short = CorrespondenceSet(np.full((2, 2), 100.0), np.full((2, 2), 120.0), np.ones(2))
     assert estimate_procrustes(short, empty_depth, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
     assert estimate_pnp(short, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
-    assert run_estimator("essmat-dscale", CorrespondenceSet.empty(), empty_depth, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
+    assert run_estimator("essmat-dscale", NO_MATCHES, empty_depth, empty_depth, K, K).status is EstimateStatus.NO_ESTIMATE
 
 
 def test_estimator_config_rejects_values_the_estimators_would():
@@ -214,6 +215,12 @@ def test_estimator_config_rejects_values_the_estimators_would():
             EstimatorConfig(**bad)
     EstimatorConfig(sampson_threshold=None, procrustes_threshold_m=1e154)
     EstimatorConfig(max_iterations=np.int64(20), min_inliers=np.int32(5), rng_seed=np.uint64(2**64 - 1))
+
+
+@pytest.mark.parametrize("name, value", [("scale_relative_tolerance", -1), ("max_iterations", 0), ("max_iterations", 1.5)])
+def test_estimator_config_errors_name_the_field(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        EstimatorConfig(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -252,6 +259,30 @@ def test_pnp_consensus_below_four_is_no_estimate():
         cfg = EstimatorConfig(rng_seed=seed, min_inliers=3)
         estimate = run_estimator("pnp", four, scene.depth_ref, q.depth_query, scene.intrinsics, scene.intrinsics, cfg)
         assert estimate.status is EstimateStatus.NO_ESTIMATE, seed
+
+
+# status of every synth_scene seed 0-5 on its first 3 or 4 matches, for min_inliers 1, 3 and 5
+_FEW_MATCH_STATUSES = {
+    ("essmat-dscale", 3): ("no_estimate", "no_estimate", "no_estimate"),
+    ("essmat-dscale", 4): ("no_estimate", "no_estimate", "no_estimate"),
+    ("pnp", 3): ("no_estimate", "no_estimate", "no_estimate"),  # refine_pnp needs 4 inliers
+    ("pnp", 4): ("ok", "ok", "no_estimate"),
+    ("procrustes", 3): ("ok", "ok", "no_estimate"),
+    ("procrustes", 4): ("ok", "ok", "no_estimate"),
+}
+
+
+def test_a_minimal_sample_or_one_more_match_gives_the_pinned_statuses():
+    for seed in range(6):
+        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed))
+        q = scene.queries[0]
+        matches = q.correspondences
+        for (name, n), statuses in _FEW_MATCH_STATUSES.items():
+            c = CorrespondenceSet(matches.ref_px[:n], matches.query_px[:n], matches.scores[:n])
+            for min_inliers, status in zip((1, 3, 5), statuses):
+                cfg = EstimatorConfig(rng_seed=seed, min_inliers=min_inliers)
+                estimate = run_estimator(name, c, scene.depth_ref, q.depth_query, scene.intrinsics, scene.intrinsics, cfg)
+                assert estimate.status.value == status, (seed, name, n, min_inliers)
 
 
 def _distinct_oracle(c: CorrespondenceSet) -> CorrespondenceSet:
@@ -295,7 +326,7 @@ def _drive(c: CorrespondenceSet, seed: int):
         patch.setattr(pipelines, "_fabricated", lambda cells, support, size: checks.append((cells, support)) or False)
         patch.setattr(pipelines, "ransac", consensus)
         finish = lambda *_: Pose.identity()
-        estimate = pipelines._robust_estimate(c, EstimatorConfig(), 1.0, 3, 0, lift, None, None, None, finish)
+        estimate = pipelines._robust_estimate(c, EstimatorConfig(), 1.0, 3, lift, None, None, None, finish)
     assert estimate.status is EstimateStatus.OK and len(lifted) == 1
     return lifted[0], checks
 
@@ -326,7 +357,7 @@ def _cell_cases(rng: np.random.Generator):
     edges = np.where(rng.random(cells.shape) < 0.5, cells + 0.5, np.nextafter(cells + 0.5, -np.inf))
     yield "cell edges", matches(*edges)
     yield "one match", matches(*base[:, :1])
-    yield "no match", CorrespondenceSet.empty()
+    yield "no match", NO_MATCHES
 
 
 def test_driver_keeps_and_counts_cells_as_the_sort_oracles_do():
@@ -780,7 +811,7 @@ def test_confidence_is_monotone_evidence():
 
 def test_unknown_estimator_rejected(monkeypatch):
     with pytest.raises(InvalidParameterError):
-        run_estimator("magic", CorrespondenceSet.empty(), DepthMap(np.zeros((2, 2))), DepthMap(np.zeros((2, 2))), K, K)
+        run_estimator("magic", NO_MATCHES, DepthMap(np.zeros((2, 2))), DepthMap(np.zeros((2, 2))), K, K)
     # an estimator that reads query depth turns down a missing map before any work
     monkeypatch.setattr(pipelines, "_cell_ids", lambda pixels: pytest.fail("an estimator ran"))
     _, (c, depth_ref, _, *intrinsics) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0)))
