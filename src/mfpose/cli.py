@@ -290,29 +290,17 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
-def _matches_default(value, default) -> bool:
-    """Whether a JSON value has a default's type: ints pass as floats, lists as tuples."""
-    if isinstance(default, tuple):
-        same_length = isinstance(value, list) and len(value) == len(default)
-        return same_length and all(map(_matches_default, value, default))
-    kinds = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def cmd_synth(args) -> int:
-    options = {"num_scenes": 1, "scene_prefix": "scene", **vars(SyntheticSceneConfig(rng_seed=DEFAULT_SEED))}
-    for key, value in _read_json(args.config).items():
-        if key not in options:
-            raise FormatError(args.config, f"unknown option {key!r}")
-        if not _matches_default(value, options[key]):
-            raise FormatError(args.config, f"option {key!r} must be like {options[key]!r}, got {value!r}")
-        options[key] = tuple(value) if isinstance(value, list) else value
-    num_scenes = options.pop("num_scenes")
-    prefix = options.pop("scene_prefix")
-    if num_scenes < 0:
-        raise FormatError(args.config, f"option 'num_scenes' must be >= 0, got {num_scenes}")
-    if ".." in prefix or "/" in prefix or "\\" in prefix:  # scene directories stay under --out
-        raise FormatError(args.config, f"option 'scene_prefix' must not contain '/', '\\' or '..', got {prefix!r}")
+    options = {"rng_seed": DEFAULT_SEED, **_read_json(args.config)}
+    num_scenes = options.pop("num_scenes", 1)
+    prefix = options.pop("scene_prefix", "scene")
+    if type(num_scenes) is not int or num_scenes < 0:
+        raise FormatError(args.config, f"option 'num_scenes' must be an integer >= 0, got {num_scenes!r}")
+    if not isinstance(prefix, str) or ".." in prefix or "/" in prefix or "\\" in prefix:  # scenes stay under --out
+        raise FormatError(args.config, f"option 'scene_prefix' must be a string without '/', '\\' or '..', got {prefix!r}")
+    unknown = options.keys() - {f.name for f in fields(SyntheticSceneConfig)}
+    if unknown:
+        raise FormatError(args.config, f"unknown option {min(unknown)!r}")
     try:
         config = SyntheticSceneConfig(**options)
     except InvalidParameterError as exc:

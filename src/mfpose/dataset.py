@@ -470,6 +470,16 @@ class SyntheticSceneConfig:
 
     @parameter_check
     def __post_init__(self):
+        for name in ("depth_range_m", "baseline_range_m"):  # a JSON list becomes a tuple
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.depth_range_m) == len(self.baseline_range_m) == 2:
+            raise InvalidParameterError("depth_range_m and baseline_range_m must be (low, high) pairs")
+        values = (*vars(self).values(), *self.depth_range_m, *self.baseline_range_m)
+        if any(isinstance(value, (bool, np.bool_)) for value in values):
+            raise TypeError("no value may be a bool")
+        counts = (self.num_points, self.num_queries, self.rng_seed, self.width, self.height)
+        if not all(isinstance(count, (int, np.integer)) for count in counts):
+            raise TypeError("num_points, num_queries, rng_seed, width and height must be integers")
         if self.num_points < 8 or self.num_queries < 1:
             raise InvalidParameterError("need at least 8 points and 1 query")
         if not (0 < self.depth_range_m[0] <= self.depth_range_m[1] < np.inf):  # NaN fails too

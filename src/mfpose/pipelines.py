@@ -181,21 +181,26 @@ def _fabricated(cells: tuple[np.ndarray, np.ndarray], support, sample_size: int)
     return min(np.count_nonzero(np.bincount(ids[support])) for ids in cells) < sample_size
 
 
-def _rank_below(rows: np.ndarray, rank: int) -> bool:
-    """Whether the (n, 3) rows span fewer than `rank` dimensions.
-
-    The relative rule that solvers._kabsch applies to a sample: the rank-th
-    singular value of rows^T rows is at most 1e-12 of the largest.  Those
-    are the squares of the singular values of rows, which are compared
-    instead so that nothing overflows.
-    """
-    s = np.linalg.svd(rows, compute_uv=False)
-    return bool(s[rank - 1] <= 1e-6 * s[0])
-
-
 def _collinear(points: np.ndarray) -> bool:
-    """Whether the (n, 3) points lie on one line (or coincide)."""
-    return _rank_below(points - points.mean(axis=0), 2)
+    """Whether the (n, d) points lie on one line (or coincide): centred, their second singular value is at most 1e-6 of the first.
+
+    That is the relative 1e-12 rule of solvers._kabsch on their scatter
+    matrix, whose singular values are these squared; the unsquared ones
+    cannot overflow.
+    """
+    s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return bool(s[1] <= 1e-6 * s[0])
+
+
+_ARGUMENT_TYPES = dict(c=CorrespondenceSet, depth_ref=DepthMap, depth_query=DepthMap,
+                       k_ref=CameraIntrinsics, k_query=CameraIntrinsics, cfg=EstimatorConfig)
+
+
+def _check_arguments(arguments: dict) -> None:
+    """Turn down an estimator's arguments, as locals() holds them on entry, when one has the wrong type (None too)."""
+    for name, value in arguments.items():
+        if not isinstance(value, _ARGUMENT_TYPES[name]):
+            raise InvalidParameterError(f"{name} must be a {_ARGUMENT_TYPES[name].__name__}, got {type(value).__name__}")
 
 
 def _robust_estimate(
@@ -206,7 +211,7 @@ def _robust_estimate(
     lift,
     solve,
     residuals,
-    degenerate,
+    sides: tuple[slice, ...],
     finish,
     refit=None,
 ) -> PoseEstimate:
@@ -220,10 +225,11 @@ def _robust_estimate(
     too few pixels (_fabricated), fewer than a minimal sample among them,
     are turned down before the robust loop, and so is a consensus through
     too few.
-    When a window of `solve` gives no model and degenerate(data) holds,
-    every minimal sample fails, so the loop stops there (a solvable query
-    never asks).  finish(model, inlier rows, their reference pixels, their
-    query pixels) makes the pose.
+    Each slice of `sides` holds the data columns of one image's points.
+    When a window of `solve` gives no model and the points of some side are
+    collinear (_collinear), every minimal sample fails, so the loop stops
+    there (a solvable query never asks).  finish(model, inlier rows, their
+    reference pixels, their query pixels) makes the pose.
 
     The one place that maps failures to statuses: NoConsensusError and
     CheiralityError become no_estimate, ScaleConsensusError degenerate_scale.
@@ -242,7 +248,7 @@ def _robust_estimate(
 
         def checked(samples: np.ndarray):
             model_lists = solve(samples)
-            if not any(model_lists) and degenerate(data):
+            if not any(model_lists) and any(_collinear(data[:, side]) for side in sides):
                 raise NoConsensusError("every minimal sample of the match set is degenerate")
             return model_lists
 
@@ -276,6 +282,7 @@ def estimate_essmat_dscale(
     decomposition; minimal five-point fits alone are too noisy to meet the
     benchmark's accuracy regime.
     """
+    _check_arguments(locals())
     if cfg.sampson_threshold is not None:
         threshold = cfg.sampson_threshold
     else:
@@ -284,10 +291,6 @@ def estimate_essmat_dscale(
     def lift(c: CorrespondenceSet):
         normalized = np.column_stack([normalized_coords(k_ref, c.ref_px), normalized_coords(k_query, c.query_px)])
         return normalized, np.ones(len(c), dtype=bool)
-
-    # collinear pixels on either image: the scene points lie on a plane through that camera's centre
-    def degenerate(data: np.ndarray) -> bool:
-        return _rank_below(solvers._hom(data[:, :2]), 3) or _rank_below(solvers._hom(data[:, 2:]), 3)
 
     def refit(model, inliers):
         try:
@@ -306,10 +309,10 @@ def estimate_essmat_dscale(
         scale, _ = scale_consensus(x_ref[both], x_query[both], rotation, t_hat, vote)
         return Pose(rotation, scale * t_hat)
 
-    # sampson_error scores a window's list of matrices as one (M, 3, 3) stack
-    return _robust_estimate(
-        c, cfg, threshold, 5, lift, solvers.essential_five_point, sampson_error, degenerate, finish, refit
-    )
+    # sampson_error scores a window's list of matrices as one (M, 3, 3) stack; collinear
+    # pixels on either image put the scene points on a plane through that camera's centre
+    sides = (slice(0, 2), slice(2, 4))
+    return _robust_estimate(c, cfg, threshold, 5, lift, solvers.essential_five_point, sampson_error, sides, finish, refit)
 
 
 def estimate_pnp(
@@ -320,6 +323,7 @@ def estimate_pnp(
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
     """PnP over 2D query features and 3D points lifted from reference depth."""
+    _check_arguments(locals())
 
     def lift(c: CorrespondenceSet):
         points3d, lifted = _lift(k_ref, c.ref_px, depth_ref)
@@ -341,9 +345,7 @@ def estimate_pnp(
             raise NoConsensusError(f"{len(inliers)} inliers are too few to refine a pose")
         return solvers.refine_pnp(Pose(*model), inliers[:, 2:], inliers[:, :2], k_query).pose
 
-    return _robust_estimate(
-        c, cfg, cfg.pnp_threshold_px, 3, lift, p3p, residuals, lambda data: _collinear(data[:, 2:]), finish
-    )
+    return _robust_estimate(c, cfg, cfg.pnp_threshold_px, 3, lift, p3p, residuals, (slice(2, 5),), finish)
 
 
 def estimate_procrustes(
@@ -355,6 +357,7 @@ def estimate_procrustes(
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
     """Rigid alignment of 3D-3D correspondences back-projected from both images."""
+    _check_arguments(locals())
 
     def lift(c: CorrespondenceSet):
         x_ref, valid_ref = _lift(k_ref, c.ref_px, depth_ref)
@@ -374,10 +377,8 @@ def estimate_procrustes(
         except DegenerateSampleError:
             return Pose(*model)  # keep the minimal-sample model when the inlier re-fit degenerates
 
-    return _robust_estimate(
-        c, cfg, cfg.procrustes_threshold_m, 3, lift, kabsch, residuals,
-        lambda data: _collinear(data[:, :3]) or _collinear(data[:, 3:]), finish,
-    )
+    sides = (slice(0, 3), slice(3, 6))
+    return _robust_estimate(c, cfg, cfg.procrustes_threshold_m, 3, lift, kabsch, residuals, sides, finish)
 
 
 ESTIMATOR_NAMES = ("essmat-dscale", "pnp", "procrustes")
@@ -397,8 +398,6 @@ def run_estimator(
         return estimate_pnp(c, depth_ref, k_ref, k_query, cfg)
     if name not in ESTIMATOR_NAMES:
         raise InvalidParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
-    if depth_query is None:
-        raise InvalidParameterError(f"{name} reads the query depth map, and none was given")
     if name == "essmat-dscale":
         return estimate_essmat_dscale(c, depth_ref, depth_query, k_ref, k_query, cfg)
     return estimate_procrustes(c, depth_ref, depth_query, k_ref, k_query, cfg)

@@ -356,12 +356,10 @@ def test_each_threshold_flag_reaches_its_thresholds_field(dataset, tmp_path, mon
         assert thresholds(flags) == replace(Thresholds(), **{field: expected}), flags
 
 
-def test_estimate_determinism_across_threads(dataset, tmp_path, monkeypatch):
+def test_estimate_is_identical_when_run_again(dataset, tmp_path):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
-    monkeypatch.setenv("MFP_THREADS", "1")
     assert main(["estimate", "--dataset", str(dataset), "--out", str(out_a), "--seed", "9"]) == EXIT_OK
-    monkeypatch.setenv("MFP_THREADS", "4")
     assert main(["estimate", "--dataset", str(dataset), "--out", str(out_b), "--seed", "9"]) == EXIT_OK
     assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -703,6 +701,31 @@ def test_synth_rejects_non_finite_or_out_of_range_values_exit_2(tmp_path, capsys
         assert main(["synth", "--config", str(config), "--out", str(out_root)]) == EXIT_IO, options
         assert str(config) in capsys.readouterr().err, options
         assert not out_root.exists(), options
+
+
+@pytest.mark.parametrize(
+    "options, code",
+    [
+        ({"num_points": 300.5}, EXIT_IO), ({"num_points": 300.0}, EXIT_IO), ({"num_queries": 1.5}, EXIT_IO),
+        ({"rng_seed": 1.5}, EXIT_IO), ({"width": 640.0}, EXIT_IO), ({"height": "480"}, EXIT_IO),
+        ({"num_points": None}, EXIT_IO), ({"num_points": True}, EXIT_IO), ({"pixel_noise_px": True}, EXIT_IO),
+        ({"outlier_fraction": False}, EXIT_IO), ({"focal_px": "500"}, EXIT_IO), ({"focal_px": [500.0]}, EXIT_IO),
+        ({"depth_range_m": [3.0]}, EXIT_IO), ({"depth_range_m": [3.0, 4.0, 5.0]}, EXIT_IO),
+        ({"baseline_range_m": [0.3]}, EXIT_IO), ({"baseline_range_m": [0.3, 0.6, 1.0]}, EXIT_IO),
+        ({"depth_range_m": "ab"}, EXIT_IO), ({"depth_range_m": 5}, EXIT_IO), ({"depth_range_m": [3.0, None]}, EXIT_IO),
+        ({"depth_range_m": [True, 4.0]}, EXIT_IO), ({"depth_range_m": {"low": 3.0}}, EXIT_IO),
+        ({"num_scenes": 1.0}, EXIT_IO), ({"num_scenes": True}, EXIT_IO), ({"scene_prefix": 5}, EXIT_IO),
+        ({"scene_prefix": None}, EXIT_IO), ({"bogus": 1}, EXIT_IO), ({"Num_points": 300}, EXIT_IO),
+        ({"rng_seed": -1}, EXIT_OK),  # per-scene seeds are derived from it
+        ({"depth_range_m": [3, 8], "focal_px": 400}, EXIT_OK),  # integers pass as floats
+    ],
+)
+def test_synth_config_of_the_wrong_type_exit_2_naming_the_file(tmp_path, capsys, options, code):
+    config = synth_config_file(tmp_path, **options)
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "gen")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (str(config) in err) == (code == EXIT_IO)
 
 
 def test_synth_command_round_trip(tmp_path, capsys):

@@ -439,6 +439,14 @@ def test_synth_config_validation():
         with pytest.raises(InvalidParameterError):
             SyntheticSceneConfig(**size)
     SyntheticSceneConfig(width=25, height=25)
+    # a count that is no integer, a range that is no (low, high) pair, a bool for a number
+    for wrong in ({"num_points": 300.5}, {"num_queries": 1.5}, {"rng_seed": 1.5}, {"width": 640.0},
+                  {"depth_range_m": (3.0,)}, {"depth_range_m": (3.0, 4.0, 5.0)}, {"baseline_range_m": (True, 1.0)},
+                  {"pixel_noise_px": True}):
+        with pytest.raises(InvalidParameterError):
+            SyntheticSceneConfig(**wrong)
+    config = SyntheticSceneConfig(depth_range_m=[3, 8], num_points=np.int64(300))
+    assert config.depth_range_m == (3, 8) and config == SyntheticSceneConfig(depth_range_m=(3, 8))
 
 
 def test_synth_correspondences_read_back_their_own_depth():

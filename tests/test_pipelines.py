@@ -437,11 +437,11 @@ def test_matches_sharing_one_pixel_are_no_consensus(monkeypatch):
 
 
 def test_collinear_support_is_no_estimate_after_one_window(monkeypatch):
-    # 12 matches from 12 distinct reference pixels on one image row, at one
-    # depth, to scattered query pixels: every five-point sample has its
-    # reference rays in one plane and every P3P or Kabsch sample is
-    # collinear, so the robust loop could only run to its cap.  Such a set is
-    # turned down once its first window gives no model
+    # 12 matches from 12 distinct reference pixels on one image row (or
+    # diagonal), at one depth, to scattered query pixels: every five-point
+    # sample has its reference rays in one plane and every P3P or Kabsch
+    # sample is collinear, so the robust loop could only run to its cap.
+    # Such a set is turned down once its first window gives no model
     calls = []
 
     def count(name):
@@ -453,22 +453,24 @@ def test_collinear_support_is_no_estimate_after_one_window(monkeypatch):
         monkeypatch.setattr(solvers, name, count(name))
     depth = DepthMap(np.full((480, 640), 3.0))
     row = np.column_stack([np.linspace(60.0, 580.0, 12), np.full(12, 200.0)])
+    diagonal = np.column_stack([np.linspace(60.0, 580.0, 12), np.linspace(40.0, 440.0, 12)])
     for seed in range(2):
         rng = np.random.default_rng(seed)
         scattered = rng.uniform([50.0, 50.0], [590.0, 430.0], (12, 2))
         cfg = EstimatorConfig(rng_seed=seed)
-        # pnp lifts only the reference side, and a plane of reference points is no degeneracy
-        for ref_px, query_px, names in (
-            (row, scattered, ESTIMATOR_NAMES),
-            (scattered, row, ("essmat-dscale", "procrustes")),
-        ):
-            c = CorrespondenceSet(ref_px, query_px, np.ones(12))
-            for name in names:
-                calls.clear()
-                estimate = run_estimator(name, c, depth, depth, K, K, cfg)
-                assert estimate.status is EstimateStatus.NO_ESTIMATE, (seed, name)
-                windows = [samples for called, samples in calls if called == solver_of[name]]
-                assert windows == [10], (seed, name)  # one window of _MIN_ITERATIONS
+        for line in (row, diagonal):
+            # pnp lifts only the reference side, and a plane of reference points is no degeneracy
+            for ref_px, query_px, names in (
+                (line, scattered, ESTIMATOR_NAMES),
+                (scattered, line, ("essmat-dscale", "procrustes")),
+            ):
+                c = CorrespondenceSet(ref_px, query_px, np.ones(12))
+                for name in names:
+                    calls.clear()
+                    estimate = run_estimator(name, c, depth, depth, K, K, cfg)
+                    assert estimate.status is EstimateStatus.NO_ESTIMATE, (seed, name)
+                    windows = [samples for called, samples in calls if called == solver_of[name]]
+                    assert windows == [10], (seed, name)  # one window of _MIN_ITERATIONS
         # one pixel off the row by half a pixel: the loop runs to its cap of 20 samples
         bent = row.copy()
         bent[5, 1] += 0.5
@@ -482,7 +484,7 @@ def test_collinear_support_is_no_estimate_after_one_window(monkeypatch):
     def never(*args):
         raise AssertionError("a solvable query checked its whole match set")
 
-    monkeypatch.setattr(pipelines, "_rank_below", never)
+    monkeypatch.setattr(pipelines, "_collinear", never)
     _, inputs = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0, outlier_fraction=0.4, pixel_noise_px=1.0)))
     for name in ESTIMATOR_NAMES:
         assert run_estimator(name, *inputs).status is EstimateStatus.OK
@@ -809,14 +811,26 @@ def test_confidence_is_monotone_evidence():
     assert errors[confidences >= median_conf].mean() < errors[confidences < median_conf].mean()
 
 
-def test_unknown_estimator_rejected(monkeypatch):
+def test_unknown_estimator_rejected():
     with pytest.raises(InvalidParameterError):
         run_estimator("magic", NO_MATCHES, DepthMap(np.zeros((2, 2))), DepthMap(np.zeros((2, 2))), K, K)
-    # an estimator that reads query depth turns down a missing map before any work
+
+
+def test_each_estimator_turns_down_an_argument_of_the_wrong_type_before_any_work(monkeypatch):
+    _, (c, depth_ref, depth_query, k_ref, k_query) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0)))
+    inputs = dict(c=c, depth_ref=depth_ref, depth_query=depth_query, k_ref=k_ref, k_query=k_query, cfg=EstimatorConfig())
     monkeypatch.setattr(pipelines, "_cell_ids", lambda pixels: pytest.fail("an estimator ran"))
-    _, (c, depth_ref, _, *intrinsics) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0)))
-    for name in ("essmat-dscale", "procrustes"):
-        with pytest.raises(InvalidParameterError):
-            run_estimator(name, c, depth_ref, None, *intrinsics)
+    for name, estimate in zip(ESTIMATOR_NAMES, (estimate_essmat_dscale, estimate_pnp, estimate_procrustes)):
+        own = {key: value for key, value in inputs.items() if key != "depth_query" or name != "pnp"}
+        for wrong in own:  # None in place of each argument the estimator reads
+            with pytest.raises(InvalidParameterError, match=f"^{wrong} must be a "):
+                estimate(**{**own, wrong: None})
+            with pytest.raises(InvalidParameterError, match=f"^{wrong} must be a "):
+                run_estimator(name, **{**inputs, wrong: None})
+        with pytest.raises(InvalidParameterError, match="^depth_ref must be a DepthMap, got ndarray"):
+            estimate(**{**own, "depth_ref": depth_ref.values})
     monkeypatch.undo()
-    assert run_estimator("pnp", c, depth_ref, None, *intrinsics).status is EstimateStatus.OK
+    # pnp reads no query depth, so it takes None for it
+    assert run_estimator("pnp", c, depth_ref, None, k_ref, k_query).status is EstimateStatus.OK
+
+
