@@ -291,11 +291,14 @@ def cmd_curves(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    options = {"rng_seed": DEFAULT_SEED, **_read_json(args.config)}
+    options = _read_json(args.config)
     num_scenes = options.pop("num_scenes", 1)
     prefix = options.pop("scene_prefix", "scene")
+    seed = options.pop("rng_seed", DEFAULT_SEED)  # any integer: each scene's seed is derived from it
     if type(num_scenes) is not int or num_scenes < 0:
         raise FormatError(args.config, f"option 'num_scenes' must be an integer >= 0, got {num_scenes!r}")
+    if type(seed) is not int:
+        raise FormatError(args.config, f"option 'rng_seed' must be an integer, got {seed!r}")
     if not isinstance(prefix, str) or ".." in prefix or "/" in prefix or "\\" in prefix:  # scenes stay under --out
         raise FormatError(args.config, f"option 'scene_prefix' must be a string without '/', '\\' or '..', got {prefix!r}")
     unknown = options.keys() - {f.name for f in fields(SyntheticSceneConfig)}
@@ -309,7 +312,7 @@ def cmd_synth(args) -> int:
     total_queries = 0
     for index in range(num_scenes):
         scene_id = f"{prefix}{index:04d}"
-        scene = synth_scene(replace(config, rng_seed=derive_seed(config.rng_seed, scene_id, "gen")))
+        scene = synth_scene(replace(config, rng_seed=derive_seed(seed, scene_id, "gen")))
         synth_write(scene, root, scene_id)
         total_queries += len(scene.queries)
         counts = [len(q.correspondences) for q in scene.queries]

@@ -482,6 +482,8 @@ class SyntheticSceneConfig:
             raise TypeError("num_points, num_queries, rng_seed, width and height must be integers")
         if self.num_points < 8 or self.num_queries < 1:
             raise InvalidParameterError("need at least 8 points and 1 query")
+        if self.rng_seed < 0:  # np.random.default_rng takes no negative seed
+            raise InvalidParameterError("rng_seed must be >= 0")
         if not (0 < self.depth_range_m[0] <= self.depth_range_m[1] < np.inf):  # NaN fails too
             raise InvalidParameterError("depth range must be finite, positive and ordered")
         if not (0 < self.baseline_range_m[0] <= self.baseline_range_m[1] < np.inf):

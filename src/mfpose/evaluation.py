@@ -14,7 +14,7 @@ acceptance criterion that reports and curves use.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -41,24 +41,15 @@ class VirtualGrid:
 
     Centered laterally and vertically on the optical axis; the nearest depth
     plane sits axial_offset meters in front of the camera.  These constants
-    change absolute VCRE values, so reports embed them.  Scoring uses the
-    default grid, `GRID`.
+    change absolute VCRE values, so reports embed them.  They are the
+    benchmark's, so no field can be set: every score uses the one grid, `GRID`.
     """
 
-    height_count: int = 4
-    width_count: int = 7
-    depth_count: int = 7
-    spacing_m: float = 0.30
-    axial_offset_m: float = 1.8
-
-    @parameter_check
-    def __post_init__(self):
-        counts = (self.height_count, self.width_count, self.depth_count)
-        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
-            raise InvalidParameterError("grid counts must be integers >= 1")
-        limit = np.finfo(float).max / (2 * max(counts))  # finite, and no grid coordinate overflows
-        if not (0 < self.spacing_m < limit and 0 < self.axial_offset_m < limit):  # NaN fails too
-            raise InvalidParameterError("grid spacing and axial offset must be finite and positive")
+    height_count: int = field(default=4, init=False)
+    width_count: int = field(default=7, init=False)
+    depth_count: int = field(default=7, init=False)
+    spacing_m: float = field(default=0.30, init=False)
+    axial_offset_m: float = field(default=1.8, init=False)
 
 
 GRID = VirtualGrid()
@@ -210,9 +201,8 @@ class Thresholds:
         )
         return selectors
 
-    def vcre_cutoff_px(self, k_or_diagonal) -> tuple[float, ...]:
-        diagonal = k_or_diagonal.diagonal if isinstance(k_or_diagonal, CameraIntrinsics) else float(k_or_diagonal)
-        return tuple(f * diagonal for f in self.vcre_fractions)
+    def vcre_cutoff_px(self, k: CameraIntrinsics) -> tuple[float, ...]:
+        return tuple(f * k.diagonal for f in self.vcre_fractions)
 
 
 def vcre_acceptable(record: EvaluationRecord, fraction: float) -> bool:

@@ -283,10 +283,12 @@ def estimate_essmat_dscale(
     benchmark's accuracy regime.
     """
     _check_arguments(locals())
-    if cfg.sampson_threshold is not None:
-        threshold = cfg.sampson_threshold
-    else:
-        threshold = 4.0 / float((k_ref.fx * k_ref.fy * k_query.fx * k_query.fy) ** 0.25)
+    threshold = cfg.sampson_threshold
+    if threshold is None:
+        root = float((k_ref.fx * k_ref.fy * k_query.fx * k_query.fy) ** 0.25)
+        if not 0 < root < np.inf:  # the product under- or overflows at extreme focal lengths
+            raise InvalidParameterError("sampson_threshold has no default for these focal lengths; set it")
+        threshold = 4.0 / root
 
     def lift(c: CorrespondenceSet):
         normalized = np.column_stack([normalized_coords(k_ref, c.ref_px), normalized_coords(k_query, c.query_px)])

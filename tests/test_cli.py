@@ -631,6 +631,34 @@ def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
         assert str(config) in capsys.readouterr().err, payload
 
 
+def test_documented_cli_errors_exit_with_their_codes(dataset, tmp_path, capsys):
+    config, out, ghost = tmp_path / "cfg.json", tmp_path / "est.txt", tmp_path / "ghost.txt"
+    estimate = ["estimate", "--dataset", str(dataset), "--out", str(out)]
+    assert main(estimate) == EXIT_OK
+    plain = out.read_bytes()
+    ghost.write_text("ghost q0 no_estimate\n")
+    for argv, payload, code, named in [
+        (estimate + ["--config", str(config)], None, EXIT_IO, str(config)),  # no such file
+        (estimate + ["--config", str(config)], "{", EXIT_IO, str(config)),
+        (estimate + ["--config", str(config)], {"max_iterations": True}, EXIT_IO, str(config)),
+        (estimate + ["--config", str(config)], {"seed": [1]}, EXIT_IO, str(config)),
+        (estimate + ["--config", str(config)], {"estimator": "ransac"}, EXIT_IO, str(config)),
+        (estimate + ["--config", str(config)], {"max_iterations": None}, EXIT_OK, None),  # null keeps the default
+        (estimate + ["--scenes", "nosuch"], None, EXIT_IO, "scenes not found: nosuch"),
+        (["synth", "--config", str(config), "--out", str(tmp_path / "gen")], None, EXIT_IO, str(config)),
+        (["evaluate", "--estimates", str(ghost), "--dataset", str(dataset)], None, EXIT_MISMATCH,
+         "ghost/intrinsics.txt: missing intrinsics file"),
+    ]:
+        config.unlink(missing_ok=True)
+        out.unlink(missing_ok=True)
+        if payload is not None:
+            config.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        assert main(argv) == code, (argv, payload)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and (named is None or named in err), (argv, payload)
+        assert (out.read_bytes() == plain) if code == EXIT_OK else not out.exists(), (argv, payload)
+
+
 def test_invalid_estimator_options_exit_2_before_any_query(dataset, tmp_path, capsys):
     out = tmp_path / "est.txt"
     base = ["estimate", "--dataset", str(dataset), "--out", str(out)]

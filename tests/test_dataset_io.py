@@ -449,6 +449,39 @@ def test_synth_config_validation():
     assert config.depth_range_m == (3, 8) and config == SyntheticSceneConfig(depth_range_m=(3, 8))
 
 
+def test_a_negative_synth_seed_is_an_invalid_parameter():
+    # np.random.default_rng would raise a bare ValueError in synth_scene
+    with pytest.raises(InvalidParameterError, match="rng_seed must be >= 0"):
+        SyntheticSceneConfig(rng_seed=-1)
+
+
+def test_synth_depth_noise_scatters_each_depth_around_the_truth():
+    clean, noisy, wild = (synth_scene(SyntheticSceneConfig(rng_seed=4, depth_noise_sigma=s)) for s in (0.0, 0.15, 2.0))
+
+    def matches(scene):
+        q = scene.queries[0]
+        return q.correspondences.ref_px, q.correspondences.query_px, q.correspondences.scores, q.inlier_mask
+
+    # the noise is drawn after every other draw of a one-query scene: the matches stay the same
+    for other in (noisy, wild):
+        assert all(np.array_equal(a, b) for a, b in zip(matches(clean), matches(other)))
+
+    def matched_depths(scene):
+        q = scene.queries[0]
+        c = q.correspondences
+        return np.concatenate([scene.depth_ref.sample_nearest(c.ref_px),
+                               q.depth_query.sample_nearest(c.query_px[q.inlier_mask])])
+
+    ratio = matched_depths(noisy) / matched_depths(clean)
+    assert abs(ratio.mean() - 1.0) < 0.02 and 0.12 < ratio.std() < 0.18
+    # at sigma 2 a factor 1 + 2 z is negative for about 31% of the draws: those pixels clip to 0, invalid
+    clipped = ~DepthMap.valid(matched_depths(wild))
+    assert 0.2 < clipped.mean() < 0.4
+    again = synth_scene(SyntheticSceneConfig(rng_seed=4, depth_noise_sigma=0.15))
+    assert again.depth_ref.values.tobytes() == noisy.depth_ref.values.tobytes()
+    assert again.queries[0].depth_query.values.tobytes() == noisy.queries[0].depth_query.values.tobytes()
+
+
 def test_synth_correspondences_read_back_their_own_depth():
     # the collision-free splat: every kept match must see exactly its depth
     scene = synth_scene(SyntheticSceneConfig(rng_seed=5, num_points=250))

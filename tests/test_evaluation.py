@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import groupby
 from operator import itemgetter
 
@@ -78,32 +79,17 @@ def test_default_grid_has_196_points():
     assert len({tuple(p) for p in points.round(9).tolist()}) == 196
 
 
-def test_single_point_grid():
-    points = build_virtual_grid(VirtualGrid(1, 1, 1, spacing_m=0.3, axial_offset_m=1.8))
-    assert points.shape == (1, 3)
-    assert np.allclose(points[0], [0.0, 0.0, 1.8])
+def test_the_grid_is_a_constant():
+    with pytest.raises(TypeError):
+        VirtualGrid(spacing_m=0.5)
+    with pytest.raises(ValueError):
+        dataclasses.replace(evaluation.GRID, spacing_m=0.5)
+    assert dataclasses.asdict(evaluation.GRID) == {
+        "height_count": 4, "width_count": 7, "depth_count": 7, "spacing_m": 0.3, "axial_offset_m": 1.8
+    }
 
 
-def test_grid_validation():
-    with pytest.raises(InvalidParameterError):
-        VirtualGrid(spacing_m=0.0)
-    with pytest.raises(InvalidParameterError):
-        VirtualGrid(height_count=0)
-    # NaN points, every point behind the camera, an overflowing or NaN lattice, a fractional row count
-    for bad in (
-        {"spacing_m": np.nan},
-        {"axial_offset_m": np.nan},
-        {"axial_offset_m": -3.0},
-        {"axial_offset_m": 0.0},
-        {"spacing_m": np.inf},
-        {"axial_offset_m": np.inf},
-        {"spacing_m": 1e308},
-        {"height_count": 2.5},
-        {"width_count": 7.0},
-    ):
-        with pytest.raises(InvalidParameterError):
-            VirtualGrid(**bad)
-    assert build_virtual_grid(VirtualGrid(2, 1, np.int64(3), spacing_m=1e306, axial_offset_m=1e306)).shape == (6, 3)
+def test_thresholds_of_the_wrong_type():
     for fractions in (0.1, None, ("0.1",)):
         with pytest.raises(InvalidParameterError, match="Thresholds: a parameter has the wrong type"):
             Thresholds(vcre_fractions=fractions)

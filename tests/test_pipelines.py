@@ -29,7 +29,7 @@ from mfpose.pipelines import (
     pixel_index,
     run_estimator,
 )
-from mfpose.evaluation import Thresholds, VirtualGrid
+from mfpose.evaluation import Thresholds
 from mfpose.robust import RobustResult, ScaleConsensusConfig
 
 from conftest import random_pose, small_angle_deg
@@ -236,7 +236,6 @@ def test_estimator_config_errors_name_the_field(name, value):
         (SyntheticSceneConfig, "focal_px", None),
         (SyntheticSceneConfig, "num_points", None),
         (SyntheticSceneConfig, "depth_range_m", None),
-        (VirtualGrid, "spacing_m", None),
         (Thresholds, "pose_rotation_deg", "5"),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else None,
@@ -814,6 +813,15 @@ def test_confidence_is_monotone_evidence():
 def test_unknown_estimator_rejected():
     with pytest.raises(InvalidParameterError):
         run_estimator("magic", NO_MATCHES, DepthMap(np.zeros((2, 2))), DepthMap(np.zeros((2, 2))), K, K)
+
+
+def test_essmat_turns_down_focal_lengths_whose_default_threshold_is_not_finite(monkeypatch):
+    _, (c, depth_ref, depth_query, _, _) = scene_inputs(synth_scene(SyntheticSceneConfig(rng_seed=0)))
+    monkeypatch.setattr(pipelines, "_cell_ids", lambda pixels: pytest.fail("an estimator ran"))
+    for focal in (1e-200, 1e100):  # fx * fy * fx' * fy' underflows to 0, or overflows to inf
+        k = CameraIntrinsics(focal, focal, 320.0, 240.0, 640, 480)
+        with pytest.raises(InvalidParameterError, match="^sampson_threshold "):
+            estimate_essmat_dscale(c, depth_ref, depth_query, k, k)
 
 
 def test_each_estimator_turns_down_an_argument_of_the_wrong_type_before_any_work(monkeypatch):

@@ -957,6 +957,47 @@ def test_refine_needs_four_points(rng):
         refine_pnp(pose, world, pixels, K)
 
 
+def _toy_loop(evaluate, jacobian, start):
+    """`_damped_least_squares` on a toy problem whose x is its own translation, with the refiners' settings."""
+    return solvers._damped_least_squares(start, evaluate, jacobian, lambda x, step: x + step, lambda x: x,
+                                         1e-3, 1e12, 1e-12, 100)
+
+
+def test_damped_least_squares_raises_the_damping_past_a_singular_system(monkeypatch):
+    solve, singular = np.linalg.solve, []
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    jac = np.array([[1e10, 1e10]])  # 1e20 + damping rounds to 1e20 for every damping up to 1e3 at least
+
+    def evaluate(x):
+        residuals = jac @ x - 1.0
+        return float(residuals @ residuals), residuals, None
+
+    x, initial_cost, cost, diverged = _toy_loop(evaluate, lambda x, r, state: jac, np.zeros(2))
+    assert len(singular) >= 7 and not diverged  # dampings 1e-3 to 1e3 leave J^T J + damping I singular
+    assert initial_cost == 1.0 and cost < 1e-30 and (jac @ x)[0] == pytest.approx(1.0)
+
+
+def test_damped_least_squares_keeping_no_step_returns_the_start_diverged():
+    start = np.zeros(1)
+    trials = []
+
+    def evaluate(x):  # every step raises the cost
+        trials.append(x)
+        return (2.0 if x.any() else 1.0), np.ones(1), None
+
+    x, initial_cost, cost, diverged = _toy_loop(evaluate, lambda x, r, state: np.ones((1, 1)), start)
+    assert x is start and initial_cost == cost == 1.0 and diverged
+    assert len(trials) == 16  # the start, then one trial for each damping 1e-3 to 1e11 below the 1e12 cap
+
+
 # ---------------------------------------------------------------------------
 # Procrustes
 # ---------------------------------------------------------------------------

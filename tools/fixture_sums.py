@@ -2,7 +2,7 @@
 
 Run from anywhere: `python3 tools/fixture_sums.py`.  It imports the package
 from this checkout's `src/` and generates the fixture datasets with
-`mfpose synth` in a temporary directory.  On the three estimation fixtures
+`mfpose synth` in a temporary directory.  On the four estimation fixtures
 it runs `mfpose estimate --seed 3` with each estimator, then `mfpose evaluate`
 (JSON report and per-scene CSV) and `mfpose curves` over each estimates
 file.  On the 1px-noise fixture `estimate` also runs once per estimator
@@ -10,7 +10,9 @@ with a `--config` file that sets every estimator option away from its
 default (OPTIONS), so a change in how an option reaches the robust loop or
 the scale vote shows in a sum.  The duplicates fixture is the 1px-noise dataset with exact repeats
 and in-cell near-copies of some matches appended to each matches file, so
-it reaches the estimators' de-duplication.  The records fixture checks
+it reaches the estimators' de-duplication.  The depth-noise fixture is the
+1px-noise configuration with 15% multiplicative depth noise, the regime of a
+predicted depth map, so the scale vote works on scattered scales.  The records fixture checks
 `evaluate` and `curves` alone on about 2000 queries: it writes an estimates
 file from the synth ground truth with seeded perturbations (tied and
 missing confidences, failed lines), and there `curves` also runs with its
@@ -48,6 +50,7 @@ FIXTURES = {
     "clean": CLEAN,
     "1px-noise": {**CLEAN, "pixel_noise_px": 1.0},
     "duplicates": {**CLEAN, "pixel_noise_px": 1.0},  # then _append_duplicates
+    "depth-noise": {**CLEAN, "pixel_noise_px": 1.0, "depth_noise_sigma": 0.15},
 }
 ESTIMATORS = ("essmat-dscale", "pnp", "procrustes")
 # 20 scenes of 100 queries; a 64x48 camera keeps the depth maps, which evaluate never reads, small
@@ -130,6 +133,30 @@ RECORDED = {
         "4b91dc477def432573ee4193e3b50ff98be607f63d37c0cc94060701d1f132c8",
     ("duplicates", "procrustes", "curves.csv"):
         "f28641b5bb75cd3eadff66b648c2f968d284e4b9bd100d4c7f982b8f638adbe8",
+    ("depth-noise", "essmat-dscale", "estimate"):
+        "30987a48fd9db54ce0b08fd0c3023501c5f36dea3d7a4a56c1b11a3cfcea06c8",
+    ("depth-noise", "essmat-dscale", "evaluate.json"):
+        "1c4ca449e10b70852a7abb4b07f7c709f3ea85ada98a54f122f4884543f9ca4b",
+    ("depth-noise", "essmat-dscale", "evaluate.csv"):
+        "e616942a43ef084ad92d5a7d8a5eb8354bbb6c68d09e96f767cb249958c9b803",
+    ("depth-noise", "essmat-dscale", "curves.csv"):
+        "ec9e1faed8055e2f2633556350c27751ac859ceeeb982a598c194e38930a1e6f",
+    ("depth-noise", "pnp", "estimate"):
+        "3326929e66fe2541bdf9c8f23d021f1d08740cd11d826750ca5117fbf2af3d9c",
+    ("depth-noise", "pnp", "evaluate.json"):
+        "b21b68e03d81504e5b2da64ad566eb671007d79efe5d8f22ac5db46ac67dd80b",
+    ("depth-noise", "pnp", "evaluate.csv"):
+        "529d369ba06b5f9e894d401685dbe32a58dcc44a0afec85ef2e381f643bc61a3",
+    ("depth-noise", "pnp", "curves.csv"):
+        "77ca60c8eaae9394b1eb8bf46379a3bfbaa145bedd9480051fbe980ed34fe360",
+    ("depth-noise", "procrustes", "estimate"):
+        "38ca6743e85b9682d15edd5af64f77fdba81d2a2113b1b9131207d1894c13639",
+    ("depth-noise", "procrustes", "evaluate.json"):
+        "1aec680600e188e743c68938d5bcf93ecc708f754a130619797ec453fe931a99",
+    ("depth-noise", "procrustes", "evaluate.csv"):
+        "79547fe0d38dbf10b276da0c8a9a83ae924eec3c2728e2a66de03a0cce326de1",
+    ("depth-noise", "procrustes", "curves.csv"):
+        "1b461a1dcbd152c567d1ffe58d5fb122c476b71ca7f55f812b7d9b1f1ca3e082",
     ("options", "essmat-dscale", "estimate"):
         "83e4b95372f500a9b88bdbca04224071122a1edfd0f882adbf5143aa3e6b3943",
     ("options", "pnp", "estimate"):
