@@ -37,8 +37,8 @@ from .dataset import (
 from .errors import FormatError, InvalidParameterError, MfposeError, MissingGroundTruthError
 from .evaluation import (
     PER_SCENE_FIELDS,
+    THRESHOLDS,
     EvaluationRecord,
-    Thresholds,
     aggregate_report,
     precision_curve,
     score_queries,
@@ -51,7 +51,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_MISMATCH = 3
 # Each `curves --acceptance` choice, with the name of the report curve it writes.
-_CURVE_ACCEPTANCE = dict(zip(("vcre-0.05", "vcre-0.10", "pose"), Thresholds().selectors()))
+_CURVE_ACCEPTANCE = dict(zip(("vcre-0.05", "vcre-0.10", "pose"), THRESHOLDS.selectors()))
 
 
 def _log(message: str) -> None:
@@ -248,12 +248,9 @@ def _json_parts(value, parts: list[str], newline: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    thresholds = Thresholds(**{f.name: getattr(args, f.name) for f in fields(Thresholds)})
     records = _records_from_estimates(Path(args.estimates), Path(args.dataset))
     report = aggregate_report(
-        records,
-        thresholds,
-        meta={"estimator": args.estimator_name, "seed": args.seed, "estimates": str(args.estimates)},
+        records, meta={"estimator": args.estimator_name, "seed": args.seed, "estimates": str(args.estimates)}
     )
     for name, rate in report["summary"]["acceptance"].items():
         print(f"acceptance {name}: {rate:.6f}")
@@ -273,7 +270,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    acceptable = Thresholds().selectors()[_CURVE_ACCEPTANCE[args.acceptance]]
+    acceptable = THRESHOLDS.selectors()[_CURVE_ACCEPTANCE[args.acceptance]]
     records = _records_from_estimates(Path(args.estimates), Path(args.dataset))
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -362,10 +359,6 @@ def build_parser() -> tuple[_Parser, _Parser]:
     ev.set_defaults(handler=cmd_evaluate)
     ev.add_argument("--estimates", required=True)
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--threshold-vcre", dest="vcre_fractions", type=float, nargs="+",
-                    default=Thresholds.vcre_fractions, help="fractions of the image diagonal")
-    ev.add_argument("--threshold-pose-m", dest="pose_translation_m", type=float, default=Thresholds.pose_translation_m)
-    ev.add_argument("--threshold-pose-deg", dest="pose_rotation_deg", type=float, default=Thresholds.pose_rotation_deg)
     ev.add_argument("--estimator-name", default="unknown", help="recorded in report meta")
     ev.add_argument("--seed", type=int, default=DEFAULT_SEED, help="recorded in report meta")
     ev.add_argument("--out-json", default=None)

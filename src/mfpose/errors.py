@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the check that turns a parameter's TypeError into one."""
+"""Exception types shared across the toolkit, and the check that turns a parameter's TypeError or ValueError into one."""
 
 
 class MfposeError(Exception):
@@ -10,13 +10,16 @@ class InvalidParameterError(MfposeError, ValueError):
 
 
 def parameter_check(post_init):
-    """Decorates a dataclass's `__post_init__`: a TypeError in it, from a value of the wrong type, raises InvalidParameterError."""
+    """Decorates a dataclass's `__post_init__`: a TypeError or ValueError in it, from a value of the wrong type
+    or shape, raises InvalidParameterError."""
 
     def check(self):
         try:
             post_init(self)
-        except TypeError as exc:
-            raise InvalidParameterError(f"{type(self).__name__}: a parameter has the wrong type ({exc})") from exc
+        except MfposeError:  # InvalidParameterError is a ValueError too: its own message stands
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"{type(self).__name__}: a parameter has the wrong type or shape ({exc})") from exc
 
     return check
 

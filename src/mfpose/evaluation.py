@@ -8,8 +8,8 @@ into precision/ratio trade-off curves, and reports aggregate per-scene
 medians, acceptance rates, and the VCRE distribution.
 
 The protocol is fixed and defined once here: every score uses the one
-virtual grid `GRID`, and `Thresholds.selectors` names and judges every
-acceptance criterion that reports and curves use.
+virtual grid `GRID`, and every report and curve judges by the one set of
+cut-offs `THRESHOLDS`, whose `selectors` name each acceptance criterion.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, parameter_check
+from .errors import InvalidParameterError
 from .geometry import CameraIntrinsics, Pose, rotation_error_deg
 from .pipelines import EstimateStatus, PoseEstimate
 
@@ -178,20 +178,15 @@ def score_query(
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Acceptance cutoffs: VCRE as image-diagonal fractions, pose as (m, deg)."""
+    """Acceptance cutoffs: VCRE as image-diagonal fractions, pose as (m, deg).
 
-    vcre_fractions: tuple[float, ...] = (0.05, 0.10)
-    pose_translation_m: float = 0.25
-    pose_rotation_deg: float = 5.0
+    They are the benchmark's, so no field can be set: every report and curve
+    judges by the one set, `THRESHOLDS`, and reports embed it.
+    """
 
-    @parameter_check
-    def __post_init__(self):
-        object.__setattr__(self, "vcre_fractions", tuple(self.vcre_fractions))  # `evaluate` passes a list
-        if not all(0 < c < np.inf for c in (*self.vcre_fractions, self.pose_translation_m, self.pose_rotation_deg)):
-            raise InvalidParameterError("thresholds must be finite and positive")  # NaN fails too
-        if len(self.selectors()) <= len(self.vcre_fractions):  # reports key each rate, AUC and curve by name
-            names = " ".join(f"{f:g}" for f in self.vcre_fractions)
-            raise InvalidParameterError(f"VCRE fractions must have distinct report names, got {names}")
+    vcre_fractions: tuple[float, ...] = field(default=(0.05, 0.10), init=False)
+    pose_translation_m: float = field(default=0.25, init=False)
+    pose_rotation_deg: float = field(default=5.0, init=False)
 
     def selectors(self) -> dict[str, Callable[[EvaluationRecord], bool]]:
         """Each acceptance criterion's report name and predicate: the VCRE fractions in order, then the pose cutoffs."""
@@ -203,6 +198,9 @@ class Thresholds:
 
     def vcre_cutoff_px(self, k: CameraIntrinsics) -> tuple[float, ...]:
         return tuple(f * k.diagonal for f in self.vcre_fractions)
+
+
+THRESHOLDS = Thresholds()
 
 
 def vcre_acceptable(record: EvaluationRecord, fraction: float) -> bool:
@@ -287,7 +285,6 @@ def _median_low(values: Iterable[float]) -> float:
 
 def aggregate_report(
     records: Sequence[EvaluationRecord],
-    thresholds: Thresholds = Thresholds(),
     meta: dict | None = None,
 ) -> dict:
     """Dataset-level report: per-scene medians, acceptance rates, curves, CDF.
@@ -302,7 +299,7 @@ def aggregate_report(
     total = len(records)
     ok_records = [r for r in records if r.status is EstimateStatus.OK]
 
-    selectors = thresholds.selectors()
+    selectors = THRESHOLDS.selectors()
     acceptance = dict.fromkeys(selectors, 0.0)
     curves = []
     auc = {}
@@ -336,7 +333,7 @@ def aggregate_report(
         "meta": {
             "schema_version": REPORT_SCHEMA_VERSION,
             "grid": asdict(GRID),
-            "thresholds": asdict(thresholds),
+            "thresholds": asdict(THRESHOLDS),
             **(meta or {}),
         },
         "summary": {

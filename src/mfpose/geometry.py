@@ -219,6 +219,7 @@ class Pose:
     rotation: np.ndarray
     translation: np.ndarray
 
+    @parameter_check
     def __post_init__(self):
         r = np.array(self.rotation, dtype=float)
         if r.shape != (3, 3):

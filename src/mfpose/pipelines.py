@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameterError,
     NoConsensusError,
     ScaleConsensusError,
+    parameter_check,
 )
 from .geometry import CameraIntrinsics, Pose, backproject, normalized_coords
 from .robust import EstimatorConfig, ScaleConsensusConfig, ransac, sampson_error, scale_consensus
@@ -42,6 +43,7 @@ class CorrespondenceSet:
     query_px: np.ndarray  # (n, 2), finite, below 2^32 in magnitude
     scores: np.ndarray  # (n,), finite, nominally in [0, 1]
 
+    @parameter_check
     def __post_init__(self):
         ref = np.asarray(self.ref_px, dtype=float).reshape(-1, 2)
         query = np.asarray(self.query_px, dtype=float).reshape(-1, 2)
@@ -77,6 +79,7 @@ class DepthMap:
 
     values: np.ndarray  # (height, width), row-major
 
+    @parameter_check
     def __post_init__(self):
         with np.errstate(invalid="ignore"):  # a signaling NaN is an invalid pixel like any NaN
             values = np.array(self.values, dtype=float, order="C")  # the map's own copy, never a view
@@ -125,6 +128,7 @@ class PoseEstimate:
     pose: Pose | None = None
     confidence: float | None = None
 
+    @parameter_check
     def __post_init__(self):
         if (self.status is EstimateStatus.OK) != (self.pose is not None):
             raise InvalidParameterError("pose must be present exactly when status is ok")

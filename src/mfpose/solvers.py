@@ -220,7 +220,8 @@ def _real_roots(polys: np.ndarray, is_real):
     owner, roots = [rows[row]], [eigenvalues.real[row, column]]
     for i in np.flatnonzero(~generic & np.any(polys != 0, axis=1)):
         try:
-            candidates = np.roots(polys[i])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an overflow leaves inf, caught below
+                candidates = np.roots(polys[i])
         except np.linalg.LinAlgError:  # an overflowing companion matrix
             continue
         real = candidates.real[is_real(candidates)]
@@ -282,7 +283,8 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
 
     # every (sample, real root) pair at once from here on
     z = _polish_roots(polys[owner], z)
-    parts = _horner(np.moveaxis(z_system[owner], -1, 0), z[:, None, None])  # (P, 3, 3): x, y and 1 parts at z
+    with np.errstate(over="ignore", invalid="ignore"):  # a root that overflows its parts is dropped next
+        parts = _horner(np.moveaxis(z_system[owner], -1, 0), z[:, None, None])  # (P, 3, 3): x, y and 1 parts at z
     finite = np.isfinite(parts).all(axis=(1, 2))
     owner, z, parts = owner[finite], z[finite], parts[finite]
     xy = _least_squares_xy(parts)
@@ -587,10 +589,11 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
             f"P3P needs (K, 3, 3) points and (K, 3, 2) rays, got {points3d.shape} and {rays.shape}"
         )
     poses: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(points3d))]
-    spread = np.abs(points3d - points3d.mean(axis=1, keepdims=True)).max(axis=(1, 2))
-    area = np.linalg.norm(_cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]), axis=1)
-    d01, d02, d12 = np.linalg.norm(points3d[:, [0, 0, 1]] - points3d[:, [1, 2, 2]], axis=2).T
-    collinear = area <= 1e-12 * np.maximum(spread * spread, 1e-30)
+    with np.errstate(over="ignore", invalid="ignore"):  # points near the float limit overflow: inf flows on, as below
+        spread = np.abs(points3d - points3d.mean(axis=1, keepdims=True)).max(axis=(1, 2))
+        area = np.linalg.norm(_cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]), axis=1)
+        d01, d02, d12 = np.linalg.norm(points3d[:, [0, 0, 1]] - points3d[:, [1, 2, 2]], axis=2).T
+        collinear = area <= 1e-12 * np.maximum(spread * spread, 1e-30)
     coincident = (d01 <= 0) | (d02 <= 0) | (d12 <= 0)
     good = np.flatnonzero(~(collinear | coincident))
     points3d, rays, d01, d02, d12 = points3d[good], rays[good], d01[good], d02[good], d12[good]

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from mfpose.dataset import (
     synth_write,
 )
 from mfpose.errors import FormatError
-from mfpose.evaluation import EvaluationRecord, Thresholds, aggregate_report
+from mfpose.evaluation import THRESHOLDS, EvaluationRecord, Thresholds, aggregate_report
 from mfpose.geometry import CameraIntrinsics, _quaternion_of_rotation
 from mfpose.pipelines import ESTIMATOR_NAMES, CorrespondenceSet, DepthMap, EstimateStatus, EstimatorConfig, PoseEstimate
 
@@ -299,63 +299,6 @@ def test_estimate_then_evaluate_then_curves(dataset, tmp_path, capsys):
     assert ratios == sorted(ratios, reverse=True)
 
 
-def test_evaluate_rejects_non_finite_thresholds_exit_2(dataset, tmp_path, capsys):
-    estimates = tmp_path / "est.txt"
-    assert main(["estimate", "--dataset", str(dataset), "--out", str(estimates), "--estimator", "procrustes"]) == EXIT_OK
-    report = tmp_path / "report.json"
-    base = ["evaluate", "--estimates", str(estimates), "--dataset", str(dataset), "--out-json", str(report)]
-    for flags in (
-        ["--threshold-pose-m", "nan"],
-        ["--threshold-pose-deg", "inf"],
-        ["--threshold-vcre", "inf"],
-        ["--threshold-vcre", "0.05", "nan"],
-        ["--threshold-pose-m", "0"],
-    ):
-        assert main(base + flags) == EXIT_IO, flags
-        captured = capsys.readouterr()
-        assert "finite and positive" in captured.err and captured.out == "", flags
-        assert not report.exists(), flags
-
-
-def test_evaluate_rejects_thresholds_with_one_report_name_exit_2(dataset, tmp_path, capsys):
-    # both would print and store as vcre_0.1; the thresholds are checked before the estimates are read
-    report = tmp_path / "report.json"
-    missing = tmp_path / "missing.txt"
-    base = ["evaluate", "--estimates", str(missing), "--dataset", str(dataset), "--out-json", str(report)]
-    for fractions in (["0.1", "0.1"], ["0.1", "0.1000001"]):
-        assert main(base + ["--threshold-vcre", *fractions]) == EXIT_IO, fractions
-        captured = capsys.readouterr()
-        assert "distinct report names" in captured.err and captured.out == "", fractions
-        assert not report.exists(), fractions
-
-
-def test_each_threshold_flag_reaches_its_thresholds_field(dataset, tmp_path, monkeypatch):
-    seen = []
-
-    def recording(records, thresholds, **kwargs):
-        seen.append(thresholds)
-        return aggregate_report(records, thresholds, **kwargs)
-
-    monkeypatch.setattr(cli, "aggregate_report", recording)
-    estimates = tmp_path / "est.txt"
-    estimates.write_text("")
-    base = ["evaluate", "--estimates", str(estimates), "--dataset", str(dataset)]
-
-    def thresholds(flags):
-        seen.clear()
-        assert main(base + flags) == EXIT_OK, flags
-        assert len(seen) == 1, flags
-        return seen[0]
-
-    assert thresholds([]) == Thresholds()
-    for flags, field, expected in (
-        (["--threshold-vcre", "0.03", "0.2"], "vcre_fractions", (0.03, 0.2)),
-        (["--threshold-pose-m", "0.5"], "pose_translation_m", 0.5),
-        (["--threshold-pose-deg", "10"], "pose_rotation_deg", 10.0),
-    ):
-        assert thresholds(flags) == replace(Thresholds(), **{field: expected}), flags
-
-
 def test_estimate_is_identical_when_run_again(dataset, tmp_path):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
@@ -571,6 +514,20 @@ def test_usage_error_exit_1(capsys):
     err = capsys.readouterr().err  # the usage, then the reason
     assert err.startswith("usage: mfpose estimate")
     assert err.endswith("mfpose estimate: error: the following arguments are required: --dataset\n")
+
+
+def test_the_thresholds_are_a_constant(capsys):
+    with pytest.raises(TypeError):
+        Thresholds(pose_translation_m=0.5)
+    with pytest.raises(ValueError):
+        replace(THRESHOLDS, pose_translation_m=0.5)
+    assert asdict(THRESHOLDS) == {"vcre_fractions": (0.05, 0.1), "pose_translation_m": 0.25, "pose_rotation_deg": 5.0}
+    assert list(THRESHOLDS.selectors()) == ["vcre_0.05", "vcre_0.1", "pose_0.25m_5deg"]
+    for flags in (["--threshold-vcre", "0.03"], ["--threshold-pose-m", "0.5"], ["--threshold-pose-deg", "10"]):
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "--estimates", "e.txt", "--dataset", "d", *flags])
+        assert info.value.code == EXIT_USAGE, flags
+        assert "error: unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err, flags
 
 
 def test_console_entry_point(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -381,6 +382,27 @@ def test_load_scene_missing_intrinsics_for_query(tmp_path):
     del intrinsics["query0000"]
     save_intrinsics(tmp_path / "scene0" / "intrinsics.txt", intrinsics)
     with pytest.raises(FormatError):
+        load_scene(tmp_path, "scene0")
+
+
+def test_documented_file_errors_name_the_file(tmp_path):
+    scene = tmp_path / "scene0"
+    synth_write(synth_scene(SyntheticSceneConfig(rng_seed=1, num_points=60)), tmp_path, "scene0")
+    for load in (load_intrinsics, load_depth_map):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(scene))}: cannot read file"):
+            load(scene)  # a directory
+    six = tmp_path / "six.txt"
+    six.write_text("reference 500 500 320 240 640\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(six))}:1: expected 7 fields, got 6$"):
+        load_intrinsics(six)
+    poses = load_poses(scene / "poses.txt")
+    del poses["reference"]
+    save_poses(scene / "poses.txt", poses)
+    with pytest.raises(FormatError, match="poses.txt: frames missing poses: reference$"):
+        load_scene(tmp_path, "scene0")
+    for path in (scene / "matches").iterdir():
+        path.unlink()
+    with pytest.raises(FormatError, match="matches: scene has no matches files$"):
         load_scene(tmp_path, "scene0")
 
 

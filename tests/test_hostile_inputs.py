@@ -71,3 +71,26 @@ def test_hostile_input_gives_a_status_or_a_typed_error(seed):
                     estimate = None
             assert estimate is None or isinstance(estimate, PoseEstimate), (case, name)
             assert time.perf_counter() - start < 2.0, (case, name)
+
+
+@pytest.mark.parametrize(
+    "focal, seeds, options",
+    # at 1e-40 it takes the full iteration budget to reach five-point roots whose parts overflow
+    [(1e-80, range(6), _LOOSE), (1e-40, [1], {})],
+    ids=["1e-80", "1e-40"],
+)
+def test_tiny_focal_lengths_give_a_status_or_a_typed_error(focal, seeds, options):
+    # normalized coordinates near 1e82 overflow the five-point roots and the P3P degeneracy checks
+    tiny = CameraIntrinsics(focal, focal, 320.0, 240.0, 640, 480)
+    for seed in seeds:
+        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=0.4))
+        q = scene.queries[0]
+        cfg = EstimatorConfig(rng_seed=seed, **options)
+        for name in ESTIMATOR_NAMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    estimate = run_estimator(name, q.correspondences, scene.depth_ref, q.depth_query, tiny, tiny, cfg)
+                except MfposeError:
+                    estimate = None
+            assert estimate is None or isinstance(estimate, PoseEstimate), (seed, name)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,6 +12,8 @@ from mfpose.errors import CheiralityError, DegenerateSampleError, InvalidParamet
 from mfpose.geometry import (
     CameraIntrinsics,
     Pose,
+    canonical_quaternions,
+    poses_from_stack,
     project,
     rotation_error_deg,
     translation_error_m,
@@ -29,7 +32,6 @@ from mfpose.pipelines import (
     pixel_index,
     run_estimator,
 )
-from mfpose.evaluation import Thresholds
 from mfpose.robust import RobustResult, ScaleConsensusConfig
 
 from conftest import random_pose, small_angle_deg
@@ -236,7 +238,6 @@ def test_estimator_config_errors_name_the_field(name, value):
         (SyntheticSceneConfig, "focal_px", None),
         (SyntheticSceneConfig, "num_points", None),
         (SyntheticSceneConfig, "depth_range_m", None),
-        (Thresholds, "pose_rotation_deg", "5"),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else None,
 )
@@ -244,6 +245,43 @@ def test_a_parameter_of_the_wrong_type_is_an_invalid_parameter(make, name, value
     valid = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 10, "height": 10} if make is CameraIntrinsics else {}
     with pytest.raises(InvalidParameterError, match="a parameter has the wrong type"):
         make(**{**valid, name: value})
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (CorrespondenceSet, ([["a", 1]], [[1, 2]], [1.0])),
+        (CorrespondenceSet, (None, None, None)),
+        (CorrespondenceSet, ([[object(), 1]], [[1, 2]], [1.0])),
+        (DepthMap, ([["a"]],)),
+        (DepthMap, ([[1.0], [1.0, 2.0]],)),
+        (DepthMap, ([[1j]],)),
+        (Pose, ("abc", [0, 0, 0])),
+        (Pose, (np.eye(3), [0, 0])),
+        (PoseEstimate, (EstimateStatus.NO_ESTIMATE, None, "1")),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_a_data_container_of_the_wrong_type_or_shape_is_an_invalid_parameter(make, args):
+    with pytest.raises(InvalidParameterError, match=f"{make.__name__}: a parameter has the wrong type or shape"):
+        make(*args)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: canonical_quaternions(np.ones((2, 3))), "need an (N, 3, 3) rotation stack, got (2, 3)"),
+        (lambda: Pose(np.eye(2), np.zeros(3)), "rotation must be 3x3, got (2, 2)"),
+        (lambda: poses_from_stack(np.tile(np.eye(3), (2, 1, 1)), np.zeros((1, 3))),
+         "need (N, 3, 3) rotations and (N, 3) translations, got (2, 3, 3) and (1, 3)"),
+        (lambda: ScaleConsensusConfig(-1.0), "relative_tolerance must be positive and finite"),
+        (lambda: solvers.decompose_essential(np.diag([1.0, 1.0, 0.0]), np.zeros((0, 4))),
+         "cheirality needs at least one match"),
+    ],
+)
+def test_documented_argument_errors_are_invalid_parameters(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_pnp_consensus_below_four_is_no_estimate():
