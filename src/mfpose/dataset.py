@@ -38,6 +38,7 @@ from .errors import FormatError, GenerationError, InvalidParameterError, paramet
 from .geometry import (
     CameraIntrinsics,
     Pose,
+    _cross,
     _quaternion_of_rotation,
     backproject,
     canonical_quaternions,
@@ -336,8 +337,9 @@ def load_depth_map(path) -> DepthMap:
 
 def save_depth_map(path, depth: DepthMap) -> None:
     header = struct.pack("<4sII", DEPTH_MAGIC, depth.width, depth.height)
-    payload = np.ascontiguousarray(depth.values, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as file:  # the payload is written from the float32 array itself, not from a bytes copy
+        file.write(header)
+        file.write(np.ascontiguousarray(depth.values, dtype="<f4"))
 
 
 # --------------------------------------------------------------------------
@@ -533,10 +535,41 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
     up = np.array([0.0, -1.0, 0.0])  # negative image-v axis
     if abs(forward @ up) > 0.99:
         up = np.array([1.0, 0.0, 0.0])
-    right = np.cross(up, forward)
+    right = _cross(up, forward)
     right /= np.linalg.norm(right)
-    down = np.cross(forward, right)
+    down = _cross(forward, right)
     return np.vstack([right, down, forward])
+
+
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key occurs more than once."""
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return counts[inverse] > 1
+
+
+def _first_claims(ref_keys: np.ndarray, query_keys: np.ndarray, inliers: np.ndarray) -> np.ndarray:
+    """Mask of the rows kept when each row, in order, claims its reference pixel and, if an inlier, its query pixel.
+
+    A row is kept when no earlier kept row holds a pixel it claims.  A row
+    whose keys no other row shares is kept at once; the loop visits only the
+    rows that share one.
+    """
+    shared = _repeated(ref_keys)
+    shared[inliers] |= _repeated(query_keys[inliers])
+    keep = ~shared
+    ref_taken: set[int] = set()
+    query_taken: set[int] = set()
+    rows = np.flatnonzero(shared).tolist()
+    for row, ref_key, query_key, inlier in zip(
+        rows, ref_keys[rows].tolist(), query_keys[rows].tolist(), inliers[rows].tolist()
+    ):
+        if ref_key in ref_taken or (inlier and query_key in query_taken):
+            continue
+        ref_taken.add(ref_key)
+        if inlier:
+            query_taken.add(query_key)
+        keep[row] = True
+    return keep
 
 
 def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
@@ -544,11 +577,25 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
 
     Depth maps carry a valid value exactly at each kept correspondence's
     nearest pixel (the value is the true camera-frame depth of that match's
-    3D point, optionally corrupted by the configured depth noise/bias);
-    correspondences whose nearest pixel would collide with a different
-    point's are dropped so every kept match reads back its own depth.
+    3D point, optionally corrupted by the configured depth noise/bias).
     Injected outliers keep their reference pixel but get a uniform random
     query pixel and no query-side depth entry.
+
+    A match is dropped when its pixel would collide with a different point's,
+    so every kept match reads back its own depth.  The claims, in match (row)
+    order within each query and query by query:
+
+    - the first match of a point to reach a reference pixel owns it for the
+      whole scene; a later match of another point there is dropped;
+    - an inlier also claims its query pixel within its query; a later inlier
+      there is dropped, and claims nothing;
+    - an outlier claims no query pixel;
+    - a depth that the noise clips to zero leaves its pixel invalid, so a
+      later query's match of the same point there draws that depth again.
+
+    With depth noise, each query draws its normals in one call after its
+    other draws: each kept match takes its query depth's normal (inliers
+    only), then its reference depth's (when it draws one), in row order.
     """
     rng = np.random.default_rng(config.rng_seed)
     k = config.intrinsics()
@@ -564,14 +611,19 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
     points = backproject(k, ref_px, depths)  # reference frame == world frame
     centroid = points.mean(axis=0)
 
-    def depth_value(true_depth: float) -> float:
-        noisy = true_depth * (1.0 + config.depth_bias)
-        if config.depth_noise_sigma > 0:
-            noisy *= 1.0 + config.depth_noise_sigma * rng.standard_normal()
-        return max(noisy, 0.0)  # a clipped sample becomes an invalid pixel
+    def depth_values(true_depths: np.ndarray) -> np.ndarray:
+        noisy = true_depths * (1.0 + config.depth_bias)
+        if config.depth_noise_sigma > 0:  # one normal per depth, in order
+            noisy *= 1.0 + config.depth_noise_sigma * rng.standard_normal(len(noisy))
+        return np.maximum(noisy, 0.0)  # a clipped sample becomes an invalid pixel
+
+    def pixel_keys(pixels: np.ndarray) -> np.ndarray:
+        """Flat index of each in-image pixel's nearest depth pixel, clamped to the border as sample_nearest reads it."""
+        u, v = pixel_index(pixels)
+        return np.minimum(v, config.height - 1) * config.width + np.minimum(u, config.width - 1)
 
     ref_depth_values = np.zeros((config.height, config.width))
-    ref_claims: dict[tuple[int, int], int] = {}
+    ref_owner = np.full(ref_depth_values.size, -1)  # the point that owns each reference pixel, -1 for none
     queries = []
 
     for query_index in range(config.num_queries):
@@ -625,43 +677,47 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
         )
         scores = rng.uniform(0.2, 1.0, n)
 
-        in_bounds = k.contains(noisy_ref) & k.contains(noisy_query)
-        query_depth_values = np.zeros((config.height, config.width))
-        query_claims: set[tuple[int, int]] = set()  # each point appears once per query
-        keep_rows = []
-        (ref_u, query_u), (ref_v, query_v) = pixel_index(np.stack([noisy_ref, noisy_query]))
-        for row in np.flatnonzero(in_bounds):
-            point_id = int(indices[row])
-            ru, rv = ref_u[row], ref_v[row]
-            ref_key = (int(ru), int(rv))
-            if ref_claims.get(ref_key, point_id) != point_id:
-                continue  # another point already owns this reference depth pixel
-            if not outliers[row]:
-                qu, qv = query_u[row], query_v[row]
-                query_key = (int(qu), int(qv))
-                if query_key in query_claims:
-                    continue  # another point owns this query depth pixel
-                query_claims.add(query_key)
-                query_depth_values[qv, qu] = depth_value(float(cam_points[point_id, 2]))
-            ref_claims[ref_key] = point_id
-            if ref_depth_values[rv, ru] == 0.0:
-                ref_depth_values[rv, ru] = depth_value(float(points[point_id, 2]))
-            keep_rows.append(row)
+        rows = np.flatnonzero(k.contains(noisy_ref) & k.contains(noisy_query))
+        point_ids = indices[rows]
+        ref_keys = pixel_keys(noisy_ref[rows])
+        owners = ref_owner[ref_keys]
+        free = (owners < 0) | (owners == point_ids)  # an owned reference pixel never changes owner
+        rows, point_ids, ref_keys = rows[free], point_ids[free], ref_keys[free]
+        query_keys = pixel_keys(noisy_query[rows])
+        inliers = ~outliers[rows]
+        keep = _first_claims(ref_keys, query_keys, inliers)
+        rows, point_ids, ref_keys, query_keys, inliers = (
+            a[keep] for a in (rows, point_ids, ref_keys, query_keys, inliers)
+        )
+        ref_owner[ref_keys] = point_ids
 
-        keep = np.array(keep_rows, dtype=int)
-        correspondences = CorrespondenceSet(noisy_ref[keep], noisy_query[keep], scores[keep])
+        # the depths to draw in row order: each inlier's query depth, then its reference depth unless the
+        # pixel already holds one (a kept reference pixel is unowned or its own point's: 0 or that point's depth)
+        ref_draws = ref_depth_values.take(ref_keys) == 0.0
+        counts = inliers + ref_draws.astype(int)
+        query_slots = np.cumsum(counts) - counts
+        ref_slots = query_slots + inliers
+        true_depths = np.empty(int(counts.sum()))
+        true_depths[query_slots[inliers]] = cam_points[point_ids[inliers], 2]
+        true_depths[ref_slots[ref_draws]] = points[point_ids[ref_draws], 2]
+        drawn = depth_values(true_depths)
+        query_depth_values = np.zeros((config.height, config.width))
+        query_depth_values.put(query_keys[inliers], drawn[query_slots[inliers]])
+        ref_depth_values.put(ref_keys[ref_draws], drawn[ref_slots[ref_draws]])
+
+        correspondences = CorrespondenceSet(noisy_ref[rows], noisy_query[rows], scores[rows])
         queries.append(
             SyntheticQuery(
                 name=f"query{query_index:04d}",
                 pose=pose,
                 correspondences=correspondences,
-                inlier_mask=~outliers[keep],
-                depth_query=DepthMap(query_depth_values),
+                inlier_mask=inliers,
+                depth_query=DepthMap._adopt(query_depth_values),
             )
         )
 
     # reference depth entries accumulate across queries, so the frozen map is built last
-    return SyntheticScene(config, k, DepthMap(ref_depth_values), queries)
+    return SyntheticScene(config, k, DepthMap._adopt(ref_depth_values), queries)
 
 
 def synth_write(scene: SyntheticScene, root, scene_id: str) -> None:

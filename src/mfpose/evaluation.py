@@ -191,9 +191,7 @@ class Thresholds:
     def selectors(self) -> dict[str, Callable[[EvaluationRecord], bool]]:
         """Each acceptance criterion's report name and predicate: the VCRE fractions in order, then the pose cutoffs."""
         selectors = {f"vcre_{f:g}": (lambda r, f=f: vcre_acceptable(r, f)) for f in self.vcre_fractions}
-        selectors[f"pose_{self.pose_translation_m:g}m_{self.pose_rotation_deg:g}deg"] = (
-            lambda r: pose_acceptable(r, self)
-        )
+        selectors[f"pose_{self.pose_translation_m:g}m_{self.pose_rotation_deg:g}deg"] = pose_acceptable
         return selectors
 
     def vcre_cutoff_px(self, k: CameraIntrinsics) -> tuple[float, ...]:
@@ -209,12 +207,12 @@ def vcre_acceptable(record: EvaluationRecord, fraction: float) -> bool:
     return record.vcre_px <= fraction * record.image_diagonal_px
 
 
-def pose_acceptable(record: EvaluationRecord, thresholds: Thresholds) -> bool:
+def pose_acceptable(record: EvaluationRecord) -> bool:
     if record.status is not EstimateStatus.OK:
         return False
     return (
-        record.translation_error_m <= thresholds.pose_translation_m
-        and record.rotation_error_deg <= thresholds.pose_rotation_deg
+        record.translation_error_m <= THRESHOLDS.pose_translation_m
+        and record.rotation_error_deg <= THRESHOLDS.pose_rotation_deg
     )
 
 

@@ -31,12 +31,18 @@ _SKEW_MINUS = np.array([5, 6, 1])
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices: skew(v) @ w == np.cross(v, w), for one (3,) vector or an (..., 3) stack."""
+    """Cross-product matrices: skew(v) @ w == _cross(v, w), for one (3,) vector or an (..., 3) stack."""
     v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape[:-1] + (9,))
     out[..., _SKEW_PLUS] = v
     out[..., _SKEW_MINUS] = -v
     return out.reshape(v.shape[:-1] + (3, 3))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of two broadcast (..., 3) stacks: numpy's `cross` arithmetic without its per-call axis handling."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def rotation_defect(r: np.ndarray):

@@ -88,6 +88,15 @@ class DepthMap:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> DepthMap:
+        """A map over `values` itself: a new 2-D float64 C-ordered array that its maker hands over and keeps no
+        other reference to, so the copy the constructor makes is not needed."""
+        values.setflags(write=False)
+        depth = object.__new__(cls)
+        object.__setattr__(depth, "values", values)
+        return depth
+
     @property
     def height(self) -> int:
         return self.values.shape[0]

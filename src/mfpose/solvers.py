@@ -20,7 +20,7 @@ from .errors import (
     DegenerateSampleError,
     InvalidParameterError,
 )
-from .geometry import ROTATION_TOL, CameraIntrinsics, Pose, rotation_defect, rotation_from_axis_angle, skew
+from .geometry import ROTATION_TOL, CameraIntrinsics, Pose, _cross, rotation_defect, rotation_from_axis_angle, skew
 
 # --------------------------------------------------------------------------
 # Essential matrix
@@ -61,12 +61,6 @@ _MON3 = np.eye(20)[_monomial_table().ravel()]
 
 def _hom(xy: np.ndarray) -> np.ndarray:
     return np.column_stack([xy, np.ones(len(xy))])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of two broadcast (..., 3) stacks, with its arithmetic but without its per-call axis handling."""
-    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _constraint_matrices(basis: np.ndarray) -> np.ndarray:

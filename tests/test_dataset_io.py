@@ -519,6 +519,19 @@ def test_synth_correspondences_read_back_their_own_depth():
     assert np.abs(moved[q.inlier_mask][:, 2] - d_query).max() < 1e-6
 
 
+def test_synth_keeps_a_match_whose_nearest_pixel_is_past_the_last_column_or_row():
+    # a pixel within half a pixel of the far border rounds one past it; its depth goes where sample_nearest reads
+    scene = synth_scene(SyntheticSceneConfig(rng_seed=1, pixel_noise_px=5.0, num_queries=2))
+    past = 0
+    for q in scene.queries:
+        c = q.correspondences
+        query_px = c.query_px[q.inlier_mask]
+        past += int(((query_px[:, 0] >= 639.5) | (query_px[:, 1] >= 479.5)).sum())
+        assert np.all(DepthMap.valid(scene.depth_ref.sample_nearest(c.ref_px)))
+        assert np.all(DepthMap.valid(q.depth_query.sample_nearest(query_px)))
+    assert past >= 1
+
+
 def test_synth_outlier_masks_recovered_by_robust_engine():
     # injected outliers must be excluded by a robust fit >= 95% of the time
     total_wrong = 0

@@ -569,7 +569,7 @@ def test_report_acceptance_equals_the_recount_bit_for_bit():
     recount = {
         "vcre_0.05": sum(vcre_acceptable(r, 0.05) for r in records) / len(records),
         "vcre_0.1": sum(vcre_acceptable(r, 0.1) for r in records) / len(records),
-        "pose_0.25m_5deg": sum(pose_acceptable(r, Thresholds()) for r in records) / len(records),
+        "pose_0.25m_5deg": sum(pose_acceptable(r) for r in records) / len(records),
     }
     assert list(acceptance.items()) == list(recount.items())
     # 1/49 * 49 is 0.9999999999999999 in floating point: the hit count is rounded, not truncated
@@ -586,8 +586,8 @@ def test_report_pose_acceptance_uses_both_limits():
         score_query("s", "a", PoseEstimate(EstimateStatus.OK, good, 1.0), Pose.identity(), K),
         score_query("s", "b", PoseEstimate(EstimateStatus.OK, bad_rotation, 2.0), Pose.identity(), K),
     ]
-    assert pose_acceptable(records[0], Thresholds())
-    assert not pose_acceptable(records[1], Thresholds())
+    assert pose_acceptable(records[0])
+    assert not pose_acceptable(records[1])
     report = aggregate_report(records)
     assert report["summary"]["acceptance"]["pose_0.25m_5deg"] == pytest.approx(0.5)
 

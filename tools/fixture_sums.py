@@ -1,8 +1,12 @@
-"""Check that `mfpose estimate`, `evaluate` and `curves` still write the recorded bytes on the fixtures.
+"""Check that `mfpose synth`, `estimate`, `evaluate` and `curves` still write the recorded bytes on the fixtures.
 
 Run from anywhere: `python3 tools/fixture_sums.py`.  It imports the package
 from this checkout's `src/` and generates the fixture datasets with
-`mfpose synth` in a temporary directory.  On the four estimation fixtures
+`mfpose synth` in a temporary directory.  Each distinct synth dataset (all
+but duplicates, whose dataset is 1px-noise's before its lines are appended)
+has a sum of its own, over every file `synth` writes in sorted relative-path
+order, so a change to the generator shows before any estimator reads its
+output.  On the four estimation fixtures
 it runs `mfpose estimate --seed 3` with each estimator, then `mfpose evaluate`
 (JSON report and per-scene CSV) and `mfpose curves` over each estimates
 file.  On the 1px-noise fixture `estimate` also runs once per estimator
@@ -60,6 +64,14 @@ OPTIONS = {"max_iterations": 500, "ransac_confidence": 0.999, "min_inliers": 6, 
 RECORDS = {"num_scenes": 20, "num_queries": 100, "num_points": 24, "focal_px": 50.0, "width": 64, "height": 48,
            "rng_seed": 11}
 RECORDED = {
+    ("clean", "synth", "dataset"):
+        "19ae9d5c893d703e2f3393c705f2588199fc201b422cf1226deaa5121014f47b",
+    ("1px-noise", "synth", "dataset"):
+        "0327f649f88b1fb818e3fb95943b6037c9d416331ddc8d03c0cff8c983be0396",
+    ("depth-noise", "synth", "dataset"):
+        "0398cd7a05811b359e46257de36fd890bdd8d42987463525b09d358ea4136191",
+    ("records", "synth", "dataset"):
+        "beba4f56fc0013d4a20e67634e45ab175bdbc15a36f82475dd504fce1a298c6f",
     ("clean", "essmat-dscale", "estimate"):
         "1d34a52e9a2dd2ed7f6b13b56d7b55a2d1c69e7ac5ac93abff35fca705b582fa",
     ("clean", "essmat-dscale", "evaluate.json"):
@@ -277,11 +289,22 @@ def _append_duplicates(dataset: Path) -> None:
                 *(np.concatenate(pair) for pair in zip((c.ref_px, c.query_px, c.scores), extra))))
 
 
+def _sha256(path: Path) -> str:
+    """The sum of a file's bytes; of a directory, the sum of every file under it, in sorted relative-path order."""
+    if not path.is_dir():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    for name in sorted(file.relative_to(path).as_posix() for file in path.rglob("*") if file.is_file()):
+        digest.update(name.encode() + b"\n")
+        digest.update((path / name).read_bytes())
+    return digest.hexdigest()
+
+
 def _check(fixture: str, estimator: str, paths: dict[str, Path]) -> int:
     """Print each output's sum next to the recorded one; return how many differ."""
     mismatches = 0
     for output, path in paths.items():
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        actual = _sha256(path)
         recorded = RECORDED[fixture, estimator, output]
         verdict = "ok" if actual == recorded else "MISMATCH"
         mismatches += actual != recorded
@@ -303,6 +326,8 @@ def main() -> int:
         try:
             for fixture, config in FIXTURES.items():
                 _synth(fixture, config)
+                if fixture != "duplicates":  # its dataset is 1px-noise's until _append_duplicates
+                    mismatches += _check(fixture, "synth", {"dataset": Path(fixture)})
                 if fixture == "duplicates":
                     _append_duplicates(Path(fixture))
                 for estimator in ESTIMATORS:
@@ -310,6 +335,7 @@ def main() -> int:
             for estimator in ESTIMATORS:
                 mismatches += _check("options", estimator, _options_estimates(estimator))
             _synth("records", RECORDS)
+            mismatches += _check("records", "synth", {"dataset": Path("records")})
             estimates = Path("records.txt")
             _perturbed_estimates(Path("records"), estimates)
             outputs = _evaluated("records", estimates, "records", "perturbed", ("vcre-0.05", "pose"))
