@@ -639,8 +639,8 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
                 axis /= np.linalg.norm(axis)
                 angle = np.radians(rng.uniform(0, config.rotation_perturb_deg))
                 rotation = rotation_from_axis_angle(axis * angle) @ rotation
-            candidate = Pose(rotation, -(rotation @ center))
-            cam = candidate.transform(points)
+            translation = -(rotation @ center)
+            cam = points @ rotation.T + translation  # as Pose.transform moves them
             in_front = cam[:, 2] > 0.2
             px = np.full((config.num_points, 2), -1.0)
             px[in_front] = project(k, cam[in_front])
@@ -652,7 +652,7 @@ def synth_scene(config: SyntheticSceneConfig) -> SyntheticScene:
                 & (px[:, 1] < config.height - margin)
             )
             if int(in_frame.sum()) >= max(12, config.num_points // 4):
-                pose = candidate
+                pose = Pose(rotation, translation)  # the one candidate kept is built and checked
                 visible = in_frame
                 query_px_true = px
                 cam_points = cam

@@ -337,7 +337,12 @@ def estimate_pnp(
     k_query: CameraIntrinsics,
     cfg: EstimatorConfig = EstimatorConfig(),
 ) -> PoseEstimate:
-    """PnP over 2D query features and 3D points lifted from reference depth."""
+    """PnP over 2D query features and 3D points lifted from reference depth.
+
+    A pose's residual for a match is its pixel reprojection error,
+    sqrt(du * du + dv * dv) (inf for a point at or behind the camera), and
+    the winning pose is refined on its inliers (refine_pnp).
+    """
     _check_arguments(locals())
 
     def lift(c: CorrespondenceSet):
@@ -351,9 +356,9 @@ def estimate_pnp(
         cam = _transform(poses, rows[:, 2:])
         z = cam[:, :, 2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # points behind score inf
-            u = k_query.fx * cam[:, :, 0] / z + k_query.cx
-            v = k_query.fy * cam[:, :, 1] / z + k_query.cy
-            return np.where(z > 0, np.hypot(u - rows[:, 0], v - rows[:, 1]), np.inf)
+            du = k_query.fx * cam[:, :, 0] / z + k_query.cx - rows[:, 0]
+            dv = k_query.fy * cam[:, :, 1] / z + k_query.cy - rows[:, 1]
+            return np.where(z > 0, np.sqrt(du * du + dv * dv), np.inf)
 
     def finish(model, inliers, *_):
         if len(inliers) < 4:  # possible when min_inliers < 4; refine_pnp needs 4

@@ -517,11 +517,37 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+# a sample's three pairs of points (and of rays): (0, 1), (0, 2), (1, 2); pair i is row i of the distance system
+_PAIR_FIRST, _PAIR_SECOND = np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
 def _p3p_quartics(n_poly, d_poly, r01, cos01, cos02) -> np.ndarray:
-    """(P, 5) quartics in v of the ratio substitution, from (P, 3) N(v) and (P, 2) D(v)."""
-    r_poly = np.stack([-r01, 2.0 * r01 * cos02, 1.0 - r01], axis=1)
-    padded = np.pad(_poly_mul(n_poly, d_poly), ((0, 0), (1, 0)))
-    return _poly_mul(n_poly, n_poly) - (2.0 * cos01)[:, None] * padded + _poly_mul(r_poly, _poly_mul(d_poly, d_poly))
+    """(P, 5) quartics in v of the ratio substitution, from (P, 3) N(v) and (P, 2) D(v).
+
+    N^2 - 2 cos01 v N D + R D^2, R = (-r01, 2 r01 cos02, 1 - r01), written
+    out coefficient by coefficient.  Each product polynomial sums its terms
+    in _poly_mul's (np.convolve's) order: by rising index of the first
+    factor; x y and y x are one product.  np.convolve sums from 0.0, which
+    turns a -0.0 coefficient into +0.0; the one + 0.0 at the end does the
+    same, since a zero's sign can change no nonzero sum or difference.
+    """
+    n0, n1, n2 = n_poly.T
+    e0, e1 = d_poly.T
+    n01, n02, n12, e01 = n0 * n1, n0 * n2, n1 * n2, e0 * e1
+    dd0, dd1, dd2 = e0 * e0, e01 + e01, e1 * e1  # D^2
+    r0, r1, r2 = -r01, 2.0 * r01 * cos02, 1.0 - r01
+    c = 2.0 * cos01
+    coefficients = np.stack(
+        [  # N^2 - c (0, N D) + R D^2
+            n0 * n0 - c * 0.0 + r0 * dd0,
+            (n01 + n01) - c * (n0 * e0) + (r0 * dd1 + r1 * dd0),
+            (n02 + n1 * n1 + n02) - c * (n0 * e1 + n1 * e0) + (r0 * dd2 + r1 * dd1 + r2 * dd0),
+            (n12 + n12) - c * (n1 * e1 + n2 * e0) + (r1 * dd2 + r2 * dd1),
+            n2 * n2 - c * (n2 * e1) + r2 * dd2,
+        ],
+        axis=1,
+    )
+    return coefficients + 0.0
 
 
 def _p3p_newton(dists, cos01, cos02, cos12, d01, d02, d12) -> np.ndarray:
@@ -529,35 +555,27 @@ def _p3p_newton(dists, cos01, cos02, cos12, d01, d02, d12) -> np.ndarray:
 
     The quartic root alone can lose precision near double roots, the
     distance system does not.  A root whose Jacobian is singular takes no
-    further steps.
+    further steps.  The system of the roots still stepping is built in
+    place in the leading rows of one (P, 3, 1) and one (P, 3, 3) array.
     """
     dists = dists.copy()
-    live = np.ones(len(dists), dtype=bool)
+    cos = np.column_stack([cos01, cos02, cos12])
+    lengths = np.column_stack([d01, d02, d12])
+    lengths_sq = lengths * lengths
+    g = np.empty((len(dists), 3, 1))
+    jac = np.zeros((len(dists), 3, 3))  # each row's zero entry stays zero
+    rows = np.arange(len(dists))  # the roots still stepping
     for _ in range(3):
-        index = np.flatnonzero(live)
-        k0, k1, k2 = dists[index].T
-        c01, c02, c12 = cos01[index], cos02[index], cos12[index]
-        e01, e02, e12 = d01[index], d02[index], d12[index]
-        g = np.stack(
-            [
-                k0 * k0 + k1 * k1 - 2 * k0 * k1 * c01 - e01 * e01,
-                k0 * k0 + k2 * k2 - 2 * k0 * k2 * c02 - e02 * e02,
-                k1 * k1 + k2 * k2 - 2 * k1 * k2 * c12 - e12 * e12,
-            ],
-            axis=1,
-        )
-        zero = np.zeros(len(index))
-        jac = 2.0 * np.stack(
-            [
-                np.stack([k0 - k1 * c01, k1 - k0 * c01, zero], axis=1),
-                np.stack([k0 - k2 * c02, zero, k2 - k0 * c02], axis=1),
-                np.stack([zero, k1 - k2 * c12, k2 - k1 * c12], axis=1),
-            ],
-            axis=1,
-        )
-        step, solved = _solve_each(jac, g[:, :, None])
-        live[index[~solved]] = False
-        dists[index[solved]] -= step[solved, :, 0]
+        k, c = dists[rows], cos[rows]
+        m = len(k)
+        ka, kb = k[:, _PAIR_FIRST], k[:, _PAIR_SECOND]
+        g[:m, :, 0] = ka * ka + kb * kb - 2 * ka * kb * c - lengths_sq[rows]
+        first, second = 2.0 * (ka - kb * c), 2.0 * (kb - ka * c)  # each row's derivatives in its pair's two distances
+        jac[:m, 0, 0], jac[:m, 1, 0], jac[:m, 2, 1] = first.T
+        jac[:m, 0, 1], jac[:m, 1, 2], jac[:m, 2, 2] = second.T
+        step, solved = _solve_each(jac[:m], g[:m])
+        rows = rows[solved]
+        dists[rows] -= step[solved, :, 0]
     return dists
 
 
@@ -574,7 +592,9 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     are (rotation, translation) pairs, each one that a Pose accepts.  A
     collinear or coincident sample yields an empty list.  Every stage is
     stacked arithmetic that handles each sample alone, so a sample's poses
-    do not depend on the other samples in the stack.
+    do not depend on the other samples in the stack.  Norms and means are
+    the sqrt(add.reduce(x * x)) and add.reduce(x) / n that np.linalg.norm
+    and mean compute.
     """
     points3d = np.asarray(points3d, dtype=float)
     rays = np.asarray(rays, dtype=float)
@@ -584,38 +604,49 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
         )
     poses: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(len(points3d))]
     with np.errstate(over="ignore", invalid="ignore"):  # points near the float limit overflow: inf flows on, as below
-        spread = np.abs(points3d - points3d.mean(axis=1, keepdims=True)).max(axis=(1, 2))
-        area = np.linalg.norm(_cross(points3d[:, 1] - points3d[:, 0], points3d[:, 2] - points3d[:, 0]), axis=1)
-        d01, d02, d12 = np.linalg.norm(points3d[:, [0, 0, 1]] - points3d[:, [1, 2, 2]], axis=2).T
+        spread = np.abs(points3d - np.add.reduce(points3d, axis=1, keepdims=True) / 3).max(axis=(1, 2))
+        edges = points3d[:, _PAIR_SECOND] - points3d[:, _PAIR_FIRST]  # p1 - p0, p2 - p0, p2 - p1
+        normal = _cross(edges[:, 0], edges[:, 1])
+        area = np.sqrt(np.add.reduce(normal * normal, axis=1))
+        lengths = np.sqrt(np.add.reduce(edges * edges, axis=2))  # (K, 3): d01, d02, d12
         collinear = area <= 1e-12 * np.maximum(spread * spread, 1e-30)
-    coincident = (d01 <= 0) | (d02 <= 0) | (d12 <= 0)
-    good = np.flatnonzero(~(collinear | coincident))
-    points3d, rays, d01, d02, d12 = points3d[good], rays[good], d01[good], d02[good], d12[good]
+    good = np.flatnonzero(~(collinear | (lengths <= 0).any(axis=1)))  # not collinear, not coincident
+    points3d, rays, lengths = points3d[good], rays[good], lengths[good]
+    d01, d02, d12 = lengths.T
 
-    f = np.concatenate([rays, np.ones((len(good), 3, 1))], axis=2)
-    f /= np.linalg.norm(f, axis=2, keepdims=True)
-    cos01, cos02, cos12 = np.sum(f[:, [0, 0, 1]] * f[:, [1, 2, 2]], axis=2).T
+    f = np.empty((len(rays), 3, 3))
+    f[:, :, :2] = rays
+    f[:, :, 2] = 1.0
+    f /= np.sqrt(np.add.reduce(f * f, axis=2, keepdims=True))
+    cos = np.add.reduce(f[:, _PAIR_FIRST] * f[:, _PAIR_SECOND], axis=2)  # (K, 3): cos01, cos02, cos12
+    cos01, cos02, cos12 = cos.T
     r01 = (d01 / d02) ** 2
     r12 = (d12 / d02) ** 2
-    # q(v) = 1 + v^2 - 2 v cos02; u = N(v)/D(v) after eliminating u^2.
-    ones = np.ones(len(good))
-    q = np.stack([ones, -2.0 * cos02, ones], axis=1)
-    n_poly = np.array([-1.0, 0.0, 1.0]) - (r01 - r12)[:, None] * q
-    d_poly = np.stack([-2.0 * cos12, 2.0 * cos01], axis=1)
-    quartics = _p3p_quartics(n_poly, d_poly, r01, cos01, cos02)
+    # q(v) = 1 + v^2 - 2 v cos02; u = N(v)/D(v) after eliminating u^2.  D is padded
+    # with a leading zero, which leaves Horner evaluation bit-identical.
+    polys = np.empty((len(rays), 3, 3))  # q, N and D per sample
+    polys[:, 0] = 1.0
+    polys[:, 0, 1] = -2.0 * cos02
+    polys[:, 1] = np.array([-1.0, 0.0, 1.0]) - (r01 - r12)[:, None] * polys[:, 0]
+    polys[:, 2, 0] = 0.0
+    polys[:, 2, 1] = -2.0 * cos12
+    polys[:, 2, 2] = 2.0 * cos01
+    quartics = _p3p_quartics(polys[:, 1], polys[:, 2, 1:], r01, cos01, cos02)
 
     # every (sample, real root) pair at once from here on
     owner, v = _real_roots(quartics, lambda z: np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z.real)))
     v = _polish_roots(quartics[owner], v)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        qv = _horner(q[owner].T, v)
-        dd = _horner(d_poly[owner].T, v)
+        qv, nv, dv = _horner(polys[owner].transpose(2, 0, 1), v[:, None]).T
         k0 = d02[owner] / np.sqrt(qv)
-        dists = np.stack([k0, _horner(n_poly[owner].T, v) / dd * k0, v * k0], axis=1)
-        admissible = ~(qv <= 0) & ~(np.abs(dd) < 1e-12) & ~np.any(dists <= 0, axis=1)
+        dists = np.empty((len(owner), 3))
+        dists[:, 0] = k0
+        dists[:, 1] = nv / dv * k0
+        dists[:, 2] = v * k0
+        admissible = ~(qv <= 0) & ~(np.abs(dv) < 1e-12) & ~(dists <= 0).any(axis=1)
         owner, dists = owner[admissible], dists[admissible]
-        dists = _p3p_newton(dists, cos01[owner], cos02[owner], cos12[owner], d01[owner], d02[owner], d12[owner])
-    fine = np.all(np.isfinite(dists), axis=1) & np.all(dists > 0, axis=1)
+        dists = _p3p_newton(dists, *cos[owner].T, *lengths[owner].T)
+    fine = ((dists > 0) & (dists < np.inf)).all(axis=1)  # finite and positive
     owner, dists = owner[fine], dists[fine]
 
     world = points3d[owner]
@@ -623,7 +654,7 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     projected = world @ np.swapaxes(rotation, 1, 2) + translation[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         error = np.abs(projected[:, :, :2] / projected[:, :, 2:3] - rays[owner]).max(axis=(1, 2))
-    fits = aligned & ~np.any(projected[:, :, 2] <= 0, axis=1) & ~(error > 1e-6)
+    fits = aligned & ~(projected[:, :, 2] <= 0).any(axis=1) & ~(error > 1e-6)
     owner, rotation, translation = owner[fits], rotation[fits], translation[fits]
     # a candidate repeats an earlier kept one (r, t) of its sample when it is within 1e-9 of r and 1e-9 (1 + |t|) of t
     j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
@@ -632,7 +663,7 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     )
     kept = _unrepeated(j, k, repeated, len(owner))
     owner, rotation, translation = owner[kept], rotation[kept], translation[kept]
-    for sample, r, t in zip(good[owner], rotation, translation):
+    for sample, r, t in zip(good[owner].tolist(), rotation, translation):
         poses[sample].append((r, t))
     return poses
 
@@ -707,8 +738,8 @@ def _kabsch(ref: np.ndarray, query: np.ndarray):
     a non-finite translation).  Every stage is a stacked form that rounds as
     the one-pair computation does.
     """
-    centroid_ref = ref.mean(axis=1)
-    centroid_query = query.mean(axis=1)
+    centroid_ref = np.add.reduce(ref, axis=1) / ref.shape[1]  # as ref.mean(axis=1) rounds
+    centroid_query = np.add.reduce(query, axis=1) / query.shape[1]
     h = np.swapaxes(ref - centroid_ref[:, None], 1, 2) @ (query - centroid_query[:, None])
     finite = np.isfinite(h).all(axis=(1, 2))
     u, s, vt = np.linalg.svd(np.where(finite[:, None, None], h, 0.0))  # the SVD raises on inf and nan

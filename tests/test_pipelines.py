@@ -6,9 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mfpose import pipelines, solvers
+from mfpose import pipelines, robust, solvers
 from mfpose.dataset import SyntheticSceneConfig, synth_scene
-from mfpose.errors import CheiralityError, DegenerateSampleError, InvalidParameterError, ScaleConsensusError
+from mfpose.errors import (
+    CheiralityError,
+    DegenerateSampleError,
+    InvalidParameterError,
+    NoConsensusError,
+    ScaleConsensusError,
+)
 from mfpose.geometry import (
     CameraIntrinsics,
     Pose,
@@ -628,6 +634,44 @@ def test_stacked_transform_rounds_as_pose_transform():
     pairs = [(pose.rotation, pose.translation) for pose in poses]
     for pose, cam in zip(poses, _transform(pairs, rows[:, 2:])):
         assert cam.tobytes() == pose.transform(rows[:, 2:]).tobytes()
+
+
+def test_pnp_sqrt_residual_changes_no_ransac_outcome(monkeypatch):
+    # estimate_pnp scores a pose by sqrt(du^2 + dv^2), which can differ from
+    # np.hypot in the last bit; the robust loop must reach the same outcome
+    # with either: same model, consensus and iteration count, scores within rounding
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise NoConsensusError("captured")
+
+    monkeypatch.setattr(pipelines, "ransac", capture)
+
+    def hypot_residual(k):
+        def residuals(poses, rows):
+            cam = _transform(poses, rows[:, 2:])
+            z = cam[:, :, 2]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                u = k.fx * cam[:, :, 0] / z + k.cx
+                v = k.fy * cam[:, :, 1] / z + k.cy
+                return np.where(z > 0, np.hypot(u - rows[:, 0], v - rows[:, 1]), np.inf)
+
+        return residuals
+
+    for outliers in (0.4, 0.8):
+        for seed in range(20):
+            scene = synth_scene(SyntheticSceneConfig(rng_seed=seed, pixel_noise_px=1.0, outlier_fraction=outliers))
+            q, inputs = scene_inputs(scene)
+            calls.clear()
+            estimate_pnp(*inputs[:2], *inputs[3:], EstimatorConfig(rng_seed=seed))
+            ((data, solve, residuals, *rest), kwargs), = calls
+            expected = robust.ransac(data, solve, hypot_residual(scene.intrinsics), *rest, **kwargs)
+            actual = robust.ransac(data, solve, residuals, *rest, **kwargs)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(expected.model, actual.model)), (outliers, seed)
+            assert np.array_equal(expected.inlier_mask, actual.inlier_mask), (outliers, seed)
+            assert (expected.inlier_count, expected.iterations) == (actual.inlier_count, actual.iterations)
+            assert actual.score == pytest.approx(expected.score, rel=1e-12, abs=0)
 
 
 def test_all_outlier_matches_no_estimate():
