@@ -4,13 +4,18 @@ The engine is solver-agnostic and works a window of samples at a time: data
 is any (n, d) array, the minimal solver maps a (K, m, d) stack of samples to
 K lists of candidate models (an empty list for an unusable sample), and the
 residual function maps (models, data) to an (M, n) array of non-negative
-residuals, one row per model.  Scoring is MSAC (truncated squared
-residual); iteration count adapts to the observed inlier ratio.  After a
+residuals, one row per model, which the loop only reads.  Scoring is MSAC
+(truncated squared residual, squared and truncated in an array of the
+loop's own); iteration count adapts to the observed inlier ratio.  After a
 first window of _MIN_ITERATIONS samples, each window draws what the adaptive
 stop still asks for, up to a bound that keeps the (models, n) score arrays
 small.  Samples and models are consumed in draw order, so the result does
 not depend on the window size, and everything is deterministic given the
 seed.  EstimatorConfig is the one parameter object of the loop and the vote.
+
+sampson_error, the essmat score, squares, sums, clamps, roots and divides
+in place on the arrays it makes itself; it never writes its matrices or
+its matches, and each call returns a new array.
 """
 
 from __future__ import annotations
@@ -145,7 +150,8 @@ def ransac(
         losses, masks = [], []
         for start in range(0, len(models), block):
             rows = np.asarray(residuals(models[start : start + block], data), dtype=float)
-            losses.append(np.minimum(rows**2, threshold_sq).sum(axis=1))
+            squares = np.square(rows)
+            losses.append(np.minimum(squares, threshold_sq, out=squares).sum(axis=1))
             masks.append(rows <= threshold)
         return np.concatenate(losses), np.concatenate(masks)
 
@@ -198,31 +204,60 @@ def ransac(
     return RobustResult(best_model, best_mask, count, best_loss, iteration)
 
 
+def _epipolar_rows(matches: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (3, n) homogeneous reference and query rays of (n, 4) matches, and the (9, n) rows of their Kronecker products."""
+    ones = np.ones(len(matches))
+    q_ref = np.stack([matches[:, 0], matches[:, 1], ones])
+    q_query = np.stack([matches[:, 2], matches[:, 3], ones])
+    return q_ref, q_query, (q_query[:, None] * q_ref).reshape(9, -1)
+
+
+def _sampson_rows(stack: np.ndarray, rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """(M, n) Sampson distances of an (M, 3, 3) stack against the _epipolar_rows of n matches.
+
+    Squares, sums, clamps, roots and divides in place on the products it
+    makes itself; `stack` and `rows` are never written.  A denominator that
+    is zero or NaN has no quotient: its distance is inf when the numerator
+    is above zero and 0.0 otherwise, read from the numerator before the
+    divide and written after it.
+    """
+    q_ref, q_query, kron = rows
+    # q_query^T E q_ref = vec(E) . (q_query kron q_ref)
+    products = stack.reshape(-1, 1, 9) @ kron
+    numerator = np.abs(products, out=products)[:, 0]
+    eq = stack[:, :2] @ q_ref  # (E q_ref)[:2]
+    etq = np.swapaxes(stack, 1, 2)[:, :2] @ q_query  # (E^T q_query)[:2]
+    np.square(eq, out=eq)
+    np.square(etq, out=etq)
+    denom = np.add(eq[:, 0], eq[:, 1], out=eq[:, 0])
+    denom += etq[:, 0]
+    denom += etq[:, 1]
+    undefined = ~(denom > 0)
+    fix = np.where(numerator[undefined] > 0, np.inf, 0.0)
+    np.maximum(denom, 1e-300, out=denom)
+    numerator /= np.sqrt(denom, out=denom)
+    numerator[undefined] = fix
+    return numerator
+
+
 def sampson_error(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     """First-order geometric distance to the epipolar constraint, per match.
 
     e is one (3, 3) essential matrix or an (M, 3, 3) stack of them; matches
     is (n, 4) [x_ref, y_ref, x_query, y_query] in normalized coordinates.
     Returns (n,) or (M, n) distances; a single (4,) match with one matrix
-    gives a float.  Zero exactly when the constraint holds.  Every model
+    gives a float.  Zero exactly when the constraint holds; inf when the
+    constraint fails where the denominator is zero or NaN.  Every model
     goes through its own (1, 9) @ (9, n) and (2, 3) @ (3, n) products, one
     matrix being a stack of one, so a row does not depend on the other
-    models in its stack.
+    models in its stack.  The result is a new array; e and matches are
+    only read.
     """
     m = np.asarray(matches, dtype=float)
     single = m.ndim == 1
     m = m.reshape(-1, 4)
-    ones = np.ones(len(m))
-    q_ref = np.stack([m[:, 0], m[:, 1], ones])  # (3, n) homogeneous rays
-    q_query = np.stack([m[:, 2], m[:, 3], ones])
     e = np.asarray(e, dtype=float)
-    stack = e.reshape(-1, 3, 3)
-    # q_query^T E q_ref = vec(E) . (q_query kron q_ref)
-    numerator = np.abs(stack.reshape(-1, 1, 9) @ (q_query[:, None] * q_ref).reshape(9, -1))[:, 0]
-    eq = stack[:, :2] @ q_ref  # (E q_ref)[:2]
-    etq = np.swapaxes(stack, 1, 2)[:, :2] @ q_query  # (E^T q_query)[:2]
-    denom_sq = eq[:, 0] ** 2 + eq[:, 1] ** 2 + etq[:, 0] ** 2 + etq[:, 1] ** 2
-    out = np.where(denom_sq > 0, numerator / np.sqrt(np.maximum(denom_sq, 1e-300)), np.where(numerator > 0, np.inf, 0.0))
+    out = _sampson_rows(e.reshape(-1, 3, 3), _epipolar_rows(m))
     out = out.reshape(e.shape[:-2] + (len(m),))
     return float(out[0]) if single else out
 

@@ -82,20 +82,22 @@ def _constraint_matrices(basis: np.ndarray) -> np.ndarray:
     return terms @ _MON3
 
 
-def _z_rows(row_i: np.ndarray, row_j: np.ndarray) -> np.ndarray:
-    """Combine reduced rows i - z*j into three z-polynomials (x, y, 1 parts).
+def _z_system(reduced: np.ndarray) -> np.ndarray:
+    """(K, 3, 3, 5) z-system: row r is reduced row 4 + 2r less z times row 5 + 2r, split into x, y and 1 parts.
 
     Rows hold coefficients over the trailing 10 columns grouped as
     x*(z^2, z, 1) | y*(z^2, z, 1) | (z^3, z^2, z, 1); the leading monomials
-    of the two rows cancel by construction.  Returns (..., 3, 5) coefficients,
-    highest degree first (numpy poly convention); the cubic x and y parts
-    carry a leading zero, which leaves Horner evaluation bit-identical.
+    of each pair of rows cancel by construction.  Coefficients are highest
+    degree first (numpy poly convention); the cubic x and y parts carry a
+    leading zero, which leaves Horner evaluation bit-identical.
     """
-    zero = np.zeros(row_i.shape[:-1] + (1,))
-    px = np.concatenate([zero, row_i[..., 0:3]], axis=-1) - np.concatenate([row_j[..., 0:3], zero], axis=-1)
-    py = np.concatenate([zero, row_i[..., 3:6]], axis=-1) - np.concatenate([row_j[..., 3:6], zero], axis=-1)
-    p1 = np.concatenate([zero, row_i[..., 6:10]], axis=-1) - np.concatenate([row_j[..., 6:10], zero], axis=-1)
-    return np.stack([np.concatenate([zero, px], axis=-1), np.concatenate([zero, py], axis=-1), p1], axis=-2)
+    upper, lower = reduced[:, 4:9:2], reduced[:, 5:10:2]
+    z_system = np.zeros((len(reduced), 3, 3, 5))
+    z_system[:, :, :2, 2:] = upper[:, :, :6].reshape(len(reduced), 3, 2, 3)
+    z_system[:, :, :2, 1:4] -= lower[:, :, :6].reshape(len(reduced), 3, 2, 3)
+    z_system[:, :, 2, 1:] = upper[:, :, 6:]
+    z_system[:, :, 2, :4] -= lower[:, :, 6:]
+    return z_system
 
 
 def _horner(coeffs, x):
@@ -157,24 +159,30 @@ def _solve_each(a: np.ndarray, b: np.ndarray):
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of two stacks of polynomials along the last axis, highest degree first (np.convolve, stacked)."""
+    """Products of two stacks of polynomials along the last axis, highest degree first (np.convolve, stacked).
+
+    Every product a_i b_j is taken at once; coefficient n then sums the
+    a_i b_(n-i) from 0.0 by rising i, as np.convolve does.
+    """
     width = b.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1] + width - 1,))
+    products = a[..., :, None] * b[..., None, :]
+    out = np.zeros(products.shape[:-2] + (a.shape[-1] + width - 1,))
     for i in range(a.shape[-1]):
-        out[..., i : i + width] += a[..., i, None] * b
+        out[..., i : i + width] += products[..., i, :]
     return out
 
 
 def _z_polynomials(z_system: np.ndarray) -> np.ndarray:
     """(K, 11) degree-10 determinants of a (K, 3, 3, 5) stack of z-systems, by cofactors along the first row.
 
-    The x and y parts carry a leading zero, so the padded products carry two
-    leading zeros that are dropped.
+    The six products of the cofactors are one _poly_mul call.  The x and y
+    parts carry a leading zero, so the padded products carry two leading
+    zeros that are dropped.
     """
     k, l, m = z_system[:, 0], z_system[:, 1], z_system[:, 2]
-    after, before = [1, 2, 0], [2, 0, 1]
-    cofactors = _poly_mul(l[:, after], m[:, before]) - _poly_mul(l[:, before], m[:, after])
-    terms = _poly_mul(k, cofactors)
+    # l_y m_1, l_1 m_x, l_x m_y less l_1 m_y, l_x m_1, l_y m_x
+    products = _poly_mul(l[:, [1, 2, 0, 2, 0, 1]], m[:, [2, 0, 1, 1, 2, 0]])
+    terms = _poly_mul(k, products[:, :3] - products[:, 3:])
     return (terms[:, 0] + terms[:, 1] + terms[:, 2])[:, 2:]
 
 
@@ -228,6 +236,19 @@ def _real_roots(polys: np.ndarray, is_real):
     return owner, roots
 
 
+def _earlier_pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, k): every pair of candidates k < j of one sample, for an ascending owner, j ascending, then k.
+
+    The pairs and their order are those of np.nonzero((owner[:, None] == owner) & np.tri(P, k=-1)).
+    """
+    first = np.searchsorted(owner, owner)  # each candidate's sample starts here
+    earlier = np.arange(len(owner)) - first  # how many candidates of its sample come before it
+    j = np.repeat(np.arange(len(owner)), earlier)
+    starts = np.cumsum(earlier) - earlier  # where each candidate's pairs start in j
+    k = np.arange(len(j)) - np.repeat(starts - first, earlier)
+    return j, k
+
+
 def _unrepeated(j: np.ndarray, k: np.ndarray, repeated: np.ndarray, count: int):
     """Index of the candidates kept when each one that repeats an earlier kept one is dropped.
 
@@ -268,8 +289,7 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
 
     coef = _constraint_matrices(basis)
     reduced, _ = _solve_each(coef[:, :, :10], coef[:, :, 10:])  # Gauss-Jordan; NaN for a singular system
-    # (K, 3, 3, 5): rows k, l, m of the z-system, each split into x, y and 1 parts
-    z_system = np.stack([_z_rows(reduced[:, i], reduced[:, i + 1]) for i in (4, 6, 8)], axis=1)
+    z_system = _z_system(reduced)
     with np.errstate(over="ignore", invalid="ignore"):
         polys = _z_polynomials(z_system)
     polys[~np.isfinite(polys).all(axis=1)] = 0.0  # all-zero rows have no roots; np.roots raises on inf and nan
@@ -300,7 +320,7 @@ def essential_five_point(samples: np.ndarray) -> list[list[np.ndarray]]:
     fits = ~(residual > 1e-8)
     owner, e = owner[fits], e[fits]
     # a candidate repeats an earlier kept one of its sample when |<E, E'>| ~ 1
-    j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
+    j, k = _earlier_pairs(owner)
     repeated = np.abs((e[j] * e[k]).reshape(-1, 9).sum(axis=1)) > 1.0 - 1e-9
     kept = _unrepeated(j, k, repeated, len(owner))
     owner, e = owner[kept], e[kept]
@@ -448,15 +468,16 @@ def _tangent_basis(t: np.ndarray) -> np.ndarray:
     return np.stack([b1, _cross(t, b1)])
 
 
-def _perturb_relative_pose(pose, step: np.ndarray):
-    """(R, t) after a left rotation by step[:3] and a turn of t by step[3:] along its tangent basis."""
+def _perturb_relative_pose(pose, step: np.ndarray, basis: np.ndarray | None = None):
+    """(R, t) after a left rotation by step[:3] and a turn of t by step[3:] along basis, t's _tangent_basis if not given."""
     rotation, t = pose
-    return rotation_from_axis_angle(step[:3]) @ rotation, rotation_from_axis_angle(step[3:] @ _tangent_basis(t)) @ t
+    basis = _tangent_basis(t) if basis is None else basis
+    return rotation_from_axis_angle(step[:3]) @ rotation, rotation_from_axis_angle(step[3:] @ basis) @ t
 
 
-def _relative_pose_directions(rotation: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(5, 3, 3) derivatives of [t]x R along the steps of _perturb_relative_pose at zero."""
-    turned = _cross(_tangent_basis(t), t)
+def _relative_pose_directions(rotation: np.ndarray, t: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """(5, 3, 3) derivatives of [t]x R along the steps of _perturb_relative_pose at zero (basis as there)."""
+    turned = _cross(_tangent_basis(t) if basis is None else basis, t)
     return np.concatenate([skew(t) @ skew(np.eye(3)) @ rotation, skew(turned) @ rotation])
 
 
@@ -490,25 +511,32 @@ def refine_essential(e: np.ndarray, matches: np.ndarray) -> np.ndarray:
     (exact matches), once a solved step is no longer than 1e-12 (1 + |t|) =
     2e-12 (t is the unit translation direction), or after a step that
     lowers it by less than a relative 1e-10.  The result is an exact
-    essential matrix by construction.
+    essential matrix by construction.  The matches' rays and Kronecker rows
+    are built once a call, and each pose's tangent basis once, for its
+    Jacobian and every trial step from it.
     Raises CheiralityError when the initial matrix cannot be decomposed
     against the matches.
     """
     matches = np.asarray(matches, dtype=float).reshape(-1, 4)
     q_ref, q_query = _hom(matches[:, :2]), _hom(matches[:, 2:])
+    rows = robust._epipolar_rows(matches)
+    basis = None  # the tangent basis of the pose last differentiated, which every trial step starts from
 
     def evaluate(pose):
-        res = robust.sampson_error(essential_from_pose(*pose), matches)
+        res = robust._sampson_rows(essential_from_pose(*pose)[None], rows)[0]  # robust.sampson_error(E, matches)
         return float(np.sum(res**2)), res, None
 
     def jacobian(pose, res, state) -> np.ndarray:
+        nonlocal basis
         rotation, t = pose
-        return _sampson_jacobian(skew(t) @ rotation, _relative_pose_directions(rotation, t), q_ref, q_query)
+        basis = _tangent_basis(t)
+        return _sampson_jacobian(skew(t) @ rotation, _relative_pose_directions(rotation, t, basis), q_ref, q_query)
+
+    def update(pose, step: np.ndarray):
+        return _perturb_relative_pose(pose, step, basis)
 
     pose = decompose_essential(e, matches)
-    pose, *_ = _damped_least_squares(
-        pose, evaluate, jacobian, _perturb_relative_pose, itemgetter(1), 1e-6, 1e8, 1e-10, 20, 1e-24
-    )
+    pose, *_ = _damped_least_squares(pose, evaluate, jacobian, update, itemgetter(1), 1e-6, 1e8, 1e-10, 20, 1e-24)
     return essential_from_pose(*pose)
 
 
@@ -657,7 +685,7 @@ def pnp_p3p(points3d: np.ndarray, rays: np.ndarray) -> list[list[tuple[np.ndarra
     fits = aligned & ~(projected[:, :, 2] <= 0).any(axis=1) & ~(error > 1e-6)
     owner, rotation, translation = owner[fits], rotation[fits], translation[fits]
     # a candidate repeats an earlier kept one (r, t) of its sample when it is within 1e-9 of r and 1e-9 (1 + |t|) of t
-    j, k = np.nonzero((owner[:, None] == owner) & np.tri(len(owner), k=-1, dtype=bool))
+    j, k = _earlier_pairs(owner)
     repeated = (np.abs(rotation[j] - rotation[k]).max(axis=(1, 2)) < 1e-9) & (
         np.abs(translation[j] - translation[k]).max(axis=1) < 1e-9 * (1.0 + np.abs(translation[k]).max(axis=1))
     )
