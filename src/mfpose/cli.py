@@ -345,7 +345,6 @@ def build_parser() -> tuple[_Parser, _Parser]:
     est.add_argument("--out", required=True)
     est.add_argument("--max-iterations", type=int, default=EstimatorConfig.max_iterations)
     est.add_argument("--ransac-confidence", dest="confidence", type=float, default=EstimatorConfig.confidence)
-    est.add_argument("--min-inliers", type=int, default=EstimatorConfig.min_inliers)
     est.add_argument("--sampson-threshold", type=float, default=EstimatorConfig.sampson_threshold,
                      help="normalized units; default 4/geometric-mean focal")
     est.add_argument("--pnp-threshold-px", type=float, default=EstimatorConfig.pnp_threshold_px)

@@ -361,8 +361,6 @@ def estimate_pnp(
             return np.where(z > 0, np.sqrt(du * du + dv * dv), np.inf)
 
     def finish(model, inliers, *_):
-        if len(inliers) < 4:  # possible when min_inliers < 4; refine_pnp needs 4
-            raise NoConsensusError(f"{len(inliers)} inliers are too few to refine a pose")
         return solvers.refine_pnp(Pose(*model), inliers[:, 2:], inliers[:, :2], k_query).pose
 
     return _robust_estimate(c, cfg, cfg.pnp_threshold_px, 3, lift, p3p, residuals, (slice(2, 5),), finish)

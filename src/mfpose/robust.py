@@ -42,6 +42,8 @@ _SCORE_ENTRIES = 10 * _WINDOW_ROWS
 # Floor for the adaptive count: at 100% inliers the formula alone would
 # stop after one sample, leaving an ill-conditioned hypothesis unbeaten.
 _MIN_ITERATIONS = 10
+# Fewest inliers a winning model needs; pnp's refinement needs 4 of them.
+_MIN_INLIERS = 5
 
 
 def _check_threshold(name: str, value: float) -> None:
@@ -58,7 +60,6 @@ class EstimatorConfig:
 
     max_iterations: int = 10000
     confidence: float = 0.9999
-    min_inliers: int = 5
     rng_seed: int = 0
     # None -> 4 / (geometric mean of the four focal lengths), in normalized units
     sampson_threshold: float | None = None
@@ -69,9 +70,9 @@ class EstimatorConfig:
     @parameter_check
     def __post_init__(self):
         """Check every value once, so a bad one fails before any query runs."""
-        counts = (self.max_iterations, self.min_inliers, self.rng_seed)
+        counts = (self.max_iterations, self.rng_seed)
         if not all(isinstance(count, (int, np.integer)) for count in counts) or self.rng_seed < 0:
-            raise InvalidParameterError("max_iterations, min_inliers and rng_seed must be integers, rng_seed >= 0")
+            raise InvalidParameterError("max_iterations and rng_seed must be integers, rng_seed >= 0")
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be >= 1")
         if not (0.0 < self.confidence < 1.0):
@@ -115,7 +116,8 @@ def ransac(
     """Best model by MSAC score; raises NoConsensusError when support is too thin.
 
     A residual at most `threshold` marks an inlier; the iteration cap,
-    confidence, min_inliers and rng_seed come from `config`.
+    confidence and rng_seed come from `config`.  A winning model with fewer
+    than _MIN_INLIERS (5) inliers raises NoConsensusError.
 
     The first window draws _MIN_ITERATIONS (10) samples, all that a clean
     problem needs and the floor of the adaptive stop; each later one draws
@@ -199,8 +201,8 @@ def ransac(
                 break
 
     count = int(best_mask.sum())
-    if count < config.min_inliers:
-        raise NoConsensusError(f"best model has {count} inliers < min_inliers={config.min_inliers}")
+    if count < _MIN_INLIERS:
+        raise NoConsensusError(f"best model has {count} inliers < {_MIN_INLIERS}")
     return RobustResult(best_model, best_mask, count, best_loss, iteration)
 
 

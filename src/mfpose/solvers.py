@@ -468,16 +468,15 @@ def _tangent_basis(t: np.ndarray) -> np.ndarray:
     return np.stack([b1, _cross(t, b1)])
 
 
-def _perturb_relative_pose(pose, step: np.ndarray, basis: np.ndarray | None = None):
-    """(R, t) after a left rotation by step[:3] and a turn of t by step[3:] along basis, t's _tangent_basis if not given."""
+def _perturb_relative_pose(pose, step: np.ndarray, basis: np.ndarray):
+    """(R, t) after a left rotation by step[:3] and a turn of t by step[3:] along basis, t's _tangent_basis."""
     rotation, t = pose
-    basis = _tangent_basis(t) if basis is None else basis
     return rotation_from_axis_angle(step[:3]) @ rotation, rotation_from_axis_angle(step[3:] @ basis) @ t
 
 
-def _relative_pose_directions(rotation: np.ndarray, t: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+def _relative_pose_directions(rotation: np.ndarray, t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """(5, 3, 3) derivatives of [t]x R along the steps of _perturb_relative_pose at zero (basis as there)."""
-    turned = _cross(_tangent_basis(t) if basis is None else basis, t)
+    turned = _cross(basis, t)
     return np.concatenate([skew(t) @ skew(np.eye(3)) @ rotation, skew(turned) @ rotation])
 
 

@@ -1,8 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,9 @@ from mfpose.errors import FormatError
 from mfpose.evaluation import THRESHOLDS, EvaluationRecord, Thresholds, aggregate_report
 from mfpose.geometry import CameraIntrinsics, _quaternion_of_rotation
 from mfpose.pipelines import ESTIMATOR_NAMES, CorrespondenceSet, DepthMap, EstimateStatus, EstimatorConfig, PoseEstimate
+
+
+FIXTURE_SUMS = Path(__file__).resolve().parent.parent / "tools" / "fixture_sums.py"
 
 
 @pytest.fixture
@@ -354,13 +358,26 @@ def test_each_estimator_flag_reaches_its_config_field(dataset, tmp_path, monkeyp
     for flag, value, field, expected in (
         ("--max-iterations", "500", "max_iterations", 500),
         ("--ransac-confidence", "0.999", "confidence", 0.999),
-        ("--min-inliers", "6", "min_inliers", 6),
         ("--sampson-threshold", "0.006", "sampson_threshold", 0.006),
         ("--pnp-threshold-px", "2", "pnp_threshold_px", 2.0),
         ("--procrustes-threshold-m", "0.05", "procrustes_threshold_m", 0.05),
         ("--scale-tolerance", "0.05", "scale_relative_tolerance", 0.05),
     ):
         assert configs([flag, value]) == [replace(EstimatorConfig(), **{field: expected})] * 2, flag
+
+
+def test_the_all_options_fixture_sets_every_estimator_option():
+    # tools/fixture_sums.py runs `estimate` once with OPTIONS, each key a flag that fills an EstimatorConfig field
+    spec = importlib.util.spec_from_file_location("fixture_sums", FIXTURE_SUMS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = {f.name for f in fields(EstimatorConfig)} - {"rng_seed"}  # rng_seed is derived per query
+    _, estimate = cli.build_parser()
+    flags = {action.option_strings[0][2:].replace("-", "_"): action for action in estimate._actions
+             if action.dest in names}
+    assert {action.dest for action in flags.values()} == names
+    assert tool.OPTIONS.keys() == flags.keys()
+    assert [name for name, action in flags.items() if tool.OPTIONS[name] == action.default] == []
 
 
 def test_estimate_scene_named_twice_is_estimated_once(dataset, tmp_path, capsys):
@@ -508,12 +525,18 @@ def test_missing_dataset_exit_2(tmp_path):
 
 
 def test_usage_error_exit_1(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["estimate", "--out", "o.txt"])  # missing --dataset
-    assert info.value.code == EXIT_USAGE
-    err = capsys.readouterr().err  # the usage, then the reason
-    assert err.startswith("usage: mfpose estimate")
-    assert err.endswith("mfpose estimate: error: the following arguments are required: --dataset\n")
+    for argv, prog, reason in [
+        (["estimate", "--out", "o.txt"], "mfpose estimate", "the following arguments are required: --dataset"),
+        # the consensus floor is a constant: no flag sets it
+        (["estimate", "--dataset", "d", "--out", "o.txt", "--min-inliers", "6"], "mfpose",
+         "unrecognized arguments: --min-inliers 6"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE, argv
+        err = capsys.readouterr().err  # the usage, then the reason
+        assert err.startswith(f"usage: {prog} "), argv
+        assert err.endswith(f"{prog}: error: {reason}\n"), argv
 
 
 def test_the_thresholds_are_a_constant(capsys):
@@ -573,7 +596,7 @@ def test_unknown_config_key_exit_2(dataset, tmp_path, capsys):
     for argv, payload in [
         (estimate, {"bogus": 1}),
         (estimate, {"max_iterations": "abc"}),
-        (estimate, {"min_inliers": 2.5}),
+        (estimate, {"max_iterations": 2.5}),
         (estimate, [1, 2]),
         (estimate, {"dataset": "nowhere"}),
         (estimate, {"config": "other.json"}),
@@ -600,6 +623,7 @@ def test_documented_cli_errors_exit_with_their_codes(dataset, tmp_path, capsys):
         (estimate + ["--config", str(config)], {"max_iterations": True}, EXIT_IO, str(config)),
         (estimate + ["--config", str(config)], {"seed": [1]}, EXIT_IO, str(config)),
         (estimate + ["--config", str(config)], {"estimator": "ransac"}, EXIT_IO, str(config)),
+        (estimate + ["--config", str(config)], {"min_inliers": 6}, EXIT_IO, "unknown option 'min_inliers'"),
         (estimate + ["--config", str(config)], {"max_iterations": None}, EXIT_OK, None),  # null keeps the default
         (estimate + ["--scenes", "nosuch"], None, EXIT_IO, "scenes not found: nosuch"),
         (["synth", "--config", str(config), "--out", str(tmp_path / "gen")], None, EXIT_IO, str(config)),
@@ -654,9 +678,11 @@ def test_estimate_with_a_consensus_too_small_for_the_adaptive_stop(tmp_path):
     save_correspondences(scene / "matches" / "q0.txt", CorrespondenceSet(ref_px, query_px, rng.random(10_000)))
     out = tmp_path / "est.txt"
     argv = ["estimate", "--dataset", str(scene.parent), "--out", str(out), "--estimator", "essmat-dscale"]
-    argv += ["--sampson-threshold", "1e-9", "--max-iterations", "50", "--min-inliers", "6"]
+    argv += ["--sampson-threshold", "1e-9", "--max-iterations", "50"]
     assert main(argv) == EXIT_OK
-    assert out.read_text() == "s0 q0 no_estimate\n"
+    # that one sample meets the 5-inlier consensus floor: a chance pose of confidence 5
+    line = out.read_text().split()
+    assert line[:3] == ["s0", "q0", "ok"] and line[-1] == "5.0"
 
 
 def test_synth_rejects_unsafe_or_impossible_options_exit_2(tmp_path, capsys):

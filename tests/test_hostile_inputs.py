@@ -1,7 +1,8 @@
 """Every estimator answers hostile input with a status or a typed error, quickly and without a numpy warning.
 
 Wrong `ok` statuses are not checked here: a chance consensus among random
-matches can still pass the estimators' support checks.
+matches can still pass the estimators' support checks.  An `ok` estimate
+still rests on at least the 5 inliers of the consensus floor.
 """
 
 import time
@@ -13,7 +14,15 @@ import pytest
 from mfpose.dataset import SyntheticSceneConfig, synth_scene
 from mfpose.errors import MfposeError
 from mfpose.geometry import CameraIntrinsics
-from mfpose.pipelines import ESTIMATOR_NAMES, CorrespondenceSet, DepthMap, EstimatorConfig, PoseEstimate, run_estimator
+from mfpose.pipelines import (
+    ESTIMATOR_NAMES,
+    CorrespondenceSet,
+    DepthMap,
+    EstimateStatus,
+    EstimatorConfig,
+    PoseEstimate,
+    run_estimator,
+)
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)  # synth_scene's default camera
 _LOOSE = {"max_iterations": 200}
@@ -70,6 +79,7 @@ def test_hostile_input_gives_a_status_or_a_typed_error(seed):
                 except MfposeError:
                     estimate = None
             assert estimate is None or isinstance(estimate, PoseEstimate), (case, name)
+            assert estimate is None or estimate.status is not EstimateStatus.OK or estimate.confidence >= 5, (case, name)
             assert time.perf_counter() - start < 2.0, (case, name)
 
 
@@ -94,3 +104,4 @@ def test_tiny_focal_lengths_give_a_status_or_a_typed_error(focal, seeds, options
                 except MfposeError:
                     estimate = None
             assert estimate is None or isinstance(estimate, PoseEstimate), (seed, name)
+            assert estimate is None or estimate.status is not EstimateStatus.OK or estimate.confidence >= 5, (seed, name)

@@ -217,12 +217,13 @@ def test_estimator_config_rejects_values_the_estimators_would():
         {"rng_seed": 1.5},
         {"rng_seed": 2.0},
         {"max_iterations": 2.5},
-        {"min_inliers": 2.5},
     ):
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(**bad)
+    with pytest.raises(TypeError):  # the consensus floor is a constant, not a field
+        EstimatorConfig(min_inliers=5)
     EstimatorConfig(sampson_threshold=None, procrustes_threshold_m=1e154)
-    EstimatorConfig(max_iterations=np.int64(20), min_inliers=np.int32(5), rng_seed=np.uint64(2**64 - 1))
+    EstimatorConfig(max_iterations=np.int64(20), rng_seed=np.uint64(2**64 - 1))
 
 
 @pytest.mark.parametrize("name, value", [("scale_relative_tolerance", -1), ("max_iterations", 0), ("max_iterations", 1.5)])
@@ -290,42 +291,17 @@ def test_documented_argument_errors_are_invalid_parameters(call, message):
         call()
 
 
-def test_pnp_consensus_below_four_is_no_estimate():
-    # min_inliers=3 lets a 3-match consensus through ransac; refine_pnp needs 4
-    for seed in range(5):
-        scene = synth_scene(SyntheticSceneConfig(rng_seed=seed))
-        q = scene.queries[0]
-        c = q.correspondences
-        query_px = c.query_px[:4].copy()
-        query_px[3] += 80.0  # one outlier among four
-        four = CorrespondenceSet(c.ref_px[:4], query_px, c.scores[:4])
-        cfg = EstimatorConfig(rng_seed=seed, min_inliers=3)
-        estimate = run_estimator("pnp", four, scene.depth_ref, q.depth_query, scene.intrinsics, scene.intrinsics, cfg)
-        assert estimate.status is EstimateStatus.NO_ESTIMATE, seed
-
-
-# status of every synth_scene seed 0-5 on its first 3 or 4 matches, for min_inliers 1, 3 and 5
-_FEW_MATCH_STATUSES = {
-    ("essmat-dscale", 3): ("no_estimate", "no_estimate", "no_estimate"),
-    ("essmat-dscale", 4): ("no_estimate", "no_estimate", "no_estimate"),
-    ("pnp", 3): ("no_estimate", "no_estimate", "no_estimate"),  # refine_pnp needs 4 inliers
-    ("pnp", 4): ("ok", "ok", "no_estimate"),
-    ("procrustes", 3): ("ok", "ok", "no_estimate"),
-    ("procrustes", 4): ("ok", "ok", "no_estimate"),
-}
-
-
 def test_a_minimal_sample_or_one_more_match_gives_the_pinned_statuses():
+    # 3 or 4 matches are below the 5-inlier consensus floor of every estimator
     for seed in range(6):
         scene = synth_scene(SyntheticSceneConfig(rng_seed=seed))
         q = scene.queries[0]
-        matches = q.correspondences
-        for (name, n), statuses in _FEW_MATCH_STATUSES.items():
-            c = CorrespondenceSet(matches.ref_px[:n], matches.query_px[:n], matches.scores[:n])
-            for min_inliers, status in zip((1, 3, 5), statuses):
-                cfg = EstimatorConfig(rng_seed=seed, min_inliers=min_inliers)
+        matches, cfg = q.correspondences, EstimatorConfig(rng_seed=seed)
+        for name in ESTIMATOR_NAMES:
+            for n in (3, 4):
+                c = CorrespondenceSet(matches.ref_px[:n], matches.query_px[:n], matches.scores[:n])
                 estimate = run_estimator(name, c, scene.depth_ref, q.depth_query, scene.intrinsics, scene.intrinsics, cfg)
-                assert estimate.status.value == status, (seed, name, n, min_inliers)
+                assert estimate.status is EstimateStatus.NO_ESTIMATE, (seed, name, n)
 
 
 def _distinct_oracle(c: CorrespondenceSet) -> CorrespondenceSet:

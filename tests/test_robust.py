@@ -67,15 +67,8 @@ def test_ransac_all_inliers_noiseless(rng):
 
 def test_ransac_rejects_all_outlier_data(rng):
     data = np.column_stack([rng.uniform(-10, 10, 60), rng.uniform(-1e3, 1e3, 60)])
-    with pytest.raises(NoConsensusError):
-        ransac(
-            data,
-            line_solver,
-            line_residual,
-            2,
-            1e-4,
-            EstimatorConfig(rng_seed=5, max_iterations=300, min_inliers=10),
-        )
+    with pytest.raises(NoConsensusError, match="inliers < 5$"):  # the consensus floor
+        ransac(data, line_solver, line_residual, 2, 1e-4, EstimatorConfig(rng_seed=5, max_iterations=300))
 
 
 def test_ransac_too_little_data():

@@ -864,12 +864,13 @@ def test_sampson_jacobian_matches_central_differences():
             rotation, t = pose = decompose_essential(start, matches)
             q_ref = np.column_stack([matches[:, :2], np.ones(len(matches))])
             q_query = np.column_stack([matches[:, 2:], np.ones(len(matches))])
-            directions = solvers._relative_pose_directions(rotation, t)
+            basis = solvers._tangent_basis(t)
+            directions = solvers._relative_pose_directions(rotation, t, basis)
             jac = solvers._sampson_jacobian(skew(t) @ rotation, directions, q_ref, q_query)
             central = np.empty_like(jac)
             for j, delta in enumerate(step * np.eye(5)):
-                forward = sampson_error(essential_from_pose(*solvers._perturb_relative_pose(pose, delta)), matches)
-                backward = sampson_error(essential_from_pose(*solvers._perturb_relative_pose(pose, -delta)), matches)
+                forward = sampson_error(essential_from_pose(*solvers._perturb_relative_pose(pose, delta, basis)), matches)
+                backward = sampson_error(essential_from_pose(*solvers._perturb_relative_pose(pose, -delta, basis)), matches)
                 central[:, j] = (forward - backward) / (2.0 * step)
             away = sampson_error(start, matches) > 1e-4  # |a| / d is not differentiable where it is zero
             assert away.sum() > 0.9 * len(matches)

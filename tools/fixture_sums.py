@@ -57,10 +57,10 @@ FIXTURES = {
     "depth-noise": {**CLEAN, "pixel_noise_px": 1.0, "depth_noise_sigma": 0.15},
 }
 ESTIMATORS = ("essmat-dscale", "pnp", "procrustes")
+# every `estimate` option of EstimatorConfig, each away from its default (tests/test_cli.py checks both)
+OPTIONS = {"max_iterations": 500, "ransac_confidence": 0.999, "sampson_threshold": 0.006, "pnp_threshold_px": 2.0,
+           "procrustes_threshold_m": 0.05, "scale_tolerance": 0.05}
 # 20 scenes of 100 queries; a 64x48 camera keeps the depth maps, which evaluate never reads, small
-# every `estimate` option of EstimatorConfig, each away from its default
-OPTIONS = {"max_iterations": 500, "ransac_confidence": 0.999, "min_inliers": 6, "sampson_threshold": 0.006,
-           "pnp_threshold_px": 2.0, "procrustes_threshold_m": 0.05, "scale_tolerance": 0.05}
 RECORDS = {"num_scenes": 20, "num_queries": 100, "num_points": 24, "focal_px": 50.0, "width": 64, "height": 48,
            "rng_seed": 11}
 RECORDED = {
