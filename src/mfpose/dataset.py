@@ -542,16 +542,9 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries whose key occurs more than once: in sorted order, an entry equal to a neighbour."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    equal = ordered[1:] == ordered[:-1]
-    repeated = np.zeros(len(keys), dtype=bool)
-    repeated[1:] = equal
-    repeated[:-1] |= equal
-    mask = np.empty_like(repeated)
-    mask[order] = repeated
-    return mask
+    """Mask of the entries whose key occurs more than once: np.unique's count of each entry's key is above one."""
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return counts[inverse] > 1
 
 
 def _first_claims(ref_keys: np.ndarray, query_keys: np.ndarray, inliers: np.ndarray) -> np.ndarray:

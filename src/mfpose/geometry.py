@@ -62,12 +62,10 @@ def _rotation_faults(rotations: np.ndarray) -> np.ndarray:
     A matrix fails when its defect is not within ROTATION_TOL.  One with an
     entry outside [-2, 2] (NaN and inf included) fails without that test: a
     rotation's entries lie in [-1, 1], and the defect's products and
-    determinant would overflow or warn on such a matrix.
+    determinant would overflow or warn on such a matrix, so the defect is
+    taken of the identity in its place.
     """
-    bounded = np.abs(rotations) <= 2.0
-    if bounded.all():
-        return ~(rotation_defect(rotations) <= ROTATION_TOL)
-    bounded = bounded.all(axis=(1, 2))
+    bounded = (np.abs(rotations) <= 2.0).all(axis=(1, 2))
     defect = rotation_defect(np.where(bounded[:, None, None], rotations, _IDENTITY))
     return ~(bounded & (defect <= ROTATION_TOL))
 
@@ -200,22 +198,19 @@ def canonical_quaternions(rotations) -> np.ndarray:
 
 
 def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
-    """Rodrigues: rotation by |w| radians about w, for one (3,) vector or an (N, 3) stack.
+    """Rodrigues: rotation by |w| radians about a (3,) vector w.
 
     Below an angle of 1e-12 the first-order form I + [w]x is used (identity
-    at w = 0).  Each rotation of a stack rounds as the one-vector call.
+    at w = 0); otherwise the closed form about the unit axis w / |w|.
     """
     w = np.asarray(w, dtype=float)
-    angle = np.sqrt(w[..., None, :] @ w[..., :, None])  # (..., 1, 1): np.linalg.norm of each row (a BLAS dot)
-    tiny = angle < 1e-12
-    tiny_count = np.count_nonzero(tiny)
-    if tiny_count == tiny.size:
+    if w.shape != (3,):
+        raise InvalidParameterError(f"axis-angle vector must have shape (3,), got {w.shape}")
+    angle = np.sqrt(w @ w)
+    if angle < 1e-12:
         return _IDENTITY + skew(w)
-    k = skew(w / (angle + tiny)[..., 0])  # a tiny row's axis is replaced below
-    rotation = _IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    if tiny_count:
-        rotation = np.where(tiny, _IDENTITY + skew(w), rotation)
-    return rotation
+    k = skew(w / angle)
+    return _IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +253,11 @@ class Pose:
 def _first_pose_fault(rotations: np.ndarray, translations: np.ndarray) -> tuple[int, str | None]:
     """The first row of an (N, 3, 3) rotation and an (N, 3) translation stack that Pose rejects, and why.
 
-    (N, None) when every row passes.  This is the one check behind Pose and
-    poses_from_stack.
+    (N, None) when none fails on a _rotation_faults rotation or a non-finite
+    translation.  This is the one check behind Pose and poses_from_stack.
     """
     bad_rotation = _rotation_faults(rotations)
-    finite = np.isfinite(translations)
-    bad = bad_rotation if finite.all() else bad_rotation | ~finite.all(axis=1)
+    bad = bad_rotation | ~np.isfinite(translations).all(axis=1)
     if not bad.any():
         return len(rotations), None
     row = int(bad.argmax())

@@ -206,8 +206,9 @@ def _real_roots(polys: np.ndarray, is_real):
 
     is_real maps complex roots to a mask.  np.roots is the eigenvalues of the
     companion matrix once leading and trailing zeros are stripped; rows with
-    none to strip are solved as one stack, the rest one at a time.  All-zero
-    rows, and rows np.roots cannot solve (inf or nan), have no roots.
+    none to strip are solved as one stack, the rest one at a time, and a
+    stable argsort of the owners merges the two.  All-zero rows, and rows
+    np.roots cannot solve (inf or nan), have no roots.
     """
     degree = polys.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -230,10 +231,8 @@ def _real_roots(polys: np.ndarray, is_real):
         owner.append(np.full(len(real), i))
         roots.append(real)
     owner, roots = np.concatenate(owner), np.concatenate(roots)
-    if len(owner) > len(row):  # merge the one-at-a-time rows in; a stable sort keeps each row's order
-        order = np.argsort(owner, kind="stable")
-        owner, roots = owner[order], roots[order]
-    return owner, roots
+    order = np.argsort(owner, kind="stable")
+    return owner[order], roots[order]
 
 
 def _earlier_pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,19 +248,18 @@ def _earlier_pairs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
-def _unrepeated(j: np.ndarray, k: np.ndarray, repeated: np.ndarray, count: int):
-    """Index of the candidates kept when each one that repeats an earlier kept one is dropped.
+def _unrepeated(j: np.ndarray, k: np.ndarray, repeated: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the `count` candidates kept when each one that repeats an earlier kept one is dropped.
 
-    `repeated` flags the pairs (j[i], k[i]), k < j, of `count` candidates that repeat each other.
+    `repeated` flags the pairs (j[i], k[i]), k < j, that repeat each other.
+    One pass over the flagged pairs drops j when its k is still kept.  The
+    pairs come in _earlier_pairs order (j ascending, then k), so k's fate is
+    settled before any pair reads it: the mask is the one-at-a-time greedy's.
     """
-    if not repeated.any():  # the common case: keep all
-        return slice(None)
-    repeats = np.zeros((count, count), dtype=bool)
-    repeats[j, k] = repeated
-    kept: list[int] = []
-    for candidate in range(count):
-        if not repeats[candidate, kept].any():
-            kept.append(candidate)
+    kept = np.ones(count, dtype=bool)
+    for later, earlier in zip(j[repeated].tolist(), k[repeated].tolist()):
+        if kept[earlier]:
+            kept[later] = False
     return kept
 
 

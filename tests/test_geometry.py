@@ -148,7 +148,7 @@ def test_canonical_quaternions_match_the_one_pose_search():
     rng = np.random.default_rng(99)
     axes = rng.standard_normal((1500, 3))
     axes *= rng.uniform(0.0, np.pi, (1500, 1)) / np.linalg.norm(axes, axis=1, keepdims=True)
-    rotations = np.concatenate([rotation_from_axis_angle(axes), [np.eye(3), np.diag([1.0, -1.0, -1.0])]])
+    rotations = np.array([rotation_from_axis_angle(a) for a in axes] + [np.eye(3), np.diag([1.0, -1.0, -1.0])])
     expected, endings = zip(*(_one_canonical_quaternion(r) for r in rotations))
     assert set(endings) == {"settled", "came back", "eight rounds"}
     assert [_hex(q) for q in canonical_quaternions(rotations)] == [_hex(q) for q in expected]

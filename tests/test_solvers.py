@@ -349,9 +349,51 @@ def test_real_roots_merge_one_at_a_time_rows_in_row_order():
         assert roots.tobytes() == np.array(expected_roots).tobytes()
 
 
+def _unrepeated_reference(j: np.ndarray, k: np.ndarray, repeated: np.ndarray, count: int):
+    """Index of the candidates kept when each one that repeats an earlier kept one is dropped.
+
+    `repeated` flags the pairs (j[i], k[i]), k < j, of `count` candidates that repeat each other.
+    """
+    if not repeated.any():  # the common case: keep all
+        return slice(None)
+    repeats = np.zeros((count, count), dtype=bool)
+    repeats[j, k] = repeated
+    kept: list[int] = []
+    for candidate in range(count):
+        if not repeats[candidate, kept].any():
+            kept.append(candidate)
+    return kept
+
+
+def _kept_pair(owner, repeated):
+    """np.arange(count)[kept] of solvers._unrepeated and of the candidate-by-candidate greedy it replaced."""
+    owner = np.asarray(owner, dtype=np.intp)
+    j, k = solvers._earlier_pairs(owner)
+    repeated = np.asarray(repeated, dtype=bool).reshape(len(j))
+    index = np.arange(len(owner))
+    actual = solvers._unrepeated(j, k, repeated, len(owner))
+    assert actual.dtype == bool and actual.shape == (len(owner),)
+    return index[actual].tolist(), index[_unrepeated_reference(j, k, repeated, len(owner))].tolist()
+
+
+def test_unrepeated_mask_keeps_the_greedy_set():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        owner = np.sort(rng.integers(0, rng.integers(1, 6), rng.integers(1, 30)))
+        pairs = len(solvers._earlier_pairs(owner)[0])
+        actual, expected = _kept_pair(owner, rng.random(pairs) < rng.choice([0.05, 0.3, 0.7, 1.0]))
+        assert actual == expected
+    # pairs of three candidates of one sample, in _earlier_pairs order: (1, 0), (2, 0), (2, 1)
+    assert _kept_pair([0, 0, 0], [True, False, True]) == ([0, 2], [0, 2])  # A~B, B~C, A and C differ
+    assert _kept_pair([0, 0, 0], [True, True, True]) == ([0], [0])  # all three alike
+    assert _kept_pair([4, 4, 4, 7, 7, 7], [True, False, True, True, False, True]) == ([0, 2, 3, 5], [0, 2, 3, 5])
+    assert _kept_pair([], []) == ([], [])
+    assert _kept_pair([0, 0, 1, 2, 2, 2], [False] * 4) == ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5])
+
+
 def test_five_point_repeated_root_is_kept_once(monkeypatch):
     # every real root planted twice: each candidate repeats the one before it,
-    # so the repeat check's slow path runs and must give the plain solutions
+    # so the repeat check drops every second one and must give the plain solutions
     samples = _real_five_point_samples(16)
     baseline = essential_five_point(samples)
     assert sum(map(len, baseline)) > len(samples)
@@ -826,7 +868,7 @@ def _rodrigues_reference(w):
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def test_stacked_rodrigues_rounds_as_the_one_vector_form():
+def test_skew_stack_and_rodrigues_round_as_the_reference_forms():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-16, 1, (4000, 1))
     w[:30] *= 10.0 ** rng.uniform(-15, -12.5, (30, 1)) / np.linalg.norm(w[:30], axis=1, keepdims=True)
@@ -836,9 +878,14 @@ def test_stacked_rodrigues_rounds_as_the_one_vector_form():
     expected = np.array([_rodrigues_reference(v) for v in w])
     assert skew(w).tobytes() == np.array([_skew_reference(v) for v in w]).tobytes()
     assert np.array([rotation_from_axis_angle(v) for v in w]).tobytes() == expected.tobytes()
-    for window in (1, 10, 4000):
-        parts = [rotation_from_axis_angle(w[i : i + window]) for i in range(0, len(w), window)]
-        assert np.concatenate(parts).tobytes() == expected.tobytes()
+
+
+def test_rodrigues_takes_one_vector():
+    for shape in ((2, 3), (3, 3), (4,)):
+        with pytest.raises(InvalidParameterError, match="shape"):
+            rotation_from_axis_angle(np.full(shape, 0.1))
+    for w in ([0.1, -0.2, 0.3], np.zeros(3), np.array([5e-13, 0.0, 0.0]), np.array([0.0, np.pi, 0.0])):
+        assert rotation_from_axis_angle(w).tobytes() == _rodrigues_reference(np.asarray(w, dtype=float)).tobytes()
 
 
 def test_stacked_essential_from_pose_rounds_as_the_one_pose_form():

@@ -7,10 +7,12 @@ pixels, scores, inlier masks and both depth maps.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from mfpose.dataset import _MARGIN_PX, SyntheticSceneConfig, synth_scene
+from mfpose.dataset import _MARGIN_PX, SyntheticSceneConfig, _repeated, synth_scene
 from mfpose.geometry import Pose, backproject, project, rotation_from_axis_angle
 from mfpose.pipelines import DepthMap, pixel_index
 
@@ -153,3 +155,14 @@ def test_synth_depth_maps_are_read_only_float64_and_share_no_memory():
         assert sum(np.shares_memory(values, other) for other in exposed) == 1  # itself
         with pytest.raises(ValueError):
             values[0, 0] = 1.0
+
+
+def test_repeated_flags_the_keys_that_occur_more_than_once():
+    rng = np.random.default_rng(5)
+    cases = [rng.integers(0, high, size) for high, size in ((5, 20), (50, 60), (3072, 400), (10**12, 30))]
+    cases += [np.zeros(0, dtype=np.intp), np.array([17]), np.full(9, 42)]
+    for keys in cases:
+        counts = Counter(keys.tolist())
+        mask = _repeated(keys)
+        assert mask.dtype == bool and mask.tolist() == [counts[key] > 1 for key in keys.tolist()]
+    assert cases[0].size > len(set(cases[0].tolist())) and not _repeated(cases[-2]).any() and _repeated(cases[-1]).all()
